@@ -13,13 +13,22 @@ import time
 import numpy as np
 
 from .camera import CameraRig, default_rig
-from .geometry import ColoredPointCloud
+from .geometry import ColoredPointCloud, Vec3
 from .localization import LocalizationParams, localize
 
 N_BLOBS = 9
 RED_FRACTION = 0.08
 RED_NOISE_FRACTION = 0.01
 IN_WINDOW_FRACTION = 0.25
+
+
+def blob_centers(params: LocalizationParams) -> list[Vec3]:
+    """Centers of the N_BLOBS red fruit blobs, spaced evenly along y through
+    the middle of the crop window."""
+    cx = (params.x_minus + params.x_plus) / 2.0
+    cz = (params.z_minus + params.z_plus) / 2.0
+    span_y = params.y_plus - params.y_minus
+    return [Vec3(cx, params.y_minus + span_y * (k + 1) / (N_BLOBS + 1), cz) for k in range(N_BLOBS)]
 
 
 def make_bench_clouds(
@@ -46,20 +55,14 @@ def make_bench_clouds(
     n_window = int(size * IN_WINDOW_FRACTION)
     n_background = size - N_BLOBS * n_blob_pts - n_red_noise - n_window
 
-    cx = (params.x_minus + params.x_plus) / 2.0
-    cz = (params.z_minus + params.z_plus) / 2.0
-    span_y = params.y_plus - params.y_minus
-
     chunks_xyz = []
     chunks_rgb = []
-    for k in range(N_BLOBS):
+    for center in blob_centers(params):
         if n_blob_pts == 0:
             break
-        y = params.y_minus + span_y * (k + 1) / (N_BLOBS + 1)
-        center = np.array([cx, y, cz])
         dirs = rng.normal(size=(n_blob_pts, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        chunks_xyz.append(center + 0.0165 * dirs)
+        chunks_xyz.append(center.to_array() + 0.0165 * dirs)
         rgb = np.empty((n_blob_pts, 3), dtype=np.uint8)
         rgb[:, 0] = rng.integers(150, 256, size=n_blob_pts)
         rgb[:, 1] = rng.integers(0, 70, size=n_blob_pts)
@@ -111,7 +114,11 @@ def run_bench(
     rig: CameraRig | None = None,
     warmup: int = 2,
 ) -> dict:
-    """Time `localize` over `reps` repetitions; returns a latency report (ms)."""
+    """Time `localize` over `reps` repetitions; returns a latency report (ms).
+
+    `blob_recall` counts the generated blob centers that lie inside some
+    returned box, so a fast but wrong clustering shows up in the report.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     params = params or LocalizationParams()
@@ -128,12 +135,14 @@ def run_bench(
         samples.append((time.perf_counter() - start) * 1e3)
         n_boxes = len(boxes)
     arr = np.array(samples)
+    recall = sum(any(b.box.contains(c) for b in boxes) for c in blob_centers(params))
     return {
         "size": size,
         "reps": reps,
         "seed": seed,
         "warmup": warmup,
         "n_boxes": n_boxes,
+        "blob_recall": recall,
         "p50_ms": float(np.percentile(arr, 50)),
         "p95_ms": float(np.percentile(arr, 95)),
         "max_ms": float(arr.max()),

@@ -1,25 +1,42 @@
 """Virtual RGB-D cameras: visibility-culled, noise-perturbed scene clouds.
 
-Rendering combines two culling passes. Box-shaped geometry (trough,
-occluders) blocks rays exactly via a vectorized slab test, so anything
-behind a box is guaranteed absent regardless of sampling density. All
-remaining samples inside the frustum and range band then go through an
-angular z-buffer: the nearest sample per (azimuth, elevation) bin wins,
-which handles curved-surface self-occlusion at cloud granularity without
-ray tracing. Depth noise is applied along each surviving ray; dropout then
-removes points independently. Both randomness streams derive from the
-capture seed, so a capture is a pure function of (scene, camera, seed).
+`capture_rig` samples the scene surfaces once and renders that batch
+from each camera; `capture` does the same for a single camera. Rendering
+runs four visibility passes, cheapest first. The first three only drop
+points, so the z-buffer sees the survivors in sampling order:
+
+1. Back-face cull. A box sample (trough, occluder) on a face of its own
+   box that is turned away from the eye is provably blocked by that box,
+   so it is dropped before any ray is cast. The face each sample lies on
+   is found once per sampling; each camera only decides which faces are
+   turned away from it.
+2. Frustum. Points outside the range band or the field of view go.
+3. Slab test. Box-shaped geometry blocks rays exactly via a vectorized
+   slab test, so anything behind a box is absent regardless of sampling
+   density.
+4. Angular z-buffer. The nearest sample per (azimuth, elevation) bin
+   wins, which handles curved-surface self-occlusion at cloud granularity
+   without ray tracing.
+
+Depth noise is then applied along each surviving ray, and dropout removes
+points independently. Both randomness streams derive from the capture
+seed, so a capture is a pure function of (scene, camera, seed).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import ColoredPointCloud, RigidTransform, Vec3
-from .scene import KIND_FRUIT, Scene, sample_surface_arrays
+from .scene import KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, sample_surface_arrays
+
+# A box sample at least this far inside every edge of its face is culled
+# when that face is turned away from the eye (see _back_faces).
+_FACE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,16 +108,6 @@ def default_rig(depth_noise_sigma: float = 0.002, dropout_rate: float = 0.02) ->
     return CameraRig(cam1=cam1, cam2=cam2)
 
 
-def in_frustum(cam: CameraModel, p: Vec3) -> bool:
-    """Frustum and range test for a single base-frame point (no occlusion)."""
-    q = cam.pose.inverse().apply_to(p.to_array().reshape(1, 3))[0]
-    if not cam.min_range <= q[2] <= cam.max_range:
-        return False
-    az = math.atan2(q[0], q[2])
-    el = math.atan2(q[1], q[2])
-    return abs(az) <= cam.h_fov / 2 and abs(el) <= cam.v_fov / 2
-
-
 def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Mask of points whose eye->point segment crosses the box strictly
     before reaching the point (slab method; a point on the box's own
@@ -121,43 +128,102 @@ def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.nd
     return (entry <= exit_) & (exit_ > 1e-9) & (entry < 1.0 - 1e-9) & ~miss
 
 
-def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
-    """Render one camera view of the scene as a cloud in the camera frame.
+def _face_codes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Face of the box [lo, hi] whose interior each surface sample lies in:
+    2*axis for the face at lo[axis], 2*axis + 1 for the face at hi[axis],
+    and -1 for a sample within `_FACE_MARGIN` of a face edge.
 
-    Output order follows the angular bin index, which is deterministic for
-    a fixed (scene, cam, seed) triple.
+    A box no thicker than twice the margin on some axis gets -1 throughout:
+    a zero-thickness box blocks nothing, so none of its samples may be
+    culled.
     """
+    codes = np.full(len(pts), -1, dtype=np.int16)
+    if not (hi - lo > 2 * _FACE_MARGIN).all():
+        return codes
+    inner = (pts >= lo + _FACE_MARGIN) & (pts <= hi - _FACE_MARGIN)
+    for axis in range(3):
+        face_interior = inner[:, (axis + 1) % 3] & inner[:, (axis + 2) % 3]
+        codes[face_interior & (pts[:, axis] == lo[axis])] = 2 * axis
+        codes[face_interior & (pts[:, axis] == hi[axis])] = 2 * axis + 1
+    return codes
+
+
+def _back_faces(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) -> np.ndarray:
+    """Lookup table over face codes 6*box + face, with a final False entry
+    for code -1: True where the face is turned away from the eye.
+
+    The slab test of a box blocks every sample in the interior of such a
+    face: the eye->sample segment enters the box at
+    t <= 1 - margin/|eye - p|, below the slab test's 1 - 1e-9 cut-off for
+    any sample nearer than 1 km, and leaves it through the face at t = 1.
+    Faces of a box that does not hold the eye strictly outside stay False.
+    """
+    table = np.zeros(6 * len(bounds) + 1, dtype=bool)
+    for b, (lo, hi) in enumerate(bounds):
+        if ((eye < lo) | (eye > hi)).any():
+            # the face at lo has outward normal -e_axis, the face at hi +e_axis
+            table[6 * b:6 * b + 6:2] = eye > lo
+            table[6 * b + 1:6 * b + 6:2] = eye < hi
+    return table
+
+
+class _Surfaces(NamedTuple):
+    """A scene sampled once for any number of cameras."""
+
+    xyz: np.ndarray      # (n, 3) samples, detached fruit dropped
+    rgb: np.ndarray      # (n, 3) uint8
+    face: np.ndarray     # (n,) int16 code 6*box + face, or -1 (see _face_codes)
+    bounds: list         # (lo, hi) of the trough and each occluder, in slab-test order
+
+
+def _surfaces(scene: Scene) -> _Surfaces:
+    """Sample the scene and find the face of its own box that each trough
+    and occluder sample lies on; none of this depends on the camera."""
     batch = sample_surface_arrays(scene, scene.surface_density)
+    owned = [(scene.trough, batch.kind == KIND_TROUGH)] if scene.trough is not None else []
+    owned += [(occ, (batch.kind == KIND_OCCLUDER) & (batch.owner == i)) for i, occ in enumerate(scene.occluders)]
+    bounds = []
+    face = np.full(len(batch.xyz), -1, dtype=np.int16)
+    for b, (box, own) in enumerate(owned):
+        lo, hi = box.min.to_array(), box.max.to_array()
+        codes = _face_codes(batch.xyz[own], lo, hi)
+        face[own] = np.where(codes < 0, -1, 6 * b + codes)
+        bounds.append((lo, hi))
+
     detached = np.array([s.id for s in scene.strawberries if s.detached], dtype=np.int32)
-    keep = np.ones(len(batch.xyz), dtype=bool)
     if len(detached):
-        keep &= ~((batch.kind == KIND_FRUIT) & np.isin(batch.owner, detached))
-    xyz = batch.xyz[keep]
-    rgb = batch.rgb[keep]
+        keep = ~((batch.kind == KIND_FRUIT) & np.isin(batch.owner, detached))
+        return _Surfaces(batch.xyz[keep], batch.rgb[keep], face[keep], bounds)
+    return _Surfaces(batch.xyz, batch.rgb, face, bounds)
 
-    eye = cam.pose.translation.to_array()
-    boxes = ([scene.trough] if scene.trough is not None else []) + list(scene.occluders)
-    for box in boxes:
-        if len(xyz) == 0:
-            break
-        blocked = _occluded_by_box(eye, xyz, box.min.to_array(), box.max.to_array())
-        xyz = xyz[~blocked]
-        rgb = rgb[~blocked]
 
-    inv = cam.pose.inverse()
-    q = inv.apply_to(xyz)
+def _frustum(cam: CameraModel, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Camera-frame points, azimuths and elevations of base-frame points,
+    and the mask of those inside the range band and the field of view."""
+    q = cam.pose.inverse().apply_to(xyz)
     z = q[:, 2]
     az = np.arctan2(q[:, 0], z)
     el = np.arctan2(q[:, 1], z)
-    vis = (
+    inside = (
         (z >= cam.min_range) & (z <= cam.max_range)
         & (np.abs(az) <= cam.h_fov / 2) & (np.abs(el) <= cam.v_fov / 2)
     )
-    q = q[vis]
-    rgb = rgb[vis]
-    az = az[vis]
-    el = el[vis]
-    z = z[vis]
+    return q, az, el, inside
+
+
+def _render(surf: _Surfaces, cam: CameraModel, seed: int) -> ColoredPointCloud:
+    """Render one camera view of a sampled scene."""
+    eye = cam.pose.translation.to_array()
+    keep = ~_back_faces(surf.bounds, eye)[surf.face]
+    xyz = surf.xyz[keep]
+    q, az, el, inside = _frustum(cam, xyz)
+    xyz, q, rgb, az, el = xyz[inside], q[inside], surf.rgb[keep][inside], az[inside], el[inside]
+
+    for lo, hi in surf.bounds:
+        if len(xyz) == 0:
+            break
+        clear = ~_occluded_by_box(eye, xyz, lo, hi)
+        xyz, q, rgb, az, el = xyz[clear], q[clear], rgb[clear], az[clear], el[clear]
 
     if len(q) == 0:
         return ColoredPointCloud.empty(cam.frame)
@@ -166,8 +232,9 @@ def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
     bi = np.floor((az + cam.h_fov / 2) / cam.bin_res).astype(np.int64)
     bj = np.floor((el + cam.v_fov / 2) / cam.bin_res).astype(np.int64)
     bins = bj * n_az + bi
-    # nearest point per angular bin wins; ties resolve to the earliest sample
-    order = np.lexsort((np.arange(len(bins)), z, bins))
+    # nearest point per angular bin wins; lexsort is stable, so ties
+    # resolve to the earliest sample
+    order = np.lexsort((q[:, 2], bins))
     sorted_bins = bins[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = sorted_bins[1:] != sorted_bins[:-1]
@@ -187,7 +254,18 @@ def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
     return ColoredPointCloud(cam.frame, q[kept], rgb[kept])
 
 
+def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
+    """Render one camera view of the scene as a cloud in the camera frame.
+
+    Output order follows the angular bin index, which is deterministic for
+    a fixed (scene, cam, seed) triple.
+    """
+    return _render(_surfaces(scene), cam, seed)
+
+
 def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCloud, ColoredPointCloud]:
-    """Capture both cameras with independent noise streams derived from `seed`."""
+    """Capture both cameras from one surface sampling, with independent
+    noise streams derived from `seed`."""
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return capture(scene, rig.cam1, int(s1)), capture(scene, rig.cam2, int(s2))
+    surf = _surfaces(scene)
+    return _render(surf, rig.cam1, int(s1)), _render(surf, rig.cam2, int(s2))

@@ -186,9 +186,9 @@ def _scale_lengths(cfg: dict, scale: float) -> None:
     def scaled(v):
         if isinstance(v, list):
             return [scaled(x) for x in v]
-        if v is None:
-            return None
-        return v * scale
+        if _is_number(v):
+            return v * scale
+        return v  # None, or a bad value left for _validate to name
 
     for path in _LENGTH_FIELDS:
         parts = path.split(".")
@@ -196,6 +196,14 @@ def _scale_lengths(cfg: dict, scale: float) -> None:
         for p in parts[:-1]:
             node = node[p]
         node[parts[-1]] = scaled(node[parts[-1]])
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -209,11 +217,18 @@ def _check_number(cfg_section: dict, section: str, key: str, *, integer=False, p
     if integer:
         _require(isinstance(v, int) and not isinstance(v, bool), name, "must be an integer")
     else:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), name, "must be a number")
+        _require(_is_number(v), name, "must be a number")
     if positive:
         _require(v > 0, name, "must be > 0")
     if nonneg:
         _require(v >= 0, name, "must be >= 0")
+
+
+def _check_triple(v, key: str) -> None:
+    _require(
+        isinstance(v, list) and len(v) == 3 and all(_is_finite(x) for x in v),
+        key, "must be an [x, y, z] triple of finite numbers",
+    )
 
 
 def _validate(cfg: dict) -> None:
@@ -232,15 +247,24 @@ def _validate(cfg: dict) -> None:
         _check_number(sc, "scene", key, positive=True)
     for key in ("fruit_z_band", "radius_band"):
         v = sc[key]
-        _require(isinstance(v, list) and len(v) == 2, f"scene.{key}", "must be a [low, high] pair")
+        _require(
+            isinstance(v, list) and len(v) == 2 and all(_is_finite(x) for x in v),
+            f"scene.{key}", "must be a [low, high] pair of finite numbers",
+        )
         _require(v[0] <= v[1], f"scene.{key}", "must be ordered low <= high")
+    _require(isinstance(sc["occluders"], list), "scene.occluders", "must be a list of [min, max] corner pairs")
+    for i, occ in enumerate(sc["occluders"]):
+        key = f"scene.occluders[{i}]"
+        _require(isinstance(occ, list) and len(occ) == 2, key, "must be a [min, max] pair of [x, y, z] corners")
+        _check_triple(occ[0], f"{key}[0]")
+        _check_triple(occ[1], f"{key}[1]")
+        _require(all(a <= b for a, b in zip(*occ)), key, "must have min <= max on every axis")
 
     for cam_key in ("cam1", "cam2"):
         cam = cfg["rig"][cam_key]
         sect = f"rig.{cam_key}"
         for key in ("eye", "target"):
-            v = cam[key]
-            _require(isinstance(v, list) and len(v) == 3, f"{sect}.{key}", "must be an [x, y, z] triple")
+            _check_triple(cam[key], f"{sect}.{key}")
         for key in ("h_fov_deg", "v_fov_deg", "min_range", "max_range", "bin_res_deg"):
             _check_number(cam, sect, key, positive=True)
         _require(cam["h_fov_deg"] < 180 and cam["v_fov_deg"] < 180, f"{sect}.h_fov_deg", "must be < 180")
@@ -263,8 +287,7 @@ def _validate(cfg: dict) -> None:
     _require(loc["s_min"] <= loc["s_max"], "localization.s_min", "must be <= s_max")
 
     rb = cfg["robot"]
-    v = rb["home"]
-    _require(isinstance(v, list) and len(v) == 3, "robot.home", "must be an [x, y, z] triple")
+    _check_triple(rb["home"], "robot.home")
     _check_number(rb, "robot", "velocity_scale", positive=True)
     _require(rb["velocity_scale"] <= 1.0, "robot.velocity_scale", "must be <= 1")
     _check_number(rb, "robot", "max_speed", positive=True)
@@ -289,16 +312,19 @@ def _validate(cfg: dict) -> None:
 
     bx = cfg["boxes"]
     _require(bx["source"] in ("cameras", "truth"), "boxes.source", "must be 'cameras' or 'truth'")
-    v = bx["offset"]
-    _require(isinstance(v, list) and len(v) == 3, "boxes.offset", "must be an [x, y, z] triple")
+    _check_triple(bx["offset"], "boxes.offset")
 
     sw = cfg["sweep"]
     for key in ("offsets_mm", "velocity_scales", "powers", "noise_sigmas"):
         _require(isinstance(sw[key], list), f"sweep.{key}", "must be a list")
+        for v in sw[key]:
+            _require(_is_finite(v), f"sweep.{key}", "entries must be finite numbers")
     for vs in sw["velocity_scales"]:
         _require(0 < vs <= 1.0, "sweep.velocity_scales", "entries must be in (0, 1]")
     for p in sw["powers"]:
         _require(p > 0, "sweep.powers", "entries must be > 0")
+    for sigma in sw["noise_sigmas"]:
+        _require(sigma >= 0, "sweep.noise_sigmas", "entries must be >= 0")
 
     _require(isinstance(cfg["seeds"], list) and len(cfg["seeds"]) > 0, "seeds", "must be a non-empty list")
     for s in cfg["seeds"]:

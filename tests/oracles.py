@@ -2,12 +2,17 @@
 
 Everything here is deliberately written without reusing the package's
 algorithms: clustering runs a full O(n^2) pairwise union-find, filters are
-plain Python loops, and physics checks use closed forms.
+plain Python loops, and physics checks use closed forms. The camera
+reference is the straightforward renderer (slab-test every sample, then
+clip to the frustum) that the culling renderer must match bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from berrypick.geometry import ColoredPointCloud
+from berrypick.scene import KIND_FRUIT, sample_surface_arrays
 
 
 def brute_force_clusters(xyz: np.ndarray, tol: float, s_min: int, s_max: int) -> list[list[int]]:
@@ -98,3 +103,83 @@ def point_to_segment_distance(p, a, b) -> float:
     t = 0.0 if denom == 0 else float(np.clip(ap @ ab / denom, 0.0, 1.0))
     closest = a + t * ab
     return float(np.linalg.norm(p - closest))
+
+
+def _reference_occluded_by_box(eye, pts, lo, hi):
+    d = pts - eye
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (lo - eye) / d
+        t1 = (hi - eye) / d
+    tmin = np.minimum(t0, t1)
+    tmax = np.maximum(t0, t1)
+    parallel = np.abs(d) < 1e-15
+    outside = (eye < lo) | (eye > hi)
+    tmin[parallel] = -np.inf
+    tmax[parallel] = np.inf
+    entry = tmin.max(axis=1)
+    exit_ = tmax.min(axis=1)
+    miss = (parallel & outside).any(axis=1)
+    return (entry <= exit_) & (exit_ > 1e-9) & (entry < 1.0 - 1e-9) & ~miss
+
+
+def reference_capture(scene, cam, seed) -> ColoredPointCloud:
+    """One camera view, rendered without culling: every sample is
+    slab-tested against every box before the frustum clip."""
+    batch = sample_surface_arrays(scene, scene.surface_density)
+    detached = np.array([s.id for s in scene.strawberries if s.detached], dtype=np.int32)
+    keep = np.ones(len(batch.xyz), dtype=bool)
+    if len(detached):
+        keep &= ~((batch.kind == KIND_FRUIT) & np.isin(batch.owner, detached))
+    xyz = batch.xyz[keep]
+    rgb = batch.rgb[keep]
+
+    eye = cam.pose.translation.to_array()
+    boxes = ([scene.trough] if scene.trough is not None else []) + list(scene.occluders)
+    for box in boxes:
+        if len(xyz) == 0:
+            break
+        blocked = _reference_occluded_by_box(eye, xyz, box.min.to_array(), box.max.to_array())
+        xyz = xyz[~blocked]
+        rgb = rgb[~blocked]
+
+    inv = cam.pose.inverse()
+    q = inv.apply_to(xyz)
+    z = q[:, 2]
+    az = np.arctan2(q[:, 0], z)
+    el = np.arctan2(q[:, 1], z)
+    vis = (
+        (z >= cam.min_range) & (z <= cam.max_range)
+        & (np.abs(az) <= cam.h_fov / 2) & (np.abs(el) <= cam.v_fov / 2)
+    )
+    q = q[vis]
+    rgb = rgb[vis]
+    az = az[vis]
+    el = el[vis]
+    z = z[vis]
+
+    if len(q) == 0:
+        return ColoredPointCloud.empty(cam.frame)
+
+    n_az = int(math.ceil(cam.h_fov / cam.bin_res)) + 1
+    bi = np.floor((az + cam.h_fov / 2) / cam.bin_res).astype(np.int64)
+    bj = np.floor((el + cam.v_fov / 2) / cam.bin_res).astype(np.int64)
+    bins = bj * n_az + bi
+    # nearest point per angular bin wins; ties resolve to the earliest sample
+    order = np.lexsort((np.arange(len(bins)), z, bins))
+    sorted_bins = bins[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = sorted_bins[1:] != sorted_bins[:-1]
+    sel = order[first]
+    q = q[sel]
+    rgb = rgb[sel]
+
+    ss = np.random.SeedSequence(seed)
+    noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
+
+    ranges = np.linalg.norm(q, axis=1)
+    dr = noise_rng.normal(0.0, 1.0, size=len(q)) * cam.depth_noise_sigma
+    q = q * ((ranges + dr) / ranges)[:, None]
+
+    u = dropout_rng.random(len(q))
+    kept = u >= cam.dropout_rate
+    return ColoredPointCloud(cam.frame, q[kept], rgb[kept])

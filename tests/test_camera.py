@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from berrypick.camera import CameraModel, CameraRig, capture, capture_rig, default_rig, in_frustum, look_at_pose
+from berrypick import camera
+from berrypick.camera import CameraModel, CameraRig, capture, capture_rig, default_rig, look_at_pose
+from berrypick.cli import resolve_config_arg
+from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, transform_cloud
-from berrypick.scene import generate_scene, detach_fruit, sample_surfaces
+from berrypick.scene import KIND_OCCLUDER, generate_scene, detach_fruit, sample_surface_arrays, sample_surfaces
 
-from oracles import ray_hits_box, point_to_segment_distance
+from oracles import ray_hits_box, point_to_segment_distance, reference_capture
 
 
 def noiseless_rig():
@@ -202,6 +207,91 @@ class TestCaptureRig:
 
     def test_frusta_overlap_on_workspace(self):
         rig = default_rig()
-        probe = Vec3(0.42, 0.0, 0.40)
-        assert in_frustum(rig.cam1, probe)
-        assert in_frustum(rig.cam2, probe)
+        probe = np.array([[0.42, 0.0, 0.40]])
+        assert camera._frustum(rig.cam1, probe)[-1].all()
+        assert camera._frustum(rig.cam2, probe)[-1].all()
+
+    def test_samples_surfaces_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_surface_arrays(*args)
+
+        monkeypatch.setattr(camera, "sample_surface_arrays", counting)
+        capture_rig(generate_scene(2, 3), default_rig(), 1)
+        assert len(calls) == 1
+
+
+def _paper9():
+    return build_scene(resolve_config_arg("paper9"), 1)
+
+
+# cam1's eye is at (-0.05, 0, 0.45)
+CULL_SCENES = {
+    "paper9": _paper9,
+    "detached": lambda: detach_fruit(_paper9(), 4),
+    "no_trough": lambda: replace(_paper9(), trough=None),
+    "occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.20, -0.05, 0.30), Vec3(0.22, 0.05, 0.55)),)),
+    "flat_occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.21, -0.05, 0.30), Vec3(0.21, 0.05, 0.55)),)),
+    "eye_in_occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(-0.10, -0.05, 0.40), Vec3(0.0, 0.05, 0.50)),)),
+}
+
+
+def _same_bytes(a, b):
+    return a.frame == b.frame and a.xyz.tobytes() == b.xyz.tobytes() and a.rgb.tobytes() == b.rgb.tobytes()
+
+
+class TestCullingEquivalence:
+    """The culling renderer must match the plain renderer bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(CULL_SCENES))
+    def test_matches_reference_capture(self, name):
+        scene = CULL_SCENES[name]()
+        rig = default_rig()
+        for seed in (0, 7, 123456):
+            s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+            ref1 = reference_capture(scene, rig.cam1, s1)
+            ref2 = reference_capture(scene, rig.cam2, s2)
+            assert len(ref1) + len(ref2) > 0
+            assert _same_bytes(capture(scene, rig.cam1, s1), ref1)
+            assert _same_bytes(capture(scene, rig.cam2, s2), ref2)
+            c1, c2 = capture_rig(scene, rig, seed)
+            assert _same_bytes(c1, ref1) and _same_bytes(c2, ref2)
+
+    @pytest.mark.parametrize("name", sorted(CULL_SCENES))
+    def test_culled_samples_are_blocked(self, name):
+        scene = replace(CULL_SCENES[name](), surface_density=6000.0)
+        surf = camera._surfaces(scene)
+        boxes = [scene.trough] if scene.trough is not None else []
+        boxes += list(scene.occluders)
+        for cam in (default_rig().cam1, default_rig().cam2):
+            eye = cam.pose.translation.to_array()
+            culled = camera._back_faces(surf.bounds, eye)[surf.face]
+            if scene.trough is not None:
+                assert culled.sum() > len(surf.xyz) // 4
+            for p in surf.xyz[culled]:
+                # the segment stopped just short of the sample still meets a box
+                assert any(
+                    ray_hits_box(eye, p - eye, 1.0 - 1e-7, b.min.to_array(), b.max.to_array())
+                    for b in boxes
+                )
+
+    def test_sample_near_a_face_edge_is_not_culled(self):
+        lo, hi = np.array([0.5, -0.6, 0.18]), np.array([0.7, 0.6, 0.48])
+        eye = np.array([0.0, 0.0, 0.6])
+        # both on the far x face, which looks away from the eye; the first
+        # lies 1e-11 below the top edge, so its ray only grazes the box
+        pts = np.array([[0.7, 0.0, 0.48 - 1e-11], [0.7, 0.0, 0.40]])
+        blocked = [ray_hits_box(eye, p - eye, 1.0 - 1e-9, lo, hi) for p in pts]
+        assert blocked == [False, True]
+        culled = camera._back_faces([(lo, hi)], eye)[camera._face_codes(pts, lo, hi)]
+        assert culled.tolist() == blocked
+
+    def test_flat_occluder_samples_are_not_culled(self):
+        scene = CULL_SCENES["flat_occluder"]()
+        occ = sample_surface_arrays(scene, scene.surface_density).kind == KIND_OCCLUDER
+        surf = camera._surfaces(scene)
+        for cam in (default_rig().cam1, default_rig().cam2):
+            culled = camera._back_faces(surf.bounds, cam.pose.translation.to_array())[surf.face]
+            assert occ.any() and not culled[occ].any()

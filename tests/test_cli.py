@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from berrypick.bench import N_BLOBS, make_bench_clouds
 from berrypick.camera import capture_rig, default_rig
 from berrypick.cli import (
     apply_sweep_value,
@@ -116,6 +118,13 @@ class TestRunCommand:
         assert rc == 2
         assert "localization.s_min" in capsys.readouterr().err
 
+    def test_malformed_occluder_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, {"scene": {"occluders": [[1, 2]]}})
+        rc = main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scene.occluders[0]" in err and "Traceback" not in err
+
     def test_paper9_has_nine_cycle_rows(self, tmp_path):
         out = tmp_path / "p9"
         assert main(["run", "--config", "paper9", "--out", str(out)]) == 0
@@ -172,6 +181,12 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(tmp_path / "s")])
         assert rc == 2
 
+    def test_negative_noise_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, {"name": "mini", "scene": FAST_SCENE, "sweep": {"noise_sigmas": [-1]}})
+        rc = main(["sweep", "--config", cfg_path, "--axis", "noise", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "sweep.noise_sigmas" in capsys.readouterr().err
+
     def test_power_sweep_halves_cut_time(self, tmp_path):
         payload = {
             "name": "mini",
@@ -223,6 +238,23 @@ class TestBenchCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["p50_ms"] > 0
+        assert report["blob_recall"] == 0
+
+    def test_reports_blob_recall(self, capsys):
+        rc = main(["bench", "--size", "5000", "--reps", "1", "--seed", "0"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        params = LocalizationParams()
+        rig = default_rig()
+        c1, c2 = make_bench_clouds(5000, 0, params, rig)
+        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params)
+        span = params.y_plus - params.y_minus
+        found = 0
+        for k in range(N_BLOBS):
+            c = np.array([(params.x_minus + params.x_plus) / 2, params.y_minus + span * (k + 1) / (N_BLOBS + 1),
+                          (params.z_minus + params.z_plus) / 2])
+            found += any(np.all(c >= b.box.min.to_array()) and np.all(c <= b.box.max.to_array()) for b in boxes)
+        assert report["blob_recall"] == found == N_BLOBS
 
 
 class TestLocalizeCommand:

@@ -56,6 +56,39 @@ class TestResolve:
         with pytest.raises(ConfigError, match="boxes.source"):
             resolve_config({"boxes": {"source": "psychic"}})
 
+    def test_negative_noise_sigma_named(self):
+        with pytest.raises(ConfigError, match="sweep.noise_sigmas"):
+            resolve_config({"sweep": {"noise_sigmas": [0.001, -1]}})
+
+    def test_non_numeric_sweep_entry_named(self):
+        with pytest.raises(ConfigError, match="sweep.velocity_scales"):
+            resolve_config({"sweep": {"velocity_scales": ["fast"]}})
+
+    @pytest.mark.parametrize("occ, key", [
+        ([[1, 2]], r"scene\.occluders\[0\]"),
+        ([[[0, 0, 0], [1, 1, 1]], 5], r"scene\.occluders\[1\]"),
+        ([[[0, 0, 0], [1, 1]]], r"scene\.occluders\[0\]\[1\]"),
+        ([[[0, 0, "a"], [1, 1, 1]]], r"scene\.occluders\[0\]\[0\]"),
+        ([[[0, 2, 0], [1, 1, 1]]], r"scene\.occluders\[0\] must have min <= max"),
+        ({"min": [0, 0, 0]}, r"scene\.occluders must be a list"),
+    ])
+    def test_malformed_occluder_named(self, occ, key):
+        with pytest.raises(ConfigError, match=key):
+            resolve_config({"scene": {"occluders": occ}})
+
+    def test_non_numeric_band_named(self):
+        with pytest.raises(ConfigError, match="scene.radius_band"):
+            resolve_config({"scene": {"radius_band": ["a", "b"]}})
+
+    def test_zero_thickness_occluder_allowed(self):
+        cfg = resolve_config({"scene": {"occluders": [[[0.21, -0.05, 0.3], [0.21, 0.05, 0.55]]]}})
+        (occ,) = build_scene(cfg, 1).occluders
+        assert occ.min.x == occ.max.x
+
+    def test_non_numeric_length_named_in_scaled_units(self):
+        with pytest.raises(ConfigError, match=r"rig\.cam1\.eye"):
+            resolve_config({"units": "cm", "rig": {"cam1": {"eye": [0, "up", 40]}}})
+
 
 class TestUnits:
     def test_cm_config_matches_meter_defaults(self):
