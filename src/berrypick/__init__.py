@@ -2,19 +2,15 @@
 
 from .geometry import (
     Aabb,
-    ColoredPoint,
     ColoredPointCloud,
-    Rgb,
     RigidTransform,
     Vec3,
-    cloud_extent,
     dump_cloud,
     load_cloud,
     merge_clouds,
     transform_cloud,
-    transform_point,
 )
-from .scene import Scene, StrawberryTruth, detach_fruit, generate_scene, sample_surfaces
+from .scene import Scene, StrawberryTruth, detach_fruit, generate_scene
 from .camera import CameraModel, CameraRig, capture, capture_rig, default_rig
 from .localization import (
     LocalizationParams,
@@ -28,7 +24,6 @@ from .localization import (
 from .motion import MoveRecord, RobotState, compute_z_min, plan_cycle_waypoints, robot_move
 from .cutter import (
     CutModel,
-    InterrupterPair,
     ToolGeometry,
     TrapResult,
     free_fall_detect,

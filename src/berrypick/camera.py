@@ -39,29 +39,52 @@ from .scene import KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, sample_surface
 _FACE_MARGIN = 1e-6
 
 
+# The default rig in scenario-config units (degrees for angles): both
+# cameras share one set of optics, cam1 faces the trough and cam2 sits
+# below it looking up. CameraModel, default_rig and the config's `rig`
+# defaults all read this table.
+_OPTICS = {
+    "h_fov_deg": 87.0,
+    "v_fov_deg": 58.0,
+    "min_range": 0.15,
+    "max_range": 2.0,
+    "depth_noise_sigma": 0.002,
+    "dropout_rate": 0.02,
+    "bin_res_deg": 0.3,
+}
+DEFAULT_RIG = {
+    "cam1": {"eye": [-0.05, 0.0, 0.45], "target": [0.45, 0.0, 0.40], **_OPTICS},
+    "cam2": {"eye": [0.15, 0.0, 0.05], "target": [0.42, 0.0, 0.40], **_OPTICS},
+}
+
+
 @dataclass(frozen=True)
 class CameraModel:
     pose: RigidTransform          # camera frame -> base frame
     frame: str = "cam1"
-    h_fov: float = math.radians(87.0)
-    v_fov: float = math.radians(58.0)
-    min_range: float = 0.15
-    max_range: float = 2.0
-    depth_noise_sigma: float = 0.002
-    dropout_rate: float = 0.02
-    bin_res: float = math.radians(0.3)   # angular z-buffer bin size
+    h_fov: float = math.radians(_OPTICS["h_fov_deg"])
+    v_fov: float = math.radians(_OPTICS["v_fov_deg"])
+    min_range: float = _OPTICS["min_range"]
+    max_range: float = _OPTICS["max_range"]
+    depth_noise_sigma: float = _OPTICS["depth_noise_sigma"]
+    dropout_rate: float = _OPTICS["dropout_rate"]
+    bin_res: float = math.radians(_OPTICS["bin_res_deg"])   # angular z-buffer bin size
 
     def __post_init__(self):
-        if not 0 < self.h_fov < math.pi or not 0 < self.v_fov < math.pi:
-            raise ValueError("fields of view must lie in (0, pi)")
-        if not 0 < self.min_range < self.max_range:
-            raise ValueError("require 0 < min_range < max_range")
+        if not 0 < self.h_fov < math.pi:
+            raise ValueError("h_fov must lie in (0, 180) degrees")
+        if not 0 < self.v_fov < math.pi:
+            raise ValueError("v_fov must lie in (0, 180) degrees")
+        if self.min_range <= 0:
+            raise ValueError("min_range must be > 0")
+        if self.min_range >= self.max_range:
+            raise ValueError("min_range must be < max_range")
         if self.depth_noise_sigma < 0:
-            raise ValueError("depth noise sigma must be >= 0")
+            raise ValueError("depth_noise_sigma must be >= 0")
         if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ValueError("dropout rate must be in [0, 1]")
+            raise ValueError("dropout_rate must be in [0, 1]")
         if self.bin_res <= 0:
-            raise ValueError("bin resolution must be > 0")
+            raise ValueError("bin_res must be > 0")
 
 
 @dataclass(frozen=True)
@@ -79,7 +102,7 @@ def look_at_pose(eye: Vec3, target: Vec3, frame: str) -> RigidTransform:
     fwd = target.to_array() - eye.to_array()
     n = np.linalg.norm(fwd)
     if n == 0:
-        raise ValueError("look_at target coincides with eye")
+        raise ValueError("target must differ from eye")
     z = fwd / n
     up = np.array([0.0, 0.0, 1.0])
     if abs(float(z @ up)) > 0.999:
@@ -91,21 +114,27 @@ def look_at_pose(eye: Vec3, target: Vec3, frame: str) -> RigidTransform:
     return RigidTransform(rot, eye, source_frame=frame, target_frame="base")
 
 
-def default_rig(depth_noise_sigma: float = 0.002, dropout_rate: float = 0.02) -> CameraRig:
+def make_camera(
+    frame: str, *, eye, target, h_fov_deg: float, v_fov_deg: float, bin_res_deg: float, **optics
+) -> CameraModel:
+    """A camera from its entry in `DEFAULT_RIG` form: eye and target as
+    [x, y, z] and angles in degrees; the rest passes to CameraModel."""
+    return CameraModel(
+        pose=look_at_pose(Vec3(*eye), Vec3(*target), frame),
+        frame=frame,
+        h_fov=math.radians(h_fov_deg),
+        v_fov=math.radians(v_fov_deg),
+        bin_res=math.radians(bin_res_deg),
+        **optics,
+    )
+
+
+def default_rig(
+    depth_noise_sigma: float = _OPTICS["depth_noise_sigma"], dropout_rate: float = _OPTICS["dropout_rate"]
+) -> CameraRig:
     """Two-view arrangement: one camera facing the trough, one below looking up."""
-    cam1 = CameraModel(
-        pose=look_at_pose(Vec3(-0.05, 0.0, 0.45), Vec3(0.45, 0.0, 0.40), "cam1"),
-        frame="cam1",
-        depth_noise_sigma=depth_noise_sigma,
-        dropout_rate=dropout_rate,
-    )
-    cam2 = CameraModel(
-        pose=look_at_pose(Vec3(0.15, 0.0, 0.05), Vec3(0.42, 0.0, 0.40), "cam2"),
-        frame="cam2",
-        depth_noise_sigma=depth_noise_sigma,
-        dropout_rate=dropout_rate,
-    )
-    return CameraRig(cam1=cam1, cam2=cam2)
+    noise = {"depth_noise_sigma": depth_noise_sigma, "dropout_rate": dropout_rate}
+    return CameraRig(*(make_camera(frame, **{**DEFAULT_RIG[frame], **noise}) for frame in ("cam1", "cam2")))
 
 
 def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ reruns with identical inputs are byte-identical everywhere else.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import io
@@ -23,6 +22,8 @@ from pathlib import Path
 
 from .bench import run_bench
 from .config import (
+    SWEEP_AXES,
+    apply_sweep_value,
     build_localization,
     build_rig,
     build_scenario,
@@ -162,30 +163,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-_AXIS_VALUES = {
-    "offset": ("sweep", "offsets_mm"),
-    "velocity": ("sweep", "velocity_scales"),
-    "power": ("sweep", "powers"),
-    "noise": ("sweep", "noise_sigmas"),
-}
-
-
-def apply_sweep_value(cfg: dict, axis: str, value) -> dict:
-    point = copy.deepcopy(cfg)
-    if axis == "offset":
-        point["boxes"]["offset"] = [0.0, value / 1000.0, 0.0]
-    elif axis == "velocity":
-        point["robot"]["velocity_scale"] = value
-    elif axis == "power":
-        point["cut"]["laser_power"] = value
-    elif axis == "noise":
-        point["rig"]["cam1"]["depth_noise_sigma"] = value
-        point["rig"]["cam2"]["depth_noise_sigma"] = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return point
-
-
 def _sweep_job(job) -> tuple:
     cfg_point, axis, value, seed, run_dir = job
     metrics, wallclock = run_one(cfg_point, seed, Path(run_dir))
@@ -195,8 +172,8 @@ def _sweep_job(job) -> tuple:
 def cmd_sweep(args) -> int:
     cfg = resolve_config_arg(args.config)
     axis = args.axis
-    section, key = _AXIS_VALUES[axis]
-    values = cfg[section][key]
+    key = SWEEP_AXES[axis]
+    values = cfg["sweep"][key]
     if not values:
         raise ConfigError(f"sweep.{key} is empty; nothing to sweep")
     out_root = Path(args.out or cfg["out"] or f"out/{cfg['name']}_sweep_{axis}")
@@ -354,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the cross product of a sweep axis and the seed list")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=sorted(_AXIS_VALUES))
+    p_sweep.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -2,10 +2,16 @@
 
 A scenario file is a JSON object whose sections mirror the simulator
 components. Unknown keys are rejected, every missing key falls back to the
-documented default, and the `units` field ("m", "cm" or "mm") rescales all
-length-dimensioned fields once at load time; everything downstream works
-in meters. Speeds are always m/s, energy densities always J/m^2, and
-`sweep.offsets_mm` is always millimeters (the key carries its unit).
+default of the component that consumes it, and the `units` field ("m",
+"cm" or "mm") rescales the length-dimensioned fields the file gives once
+at load time; defaults and everything downstream are in meters. Speeds
+are always m/s, energy densities always J/m^2, and `sweep.offsets_mm` is
+always millimeters (the key carries its unit).
+
+This module checks types and the keys no component consumes. Every range
+rule belongs to its component: resolving a config builds the components
+for it and for each sweep point, and a rejected value becomes a
+`ConfigError` naming its dotted key.
 
 The resolved (defaulted, meter-converted) dictionary is hashed with
 SHA-256 and the hash is embedded in every artifact, so artifacts can be
@@ -16,98 +22,56 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
-from .camera import CameraModel, CameraRig, look_at_pose
+from .camera import DEFAULT_RIG, CameraRig, make_camera
+from .controller import DEFAULT_DT, DEFAULT_LASER_TIMEOUT
 from .cutter import CutModel, ToolGeometry
 from .errors import ConfigError
 from .geometry import Aabb, Vec3
 from .localization import LocalizationParams
-from .motion import RobotState
+from .motion import DEFAULT_HOME, RobotState
 from .scene import Scene, generate_scene
 
 CONFIG_VERSION = 1
 
 _UNIT_SCALE = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
+_ROBOT = RobotState(DEFAULT_HOME)
+
+# Each default below is read from the component that consumes it; only
+# the keys no component consumes state their own.
 DEFAULTS: dict = {
     "version": CONFIG_VERSION,
     "units": "m",
     "name": "scenario",
     "scene": {
         "seed": None,
-        "n_straw": 9,
-        "ripe_fraction": 1.0,
-        "bend_sigma": 0.0,
-        "spacing": 0.06,
-        "fruit_x": 0.42,
-        "fruit_z_band": [0.38, 0.42],
-        "radius_band": [0.012, 0.0175],
-        "stem_diameter": 0.003,
-        "trough_height": 1.03,
-        "base_height": 0.55,
-        "surface_density": 60000.0,
-        "occluders": [],
-    },
-    "rig": {
-        "cam1": {
-            "eye": [-0.05, 0.0, 0.45],
-            "target": [0.45, 0.0, 0.40],
-            "h_fov_deg": 87.0,
-            "v_fov_deg": 58.0,
-            "min_range": 0.15,
-            "max_range": 2.0,
-            "depth_noise_sigma": 0.002,
-            "dropout_rate": 0.02,
-            "bin_res_deg": 0.3,
-        },
-        "cam2": {
-            "eye": [0.15, 0.0, 0.05],
-            "target": [0.42, 0.0, 0.40],
-            "h_fov_deg": 87.0,
-            "v_fov_deg": 58.0,
-            "min_range": 0.15,
-            "max_range": 2.0,
-            "depth_noise_sigma": 0.002,
-            "dropout_rate": 0.02,
-            "bin_res_deg": 0.3,
+        **{
+            name: list(p.default) if isinstance(p.default, tuple) else p.default
+            for name, p in inspect.signature(generate_scene).parameters.items()
+            if p.default is not p.empty
         },
     },
-    "localization": {
-        "x_plus": 0.55,
-        "x_minus": 0.25,
-        "y_plus": 0.30,
-        "y_minus": -0.30,
-        "z_plus": 0.50,
-        "z_minus": 0.30,
-        "r_th": 100,
-        "g_th": 70,
-        "b_th": 70,
-        "tol": 0.02,
-        "s_min": 20,
-        "s_max": 1000,
-    },
+    "rig": copy.deepcopy(DEFAULT_RIG),
+    "localization": asdict(LocalizationParams()),
     "robot": {
-        "home": [0.20, -0.35, 0.44],
-        "velocity_scale": 0.5,
-        "max_speed": 0.1,
+        "home": [DEFAULT_HOME.x, DEFAULT_HOME.y, DEFAULT_HOME.z],
+        "velocity_scale": _ROBOT.velocity_scale,
+        "max_speed": _ROBOT.max_speed,
         "workspace_margin": 0.10,
     },
-    "tool": {
-        "groove_width": 0.035,
-        "trapper_width": 0.030,
-        "focal_length": 0.25,
-        "lens_stroke": 0.006,
-        "interrupter_drop": 0.05,
-    },
+    "tool": asdict(ToolGeometry()),
     "cut": {
-        "laser_power": 50.0,
+        "laser_power": CutModel().laser_power,
         "cut_energy_per_area": None,
         "duty": None,
-        "dt": 0.01,
-        "laser_timeout": 10.0,
+        "dt": DEFAULT_DT,
+        "laser_timeout": DEFAULT_LASER_TIMEOUT,
     },
     "boxes": {
         "source": "cameras",
@@ -134,16 +98,7 @@ _LENGTH_FIELDS = [
     "scene.trough_height",
     "scene.base_height",
     "scene.occluders",
-    "rig.cam1.eye",
-    "rig.cam1.target",
-    "rig.cam1.min_range",
-    "rig.cam1.max_range",
-    "rig.cam1.depth_noise_sigma",
-    "rig.cam2.eye",
-    "rig.cam2.target",
-    "rig.cam2.min_range",
-    "rig.cam2.max_range",
-    "rig.cam2.depth_noise_sigma",
+    *(f"rig.{cam}.{key}" for cam in DEFAULT_RIG for key in ("eye", "target", "min_range", "max_range", "depth_noise_sigma")),
     "localization.x_plus",
     "localization.x_minus",
     "localization.y_plus",
@@ -182,7 +137,8 @@ def _merge(defaults, override, path: str):
     return copy.deepcopy(override)
 
 
-def _scale_lengths(cfg: dict, scale: float) -> None:
+def _scale_lengths(cfg: dict, raw: dict, scale: float) -> None:
+    """Rescale the lengths the file gives; the defaults are meters already."""
     def scaled(v):
         if isinstance(v, list):
             return [scaled(x) for x in v]
@@ -191,37 +147,32 @@ def _scale_lengths(cfg: dict, scale: float) -> None:
         return v  # None, or a bad value left for _validate to name
 
     for path in _LENGTH_FIELDS:
-        parts = path.split(".")
-        node = cfg
-        for p in parts[:-1]:
-            node = node[p]
-        node[parts[-1]] = scaled(node[parts[-1]])
+        *parents, key = path.split(".")
+        node, given = cfg, raw
+        for p in parents:
+            node, given = node[p], given.get(p, {})
+        if key in given:
+            node[key] = scaled(node[key])
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key} {message}")
-
-
-def _check_number(cfg_section: dict, section: str, key: str, *, integer=False, positive=False, nonneg=False):
-    v = cfg_section[key]
-    name = f"{section}.{key}"
-    if integer:
-        _require(isinstance(v, int) and not isinstance(v, bool), name, "must be an integer")
-    else:
-        _require(_is_number(v), name, "must be a number")
-    if positive:
-        _require(v > 0, name, "must be > 0")
-    if nonneg:
-        _require(v >= 0, name, "must be >= 0")
 
 
 def _check_triple(v, key: str) -> None:
@@ -231,122 +182,115 @@ def _check_triple(v, key: str) -> None:
     )
 
 
+def _check_types(node: dict, defaults: dict, path: str) -> None:
+    """Give each value the type of its default: an integer for an int, a
+    finite number for a float, and for a non-empty list a list of as many
+    finite numbers. Other leaves have their own rules in `_validate`."""
+    for key, d in defaults.items():
+        sub = f"{path}.{key}"
+        v = node[key]
+        if isinstance(d, dict):
+            _check_types(v, d, sub)
+        elif isinstance(d, int):
+            _require(_is_int(v), sub, "must be an integer")
+        elif isinstance(d, float):
+            _require(_is_finite(v), sub, "must be a finite number")
+        elif isinstance(d, list) and d:
+            _require(
+                isinstance(v, list) and len(v) == len(d) and all(_is_finite(x) for x in v),
+                sub, f"must be a list of {len(d)} finite numbers",
+            )
+
+
 def _validate(cfg: dict) -> None:
+    """Types, and the rules of keys that no component consumes; the
+    components check every other range when `build_scenario` runs."""
     _require(cfg["version"] == CONFIG_VERSION, "version", f"must be {CONFIG_VERSION}")
-    _require(cfg["units"] in _UNIT_SCALE, "units", f"must be one of {sorted(_UNIT_SCALE)}")
     _require(isinstance(cfg["name"], str) and cfg["name"] != "", "name", "must be a non-empty string")
+    for section, defaults in DEFAULTS.items():
+        if isinstance(defaults, dict):
+            _check_types(cfg[section], defaults, section)
 
     sc = cfg["scene"]
-    if sc["seed"] is not None:
-        _check_number(sc, "scene", "seed", integer=True)
-    _check_number(sc, "scene", "n_straw", integer=True, nonneg=True)
-    _check_number(sc, "scene", "ripe_fraction", nonneg=True)
-    _require(sc["ripe_fraction"] <= 1.0, "scene.ripe_fraction", "must be <= 1")
-    _check_number(sc, "scene", "bend_sigma", nonneg=True)
-    for key in ("spacing", "fruit_x", "stem_diameter", "trough_height", "base_height", "surface_density"):
-        _check_number(sc, "scene", key, positive=True)
-    for key in ("fruit_z_band", "radius_band"):
-        v = sc[key]
-        _require(
-            isinstance(v, list) and len(v) == 2 and all(_is_finite(x) for x in v),
-            f"scene.{key}", "must be a [low, high] pair of finite numbers",
-        )
-        _require(v[0] <= v[1], f"scene.{key}", "must be ordered low <= high")
+    _require(sc["seed"] is None or _is_int(sc["seed"]), "scene.seed", "must be an integer or null")
     _require(isinstance(sc["occluders"], list), "scene.occluders", "must be a list of [min, max] corner pairs")
     for i, occ in enumerate(sc["occluders"]):
         key = f"scene.occluders[{i}]"
         _require(isinstance(occ, list) and len(occ) == 2, key, "must be a [min, max] pair of [x, y, z] corners")
         _check_triple(occ[0], f"{key}[0]")
         _check_triple(occ[1], f"{key}[1]")
-        _require(all(a <= b for a, b in zip(*occ)), key, "must have min <= max on every axis")
 
-    for cam_key in ("cam1", "cam2"):
-        cam = cfg["rig"][cam_key]
-        sect = f"rig.{cam_key}"
-        for key in ("eye", "target"):
-            _check_triple(cam[key], f"{sect}.{key}")
-        for key in ("h_fov_deg", "v_fov_deg", "min_range", "max_range", "bin_res_deg"):
-            _check_number(cam, sect, key, positive=True)
-        _require(cam["h_fov_deg"] < 180 and cam["v_fov_deg"] < 180, f"{sect}.h_fov_deg", "must be < 180")
-        _require(cam["min_range"] < cam["max_range"], f"{sect}.min_range", "must be < max_range")
-        _check_number(cam, sect, "depth_noise_sigma", nonneg=True)
-        _check_number(cam, sect, "dropout_rate", nonneg=True)
-        _require(cam["dropout_rate"] <= 1.0, f"{sect}.dropout_rate", "must be <= 1")
-
-    loc = cfg["localization"]
-    for key in ("x_plus", "x_minus", "y_plus", "y_minus", "z_plus", "z_minus", "tol"):
-        _check_number(loc, "localization", key)
-    _require(loc["tol"] > 0, "localization.tol", "must be > 0")
-    for lo, hi in (("x_minus", "x_plus"), ("y_minus", "y_plus"), ("z_minus", "z_plus")):
-        _require(loc[lo] < loc[hi], f"localization.{lo}", f"must be < {hi}")
-    for key in ("r_th", "g_th", "b_th"):
-        _check_number(loc, "localization", key, integer=True)
-        _require(0 <= loc[key] <= 255, f"localization.{key}", "must be in [0, 255]")
-    _check_number(loc, "localization", "s_min", integer=True, positive=True)
-    _check_number(loc, "localization", "s_max", integer=True, positive=True)
-    _require(loc["s_min"] <= loc["s_max"], "localization.s_min", "must be <= s_max")
-
-    rb = cfg["robot"]
-    _check_triple(rb["home"], "robot.home")
-    _check_number(rb, "robot", "velocity_scale", positive=True)
-    _require(rb["velocity_scale"] <= 1.0, "robot.velocity_scale", "must be <= 1")
-    _check_number(rb, "robot", "max_speed", positive=True)
-    _check_number(rb, "robot", "workspace_margin", nonneg=True)
-
-    for key in cfg["tool"]:
-        _check_number(cfg["tool"], "tool", key, positive=True)
-    _require(
-        cfg["tool"]["trapper_width"] <= cfg["tool"]["groove_width"],
-        "tool.trapper_width", "must be <= tool.groove_width",
-    )
+    _require(cfg["robot"]["workspace_margin"] >= 0, "robot.workspace_margin", "must be >= 0")
 
     ct = cfg["cut"]
-    _check_number(ct, "cut", "laser_power", positive=True)
-    if ct["cut_energy_per_area"] is not None:
-        _check_number(ct, "cut", "cut_energy_per_area", positive=True)
-    if ct["duty"] is not None:
-        _check_number(ct, "cut", "duty", positive=True)
-        _require(ct["duty"] <= 1.0, "cut.duty", "must be <= 1")
-    _check_number(ct, "cut", "dt", positive=True)
-    _check_number(ct, "cut", "laser_timeout", positive=True)
+    for key in ("cut_energy_per_area", "duty"):
+        _require(ct[key] is None or _is_finite(ct[key]), f"cut.{key}", "must be a finite number or null")
+    for key in ("dt", "laser_timeout"):
+        _require(ct[key] > 0, f"cut.{key}", "must be > 0")
 
-    bx = cfg["boxes"]
-    _require(bx["source"] in ("cameras", "truth"), "boxes.source", "must be 'cameras' or 'truth'")
-    _check_triple(bx["offset"], "boxes.offset")
+    _require(cfg["boxes"]["source"] in ("cameras", "truth"), "boxes.source", "must be 'cameras' or 'truth'")
 
-    sw = cfg["sweep"]
-    for key in ("offsets_mm", "velocity_scales", "powers", "noise_sigmas"):
-        _require(isinstance(sw[key], list), f"sweep.{key}", "must be a list")
-        for v in sw[key]:
-            _require(_is_finite(v), f"sweep.{key}", "entries must be finite numbers")
-    for vs in sw["velocity_scales"]:
-        _require(0 < vs <= 1.0, "sweep.velocity_scales", "entries must be in (0, 1]")
-    for p in sw["powers"]:
-        _require(p > 0, "sweep.powers", "entries must be > 0")
-    for sigma in sw["noise_sigmas"]:
-        _require(sigma >= 0, "sweep.noise_sigmas", "entries must be >= 0")
+    for key, values in cfg["sweep"].items():
+        _require(isinstance(values, list), f"sweep.{key}", "must be a list")
+        _require(all(_is_finite(v) for v in values), f"sweep.{key}", "entries must be finite numbers")
 
     _require(isinstance(cfg["seeds"], list) and len(cfg["seeds"]) > 0, "seeds", "must be a non-empty list")
-    for s in cfg["seeds"]:
-        _require(isinstance(s, int) and not isinstance(s, bool), "seeds", "entries must be integers")
-    if cfg["out"] is not None:
-        _require(isinstance(cfg["out"], str), "out", "must be a string path")
+    _require(all(_is_int(s) for s in cfg["seeds"]), "seeds", "entries must be integers")
+    _require(cfg["out"] is None or isinstance(cfg["out"], str), "out", "must be a string path")
+
+
+# sweep axis -> the `sweep` list holding its values
+SWEEP_AXES = {
+    "offset": "offsets_mm",
+    "velocity": "velocity_scales",
+    "power": "powers",
+    "noise": "noise_sigmas",
+}
+
+
+def apply_sweep_value(cfg: dict, axis: str, value) -> dict:
+    """A copy of `cfg` with one sweep axis set to `value`."""
+    point = copy.deepcopy(cfg)
+    if axis == "offset":
+        point["boxes"]["offset"] = [0.0, value / 1000.0, 0.0]
+    elif axis == "velocity":
+        point["robot"]["velocity_scale"] = value
+    elif axis == "power":
+        point["cut"]["laser_power"] = value
+    elif axis == "noise":
+        point["rig"]["cam1"]["depth_noise_sigma"] = value
+        point["rig"]["cam2"]["depth_noise_sigma"] = value
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    return point
 
 
 def resolve_config(raw: dict) -> dict:
     """Merge over defaults, convert units to meters, validate. Returns the
-    canonical resolved dictionary (units always 'm')."""
+    canonical resolved dictionary (units always 'm').
+
+    Validation builds the components for the first seed, once for the
+    config and once for every sweep point, so every range rule is the
+    component's own."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     units = raw.get("units", "m")
-    if units not in _UNIT_SCALE:
+    if not isinstance(units, str) or units not in _UNIT_SCALE:
         raise ConfigError(f"units must be one of {sorted(_UNIT_SCALE)}")
     cfg = _merge(DEFAULTS, raw, "")
     scale = _UNIT_SCALE[cfg["units"]]
     if scale != 1.0:
-        _scale_lengths(cfg, scale)
+        _scale_lengths(cfg, raw, scale)
         cfg["units"] = "m"
     _validate(cfg)
+    seed = cfg["seeds"][0]
+    build_scenario(cfg, seed)
+    for axis, key in SWEEP_AXES.items():
+        for i, value in enumerate(cfg["sweep"][key]):
+            try:
+                build_scenario(apply_sweep_value(cfg, axis, value), seed)
+            except ConfigError as e:
+                raise ConfigError(f"sweep.{key}[{i}] = {value}: {e}") from e
     return cfg
 
 
@@ -382,6 +326,21 @@ class BuiltScenario:
     box_offset: Vec3
 
 
+# component field -> config key, where the two names differ
+_CONFIG_KEYS = {"h_fov": "h_fov_deg", "v_fov": "v_fov_deg", "bin_res": "bin_res_deg", "radius": "radius_band"}
+
+
+@contextmanager
+def _keyed(section: str):
+    """Re-raise a component's ValueError, whose message starts with the
+    field it rejects, as a ConfigError naming that field's dotted key."""
+    try:
+        yield
+    except ValueError as e:
+        field, _, rest = str(e).partition(" ")
+        raise ConfigError(f"{section}.{_CONFIG_KEYS.get(field, field)} {rest}") from e
+
+
 def _workspace(cfg: dict) -> Aabb:
     loc = cfg["localization"]
     margin = cfg["robot"]["workspace_margin"]
@@ -394,79 +353,58 @@ def _workspace(cfg: dict) -> Aabb:
 def build_scene(cfg: dict, run_seed: int) -> Scene:
     sc = cfg["scene"]
     seed = sc["seed"] if sc["seed"] is not None else run_seed
-    occluders = tuple(
-        Aabb(Vec3(*map(float, o[0])), Vec3(*map(float, o[1]))) for o in sc["occluders"]
-    )
-    return generate_scene(
-        seed=seed,
-        n_straw=sc["n_straw"],
-        ripe_fraction=sc["ripe_fraction"],
-        bend_sigma=sc["bend_sigma"],
-        spacing=sc["spacing"],
-        fruit_x=sc["fruit_x"],
-        fruit_z_band=tuple(sc["fruit_z_band"]),
-        radius_band=tuple(sc["radius_band"]),
-        stem_diameter=sc["stem_diameter"],
-        trough_height=sc["trough_height"],
-        base_height=sc["base_height"],
-        surface_density=sc["surface_density"],
-        occluders=occluders,
-    )
-
-
-def _build_camera(cam_cfg: dict, frame: str) -> CameraModel:
-    return CameraModel(
-        pose=look_at_pose(Vec3(*cam_cfg["eye"]), Vec3(*cam_cfg["target"]), frame),
-        frame=frame,
-        h_fov=math.radians(cam_cfg["h_fov_deg"]),
-        v_fov=math.radians(cam_cfg["v_fov_deg"]),
-        min_range=cam_cfg["min_range"],
-        max_range=cam_cfg["max_range"],
-        depth_noise_sigma=cam_cfg["depth_noise_sigma"],
-        dropout_rate=cam_cfg["dropout_rate"],
-        bin_res=math.radians(cam_cfg["bin_res_deg"]),
-    )
+    occluders = []
+    for i, (lo, hi) in enumerate(sc["occluders"]):
+        try:
+            occluders.append(Aabb(Vec3(*map(float, lo)), Vec3(*map(float, hi))))
+        except ValueError as e:
+            raise ConfigError(f"scene.occluders[{i}] must have min <= max on every axis") from e
+    layout = {key: tuple(v) if isinstance(v, list) else v for key, v in sc.items() if key not in ("seed", "occluders")}
+    with _keyed("scene"):
+        return generate_scene(seed=seed, occluders=tuple(occluders), **layout)
 
 
 def build_rig(cfg: dict) -> CameraRig:
-    return CameraRig(
-        cam1=_build_camera(cfg["rig"]["cam1"], "cam1"),
-        cam2=_build_camera(cfg["rig"]["cam2"], "cam2"),
-    )
+    cams = []
+    for frame in ("cam1", "cam2"):
+        with _keyed(f"rig.{frame}"):
+            cams.append(make_camera(frame, **cfg["rig"][frame]))
+    return CameraRig(*cams)
 
 
 def build_localization(cfg: dict) -> LocalizationParams:
-    return LocalizationParams(**cfg["localization"])
+    with _keyed("localization"):
+        return LocalizationParams(**cfg["localization"])
 
 
 def build_robot(cfg: dict) -> RobotState:
     rb = cfg["robot"]
     home = Vec3(*rb["home"])
-    return RobotState(
-        tool_pos=home,
-        velocity_scale=rb["velocity_scale"],
-        max_speed=rb["max_speed"],
-        home=home,
-        workspace=_workspace(cfg),
-    )
+    with _keyed("robot"):
+        return RobotState(
+            tool_pos=home,
+            velocity_scale=rb["velocity_scale"],
+            max_speed=rb["max_speed"],
+            home=home,
+            workspace=_workspace(cfg),
+        )
 
 
 def build_tool(cfg: dict) -> ToolGeometry:
-    return ToolGeometry(**cfg["tool"])
+    with _keyed("tool"):
+        return ToolGeometry(**cfg["tool"])
 
 
 def build_cut(cfg: dict) -> tuple[CutModel, bool]:
     ct = cfg["cut"]
-    kwargs = {"laser_power": ct["laser_power"]}
-    if ct["cut_energy_per_area"] is not None:
-        kwargs["cut_energy_per_area"] = ct["cut_energy_per_area"]
-    derive_duty = ct["duty"] is None
-    if not derive_duty:
-        kwargs["duty"] = ct["duty"]
-    return CutModel(**kwargs), derive_duty
+    kwargs = {key: ct[key] for key in ("laser_power", "cut_energy_per_area", "duty") if ct[key] is not None}
+    with _keyed("cut"):
+        return CutModel(**kwargs), ct["duty"] is None
 
 
 def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
+    """Build every component of a resolved config for one run seed. A
+    component that rejects a value raises a ConfigError naming its key."""
     cut, derive_duty = build_cut(cfg)
     return BuiltScenario(
         scene=build_scene(cfg, run_seed),

@@ -43,6 +43,10 @@ from .scene import Scene, detach_fruit
 
 LOG_SCHEMA_VERSION = 1
 
+# simulation timestep and laser timeout, seconds; also the `cut` config defaults
+DEFAULT_DT = 0.01
+DEFAULT_LASER_TIMEOUT = 10.0
+
 
 class ControllerPhase(enum.Enum):
     HOME = "HOME"
@@ -157,8 +161,8 @@ def run_harvest(
     cut: CutModel,
     seed: int,
     *,
-    dt: float = 0.01,
-    laser_timeout: float = 10.0,
+    dt: float = DEFAULT_DT,
+    laser_timeout: float = DEFAULT_LASER_TIMEOUT,
     box_source: str = "cameras",
     box_offset: Vec3 | None = None,
     derive_duty: bool = True,
@@ -285,7 +289,7 @@ def run_harvest(
         detected = False
         fall_t = 0.0
         if done:
-            _, fall_t = free_fall_detect(fruit, geom, dt)
+            fall_t = free_fall_detect(fruit, geom, dt)
             detected = cut_time + fall_t <= laser_timeout
         if not detected:
             t_off = t + laser_timeout

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from .errors import StateError
 from .geometry import Vec3
@@ -44,7 +44,7 @@ class ToolGeometry:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.trapper_width > self.groove_width:
-            raise ValueError("trapper cannot be wider than the groove")
+            raise ValueError("trapper_width must be <= groove_width")
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,6 @@ class CutModel:
 class TrapResult:
     outcome: Literal["trapped", "missed"]
     lateral_error: float
-
-
-class InterrupterPair(NamedTuple):
-    ir1: bool
-    ir2: bool
 
 
 def duty_for_stem(stem_diameter: float, geom: ToolGeometry) -> float:
@@ -118,26 +113,20 @@ def laser_step(
     return acc, acc >= required_cut_energy(cut, stem)
 
 
-def free_fall_detect(
-    fruit: StrawberryTruth, geom: ToolGeometry, dt: float
-) -> tuple[list[InterrupterPair], float]:
-    """Drop the severed fruit from rest and sample the interrupters at dt.
+def free_fall_detect(fruit: StrawberryTruth, geom: ToolGeometry, dt: float) -> float:
+    """Drop the severed fruit from rest and sample the interrupter at dt.
 
-    Returns the beam trace and the detection time, which is within one dt
-    of the closed form sqrt(2 * interrupter_drop / g). The first beam
-    reports the interruption.
+    Returns the detection time: the first multiple of dt at which the fall
+    reaches interrupter_drop, within one dt of the closed form
+    sqrt(2 * interrupter_drop / g).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    trace: list[InterrupterPair] = []
     k = 0
     while True:
         t = k * dt
-        fall = 0.5 * GRAVITY * t * t
-        if fall >= geom.interrupter_drop:
-            trace.append(InterrupterPair(False, True))
-            return trace, t
-        trace.append(InterrupterPair(True, True))
+        if 0.5 * GRAVITY * t * t >= geom.interrupter_drop:
+            return t
         k += 1
         if t > 3600.0:
             raise StateError("free fall exceeded one hour of simulated time")

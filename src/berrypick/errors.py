@@ -23,3 +23,7 @@ class ConfigError(BerrypickError, ValueError):
 
 class MotionRejectedError(BerrypickError, ValueError):
     """A commanded robot target lies outside the reachable workspace."""
+
+
+class CloudFormatError(BerrypickError, ValueError):
+    """A cloud text file is malformed; the message names path:line."""

@@ -2,9 +2,8 @@
 
 Every length in this package is expressed in meters and every cloud keeps
 its points in insertion order; all operations below preserve that order.
-Clouds are stored as numpy arrays internally (positions as float64 Nx3,
-colors as uint8 Nx3) so the perception pipeline stays fast, while the
-`points` property offers a per-point view for convenience.
+Clouds are numpy arrays (positions as float64 Nx3, colors as uint8 Nx3),
+the one representation the perception pipeline uses.
 """
 
 from __future__ import annotations
@@ -14,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, FrameMismatchError
+from .errors import CloudFormatError, FrameMismatchError
 
 VALID_FRAMES = ("base", "cam1", "cam2", "tool")
 
 # tolerance for rotation-matrix orthonormality / determinant checks
 ROTATION_TOL = 1e-9
-
-# the tool tip orientation is fixed and identical to the base frame, so
-# roll/pitch/yaw stay zero everywhere; no operation consumes them
-FIXED_TOOL_RPY = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -47,24 +42,6 @@ class Vec3:
 
 def distance(a: Vec3, b: Vec3) -> float:
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
-@dataclass(frozen=True)
-class Rgb:
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self):
-        for v in (self.r, self.g, self.b):
-            if not isinstance(v, (int, np.integer)) or not 0 <= v <= 255:
-                raise ValueError(f"color channel out of range: {v!r}")
-
-
-@dataclass(frozen=True)
-class ColoredPoint:
-    position: Vec3
-    color: Rgb
 
 
 class ColoredPointCloud:
@@ -93,21 +70,6 @@ class ColoredPointCloud:
     @classmethod
     def empty(cls, frame: str) -> "ColoredPointCloud":
         return cls(frame, np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
-
-    @classmethod
-    def from_points(cls, frame: str, points) -> "ColoredPointCloud":
-        xyz = np.array([[p.position.x, p.position.y, p.position.z] for p in points], dtype=float)
-        rgb = np.array([[p.color.r, p.color.g, p.color.b] for p in points], dtype=np.uint8)
-        if len(points) == 0:
-            return cls.empty(frame)
-        return cls(frame, xyz, rgb)
-
-    @property
-    def points(self) -> list[ColoredPoint]:
-        return [
-            ColoredPoint(Vec3(float(p[0]), float(p[1]), float(p[2])), Rgb(int(c[0]), int(c[1]), int(c[2])))
-            for p, c in zip(self.xyz, self.rgb)
-        ]
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -151,9 +113,6 @@ class RigidTransform:
     @classmethod
     def identity(cls, source_frame: str | None = None, target_frame: str | None = None) -> "RigidTransform":
         return cls(np.eye(3), Vec3(0.0, 0.0, 0.0), source_frame, target_frame)
-
-    def apply(self, p: Vec3) -> Vec3:
-        return Vec3.from_array(self.rotation @ p.to_array() + self.translation.to_array())
 
     def apply_to(self, xyz: np.ndarray) -> np.ndarray:
         return xyz @ self.rotation.T + self.translation.to_array()
@@ -201,11 +160,6 @@ class Aabb:
         )
 
 
-def transform_point(t: RigidTransform, p: Vec3) -> Vec3:
-    """Apply R*p + t."""
-    return t.apply(p)
-
-
 def transform_cloud(t: RigidTransform, cloud: ColoredPointCloud, target_frame: str) -> ColoredPointCloud:
     """Re-express a cloud in `target_frame`; order and colors are untouched."""
     if t.source_frame is not None and cloud.frame != t.source_frame:
@@ -226,16 +180,6 @@ def merge_clouds(a: ColoredPointCloud, b: ColoredPointCloud) -> ColoredPointClou
     return ColoredPointCloud(a.frame, np.concatenate([a.xyz, b.xyz]), np.concatenate([a.rgb, b.rgb]))
 
 
-def cloud_extent(cloud: ColoredPointCloud, axis: int) -> tuple[float, float]:
-    """Exact (min, max) of one coordinate over all points."""
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    if len(cloud) == 0:
-        raise EmptyInputError("cloud_extent of an empty cloud")
-    col = cloud.xyz[:, axis]
-    return float(col.min()), float(col.max())
-
-
 def dump_cloud(cloud: ColoredPointCloud, path) -> None:
     """Write the plain-text cloud format: one header line, one line per point."""
     with open(path, "w", newline="\n") as fh:
@@ -245,18 +189,37 @@ def dump_cloud(cloud: ColoredPointCloud, path) -> None:
 
 
 def load_cloud(path) -> ColoredPointCloud:
+    """Read the plain-text cloud format written by `dump_cloud`.
+
+    A malformed file raises `CloudFormatError` naming `path:line`.
+    """
     with open(path, "r") as fh:
         header = fh.readline().strip()
-        fields = dict(part.split("=", 1) for part in header.split())
-        if "frame" not in fields or "count" not in fields:
-            raise ValueError(f"malformed cloud header: {header!r}")
-        count = int(fields["count"])
-        xyz = np.empty((count, 3))
-        rgb = np.empty((count, 3), dtype=np.uint8)
+        try:
+            fields = dict(part.split("=", 1) for part in header.split())
+            frame, count = fields["frame"], int(fields["count"])
+        except (ValueError, KeyError):
+            frame, count = None, -1
+        if frame not in VALID_FRAMES or count < 0:
+            raise CloudFormatError(f"{path}:1: malformed cloud header {header!r}, expected 'frame=NAME count=N'")
+        xyz, rgb = [], []
         for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != 6:
-                raise ValueError(f"malformed point line {i + 1}")
-            xyz[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-            rgb[i] = [int(parts[3]), int(parts[4]), int(parts[5])]
-    return ColoredPointCloud(fields["frame"], xyz, rgb)
+            line = i + 2
+            text = fh.readline()
+            if not text:
+                raise CloudFormatError(f"{path}:{line}: file ends after {i} of {count} points")
+            parts = text.split()
+            try:
+                p = [float(v) for v in parts[:3]]
+                c = [int(v) for v in parts[3:]]
+            except ValueError:
+                p = c = []
+            if len(p) != 3 or len(c) != 3:
+                raise CloudFormatError(f"{path}:{line}: expected 'x y z r g b', got {text.strip()!r}")
+            if not all(math.isfinite(v) for v in p):
+                raise CloudFormatError(f"{path}:{line}: coordinates must be finite, got {parts[:3]}")
+            if not all(0 <= v <= 255 for v in c):
+                raise CloudFormatError(f"{path}:{line}: color channels must be in [0, 255], got {parts[3:]}")
+            xyz.append(p)
+            rgb.append(c)
+    return ColoredPointCloud(frame, xyz, rgb)

@@ -36,16 +36,19 @@ class LocalizationParams:
     s_max: int = 1000
 
     def __post_init__(self):
-        if not (self.x_minus < self.x_plus and self.y_minus < self.y_plus and self.z_minus < self.z_plus):
-            raise ValueError("crop window bounds must satisfy minus < plus on every axis")
-        if not 0 < self.s_min <= self.s_max:
-            raise ValueError(f"cluster size band invalid: s_min={self.s_min} s_max={self.s_max}")
+        for axis in "xyz":
+            if not getattr(self, f"{axis}_minus") < getattr(self, f"{axis}_plus"):
+                raise ValueError(f"{axis}_minus must be < {axis}_plus")
+        if self.s_min <= 0:
+            raise ValueError(f"s_min must be > 0, got {self.s_min}")
+        if self.s_min > self.s_max:
+            raise ValueError(f"s_min must be <= s_max, got s_min={self.s_min} s_max={self.s_max}")
         if self.tol <= 0:
-            raise ValueError(f"cluster tolerance must be positive, got {self.tol}")
+            raise ValueError(f"tol must be > 0, got {self.tol}")
         for name in ("r_th", "g_th", "b_th"):
             v = getattr(self, name)
             if not 0 <= v <= 255:
-                raise ValueError(f"{name} must be an 8-bit value, got {v}")
+                raise ValueError(f"{name} must be in [0, 255], got {v}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .geometry import Aabb, Rgb, Vec3
+from .geometry import Aabb, Vec3
 
 # reachable workspace: the localization crop window inflated by 10 cm
 DEFAULT_WORKSPACE = Aabb(Vec3(0.15, -0.40, 0.20), Vec3(0.65, 0.40, 0.60))
@@ -37,24 +37,19 @@ MAX_STEM_BEND = 0.015
 
 SCENE_SCHEMA_VERSION = 1
 
+# a fruit hangs within this distance in x of the layout's fruit_x
+FRUIT_X_JITTER = 0.005
+
+# scene heights and sampling density, shared by Scene and generate_scene
+TROUGH_HEIGHT = 1.03
+BASE_HEIGHT = 0.55
+SURFACE_DENSITY = 60000.0
+
 # owner kinds for sampled surface points
 KIND_FRUIT = 0
 KIND_STEM = 1
 KIND_TROUGH = 2
 KIND_OCCLUDER = 3
-
-_KIND_NAMES = {KIND_FRUIT: "fruit", KIND_STEM: "stem", KIND_TROUGH: "trough", KIND_OCCLUDER: "occluder"}
-
-
-class Owner(NamedTuple):
-    kind: str
-    id: int
-
-
-class SurfacePoint(NamedTuple):
-    position: Vec3
-    color: Rgb
-    owner: Owner
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,11 @@ class StrawberryTruth:
 
     def __post_init__(self):
         if not 0.005 <= self.radius <= 0.0175:
-            raise ValueError(f"fruit radius {self.radius} outside [0.005, 0.0175] m")
+            raise ValueError(f"radius must lie within [0.005, 0.0175] m, got {self.radius}")
         if self.stem_top.z <= self.center.z:
             raise ValueError("fruit must hang below its stem attachment")
         if not 0.001 <= self.stem_diameter <= 0.005:
-            raise ValueError(f"stem diameter {self.stem_diameter} outside [0.001, 0.005] m")
+            raise ValueError(f"stem_diameter must lie within [0.001, 0.005] m, got {self.stem_diameter}")
 
     @property
     def stem_attach(self) -> Vec3:
@@ -87,11 +82,11 @@ class Scene:
     strawberries: tuple[StrawberryTruth, ...]
     rng_seed: int
     workspace: Aabb = DEFAULT_WORKSPACE
-    trough_height: float = 1.03
-    base_height: float = 0.55
+    trough_height: float = TROUGH_HEIGHT
+    base_height: float = BASE_HEIGHT
     trough: Aabb | None = Aabb(Vec3(0.50, -0.60, 0.18), Vec3(0.70, 0.60, 0.48))
     occluders: tuple[Aabb, ...] = ()
-    surface_density: float = 60000.0
+    surface_density: float = SURFACE_DENSITY
 
     def __post_init__(self):
         ids = [s.id for s in self.strawberries]
@@ -123,7 +118,7 @@ def _scene_rng(seed: int, stream: int) -> np.random.Generator:
 
 def generate_scene(
     seed: int,
-    n_straw: int,
+    n_straw: int = 9,
     ripe_fraction: float = 1.0,
     bend_sigma: float = 0.0,
     *,
@@ -132,9 +127,9 @@ def generate_scene(
     fruit_z_band: tuple[float, float] = (0.38, 0.42),
     radius_band: tuple[float, float] = (0.012, 0.0175),
     stem_diameter: float = 0.003,
-    trough_height: float = 1.03,
-    base_height: float = 0.55,
-    surface_density: float = 60000.0,
+    trough_height: float = TROUGH_HEIGHT,
+    base_height: float = BASE_HEIGHT,
+    surface_density: float = SURFACE_DENSITY,
     occluders: tuple[Aabb, ...] = (),
 ) -> Scene:
     """Deterministically lay out `n_straw` fruits along the trough y-axis.
@@ -143,6 +138,9 @@ def generate_scene(
     of the trough. Stem bend is drawn from N(0, bend_sigma) and clamped to
     +/-15 mm; ripeness is assigned to a random subset of round(n * fraction).
     The same arguments always produce an identical scene.
+
+    These keyword defaults are the `scene` defaults of a scenario config,
+    and each `ConfigError` message starts with the argument it rejects.
     """
     if n_straw < 0:
         raise ConfigError("n_straw must be >= 0")
@@ -150,17 +148,38 @@ def generate_scene(
         raise ConfigError("bend_sigma must be >= 0")
     if not 0.0 <= ripe_fraction <= 1.0:
         raise ConfigError("ripe_fraction must be in [0, 1]")
+    for name, value in (
+        ("spacing", spacing), ("fruit_x", fruit_x), ("trough_height", trough_height),
+        ("base_height", base_height), ("surface_density", surface_density),
+    ):
+        if value <= 0:
+            raise ConfigError(f"{name} must be > 0")
+    for name, band in (("fruit_z_band", fruit_z_band), ("radius_band", radius_band)):
+        if band[0] > band[1]:
+            raise ConfigError(f"{name} must be ordered low <= high")
+    lip_z = trough_height - base_height
+    if fruit_z_band[1] >= lip_z:
+        raise ConfigError(f"fruit_z_band must lie below the trough lip at z = {lip_z:g} m")
+    n_ripe = int(round(n_straw * ripe_fraction))
+    ws = DEFAULT_WORKSPACE
+    if n_ripe and not (ws.min.x <= fruit_x - FRUIT_X_JITTER and fruit_x + FRUIT_X_JITTER <= ws.max.x):
+        raise ConfigError(
+            f"fruit_x must lie within [{ws.min.x + FRUIT_X_JITTER:g}, {ws.max.x - FRUIT_X_JITTER:g}] m"
+            " so that ripe fruit stay in the workspace"
+        )
+    if n_ripe and not (ws.min.z <= fruit_z_band[0] and fruit_z_band[1] <= ws.max.z):
+        raise ConfigError(
+            f"fruit_z_band must lie within [{ws.min.z:g}, {ws.max.z:g}] m so that ripe fruit stay in the workspace"
+        )
     if n_straw > 0:
         half_span = (n_straw - 1) * spacing / 2.0
         if half_span > 0.28:
             raise ConfigError(
-                f"n_straw={n_straw} at spacing {spacing} m exceeds the workspace y-span"
+                f"n_straw {n_straw} at spacing {spacing} m exceeds the workspace y-span"
             )
     rng = _scene_rng(seed, 0)
-    lip_z = trough_height - base_height
     trough = Aabb(Vec3(0.50, -0.60, lip_z - 0.30), Vec3(0.70, 0.60, lip_z))
 
-    n_ripe = int(round(n_straw * ripe_fraction))
     ripe_ids = set(rng.choice(n_straw, size=n_ripe, replace=False).tolist()) if n_straw else set()
 
     fruits = []
@@ -168,7 +187,7 @@ def generate_scene(
         y_nominal = (i - (n_straw - 1) / 2.0) * spacing
         radius = float(rng.uniform(radius_band[0], radius_band[1]))
         z = float(rng.uniform(fruit_z_band[0], fruit_z_band[1]))
-        x = fruit_x + float(rng.uniform(-0.005, 0.005))
+        x = fruit_x + float(rng.uniform(-FRUIT_X_JITTER, FRUIT_X_JITTER))
         bend = float(np.clip(rng.normal(0.0, bend_sigma), -MAX_STEM_BEND, MAX_STEM_BEND)) if bend_sigma > 0 else 0.0
         fruits.append(
             StrawberryTruth(
@@ -334,21 +353,6 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
         np.concatenate(kind_parts),
         np.concatenate(owner_parts),
     )
-
-
-def sample_surfaces(scene: Scene, density: float) -> list[SurfacePoint]:
-    """Per-point view of `sample_surface_arrays` for inspection and tests."""
-    batch = sample_surface_arrays(scene, density)
-    out = []
-    for p, c, k, o in zip(batch.xyz, batch.rgb, batch.kind, batch.owner):
-        out.append(
-            SurfacePoint(
-                Vec3(float(p[0]), float(p[1]), float(p[2])),
-                Rgb(int(c[0]), int(c[1]), int(c[2])),
-                Owner(_KIND_NAMES[int(k)], int(o)),
-            )
-        )
-    return out
 
 
 def _aabb_to_list(box: Aabb) -> list[list[float]]:

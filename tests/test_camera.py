@@ -8,7 +8,7 @@ from berrypick.camera import CameraModel, CameraRig, capture, capture_rig, defau
 from berrypick.cli import resolve_config_arg
 from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, transform_cloud
-from berrypick.scene import KIND_OCCLUDER, generate_scene, detach_fruit, sample_surface_arrays, sample_surfaces
+from berrypick.scene import KIND_FRUIT, KIND_OCCLUDER, generate_scene, detach_fruit, sample_surface_arrays
 
 from oracles import ray_hits_box, point_to_segment_distance, reference_capture
 
@@ -104,12 +104,9 @@ class TestCaptureGeometry:
         eye2 = rig.cam2.pose.translation.to_array()
         lo = occluder.min.to_array()
         hi = occluder.max.to_array()
-        fruit_samples = [
-            p.position.to_array()
-            for p in sample_surfaces(scene, 2000.0)
-            if p.owner.kind == "fruit"
-        ]
-        assert fruit_samples
+        batch = sample_surface_arrays(scene, 2000.0)
+        fruit_samples = batch.xyz[batch.kind == KIND_FRUIT]
+        assert len(fruit_samples)
         for s in fruit_samples:
             assert ray_hits_box(eye1, s - eye1, 1.0, lo, hi)
             assert not ray_hits_box(eye2, s - eye2, 1.0, lo, hi)

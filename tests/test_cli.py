@@ -125,6 +125,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "scene.occluders[0]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"scene": {"stem_diameter": 0.01}}, "scene.stem_diameter"),
+        ({"scene": {"radius_band": [0.001, 0.002]}}, "scene.radius_band"),
+        ({"scene": {"fruit_z_band": [0.2, 0.6]}}, "scene.fruit_z_band"),
+        ({"scene": {"fruit_x": 0.9}}, "scene.fruit_x"),
+        ({"rig": {"cam1": {"target": [-0.05, 0.0, 0.45]}}}, "rig.cam1.target"),
+    ])
+    def test_component_rule_is_config_error(self, tmp_path, capsys, payload, key):
+        # rules only the components hold: the config is rejected when they are built
+        cfg_path = write_cfg(tmp_path, payload)
+        rc = main(["run", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err and "Traceback" not in err
+
     def test_paper9_has_nine_cycle_rows(self, tmp_path):
         out = tmp_path / "p9"
         assert main(["run", "--config", "paper9", "--out", str(out)]) == 0
@@ -279,3 +294,22 @@ class TestLocalizeCommand:
             assert got["point_count"] == expect.point_count
             assert got["min"] == [expect.box.min.x, expect.box.min.y, expect.box.min.z]
             assert got["max"] == [expect.box.max.x, expect.box.max.y, expect.box.max.z]
+
+    @pytest.mark.parametrize("text, line", [
+        ("frame=cam1 count=1\n0.4 0.0 0.4 300 10 10\n", 2),
+        ("frame=cam1 count=1\n0.4 0.0 0.4 -1 10 10\n", 2),
+        ("frame=cam1 count=3\n0.4 0.0 0.4 200 10 10\n", 3),
+        ("frame=cam1 count=1\nnan 0.0 0.4 200 10 10\n", 2),
+        ("hello world\n0.4 0.0 0.4 200 10 10\n", 1),
+        ("frame=cam1 count=x\n", 1),
+        ("frame=cam1 count=1\n0.4 abc 0.4 200 10 10\n", 2),
+    ], ids=["color_300", "color_negative", "short", "nan", "no_key_value", "count_x", "non_numeric"])
+    def test_malformed_cloud_names_line(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        good = tmp_path / "good.txt"
+        good.write_text("frame=cam2 count=0\n")
+        rc = main(["localize", "--cloud1", str(bad), "--cloud2", str(good), "--params", "paper9"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: " in err and "Traceback" not in err

@@ -44,6 +44,10 @@ class TestResolve:
         with pytest.raises(ConfigError, match="units"):
             resolve_config({"units": "furlong"})
 
+    def test_non_string_units(self):
+        with pytest.raises(ConfigError, match="units"):
+            resolve_config({"units": ["m"]})
+
     def test_seeds_must_be_integers(self):
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": [1.5]})
@@ -119,6 +123,13 @@ class TestUnits:
     def test_color_thresholds_not_scaled(self):
         cfg = resolve_config({"units": "mm"})
         assert cfg["localization"]["r_th"] == 100
+
+    def test_defaults_stay_meters(self):
+        # units rescale the values the file gives, never the defaults
+        cfg = resolve_config({"units": "mm", "scene": {"spacing": 50}})
+        assert cfg["scene"]["spacing"] == pytest.approx(0.05)
+        assert cfg["scene"]["radius_band"] == DEFAULTS["scene"]["radius_band"]
+        assert cfg["localization"]["tol"] == DEFAULTS["localization"]["tol"]
 
     def test_mm_scaling(self):
         cfg = resolve_config({"units": "mm", "tool": {"trapper_width": 30, "groove_width": 35}})

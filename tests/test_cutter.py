@@ -6,7 +6,6 @@ from berrypick.cutter import (
     DEFAULT_CUT_ENERGY_PER_AREA,
     CutModel,
     GRAVITY,
-    InterrupterPair,
     ToolGeometry,
     ToolState,
     duty_for_stem,
@@ -162,27 +161,35 @@ class TestLaserCut:
 
 class TestFreeFall:
     def test_detect_time_near_closed_form(self):
-        trace, t = free_fall_detect(fruit_with_lateral(0.0), GEOM, 0.01)
+        t = free_fall_detect(fruit_with_lateral(0.0), GEOM, 0.01)
         exact = fall_time_closed_form(GEOM.interrupter_drop)
         assert exact == pytest.approx(0.10096, abs=1e-4)
         assert 0.0 <= t - exact <= 0.01
 
     def test_tiny_drop_detects_immediately(self):
         geom = ToolGeometry(interrupter_drop=1e-9)
-        _, t = free_fall_detect(fruit_with_lateral(0.0), geom, 0.01)
+        t = free_fall_detect(fruit_with_lateral(0.0), geom, 0.01)
         assert t <= 0.01
 
     def test_trace_shape(self):
-        trace, t = free_fall_detect(fruit_with_lateral(0.0), GEOM, 0.01)
-        assert all(p == InterrupterPair(True, True) for p in trace[:-1])
-        assert trace[-1].ir1 is False or trace[-1].ir2 is False
-        assert len(trace) == int(round(t / 0.01)) + 1
+        # t is on the dt grid and is its first time at which the fall
+        # reaches the interrupter
+        dt = 0.01
+        t = free_fall_detect(fruit_with_lateral(0.0), GEOM, dt)
+        k = int(round(t / dt))
+        assert t == k * dt
+
+        def fall(j):
+            return 0.5 * GRAVITY * (j * dt) * (j * dt)
+
+        assert fall(k) >= GEOM.interrupter_drop
+        assert all(fall(j) < GEOM.interrupter_drop for j in range(k))
 
     def test_various_drops_within_one_dt(self):
         for drop in (0.01, 0.03, 0.05, 0.12):
             geom = ToolGeometry(interrupter_drop=drop)
             for dt in (0.01, 0.005):
-                _, t = free_fall_detect(fruit_with_lateral(0.0), geom, dt)
+                t = free_fall_detect(fruit_with_lateral(0.0), geom, dt)
                 assert 0.0 <= t - fall_time_closed_form(drop) <= dt
 
 

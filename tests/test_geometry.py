@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from berrypick.errors import EmptyInputError, FrameMismatchError
+from berrypick.errors import CloudFormatError, FrameMismatchError
 from berrypick.geometry import (
     Aabb,
-    ColoredPoint,
     ColoredPointCloud,
-    Rgb,
     RigidTransform,
     Vec3,
-    cloud_extent,
-    distance,
     dump_cloud,
     load_cloud,
     merge_clouds,
     transform_cloud,
-    transform_point,
 )
 
 
@@ -54,13 +49,22 @@ class TestVec3:
 
 
 class TestRgb:
-    def test_valid_range(self):
-        Rgb(0, 128, 255)
+    """Color channels of the cloud text format: 0..255 load, others are rejected."""
+
+    @staticmethod
+    def one_point_file(tmp_path, rgb):
+        path = tmp_path / "one.txt"
+        path.write_text("frame=base count=1\n0.1 0.2 0.3 {} {} {}\n".format(*rgb))
+        return path
+
+    def test_valid_range(self, tmp_path):
+        cloud = load_cloud(self.one_point_file(tmp_path, (0, 128, 255)))
+        assert cloud.rgb.tolist() == [[0, 128, 255]]
 
     @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 256, 0), (0, 0, 300)])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Rgb(*bad)
+    def test_out_of_range(self, tmp_path, bad):
+        with pytest.raises(CloudFormatError, match=r"one\.txt:2: color"):
+            load_cloud(self.one_point_file(tmp_path, bad))
 
 
 class TestRigidTransform:
@@ -76,26 +80,26 @@ class TestRigidTransform:
 
     def test_identity_apply(self):
         t = RigidTransform.identity()
-        assert transform_point(t, Vec3(1.0, 2.0, 3.0)) == Vec3(1.0, 2.0, 3.0)
+        assert t.apply_to(np.array([[1.0, 2.0, 3.0]])).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pure_translation(self):
         t = RigidTransform(np.eye(3), Vec3(0.1, 0.0, 0.0))
-        assert transform_point(t, Vec3(0.0, 0.0, 0.0)) == Vec3(0.1, 0.0, 0.0)
+        assert t.apply_to(np.zeros((1, 3))).tolist() == [[0.1, 0.0, 0.0]]
 
     def test_rotation_90_about_z(self):
         t = RigidTransform(rot_z(math.pi / 2), Vec3(0, 0, 0))
-        p = transform_point(t, Vec3(1.0, 0.0, 0.0))
-        assert abs(p.x - 0.0) < 1e-12
-        assert abs(p.y - 1.0) < 1e-12
-        assert abs(p.z) < 1e-12
+        (p,) = t.apply_to(np.array([[1.0, 0.0, 0.0]]))
+        assert abs(p[0] - 0.0) < 1e-12
+        assert abs(p[1] - 1.0) < 1e-12
+        assert abs(p[2]) < 1e-12
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             t = random_transform(rng)
-            p = Vec3(*rng.uniform(-1, 1, size=3))
-            q = transform_point(t.inverse(), transform_point(t, p))
-            assert distance(p, q) < 1e-9
+            p = rng.uniform(-1, 1, size=(1, 3))
+            q = t.inverse().apply_to(t.apply_to(p))
+            assert np.linalg.norm(p - q) < 1e-9
 
 
 class TestTransformCloud:
@@ -181,48 +185,19 @@ class TestMergeClouds:
         assert merge_clouds(merge_clouds(a, b), c) == merge_clouds(a, merge_clouds(b, c))
 
 
-class TestCloudExtent:
-    def test_single_point(self):
-        c = ColoredPointCloud("base", [[1.0, 2.0, 3.0]], [[0, 0, 0]])
-        assert cloud_extent(c, 2) == (3.0, 3.0)
-
-    def test_two_points_axis1(self):
-        c = ColoredPointCloud("base", [[0, 0, 0], [1, -1, 2]], [[0, 0, 0], [0, 0, 0]])
-        assert cloud_extent(c, 1) == (-1.0, 0.0)
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(8)
-        c = random_cloud(rng, 1000)
-        for axis in range(3):
-            lo, hi = cloud_extent(c, axis)
-            values = [p[axis] for p in c.xyz.tolist()]
-            assert lo == min(values)
-            assert hi == max(values)
-            assert all(lo <= v <= hi for v in values)
-
-    def test_empty_cloud(self):
-        with pytest.raises(EmptyInputError):
-            cloud_extent(ColoredPointCloud.empty("base"), 0)
-
-    def test_bad_axis(self):
-        c = ColoredPointCloud("base", [[0, 0, 0]], [[0, 0, 0]])
-        with pytest.raises(ValueError):
-            cloud_extent(c, 3)
-
-
 class TestCloudType:
     def test_points_property(self):
         c = ColoredPointCloud("base", [[0.5, 0.25, -1.0]], [[10, 20, 30]])
-        pts = c.points
-        assert pts == [ColoredPoint(Vec3(0.5, 0.25, -1.0), Rgb(10, 20, 30))]
+        assert (c.xyz.dtype, c.rgb.dtype) == (np.float64, np.uint8)
+        assert c.xyz.tolist() == [[0.5, 0.25, -1.0]]
+        assert c.rgb.tolist() == [[10, 20, 30]]
 
     def test_from_points_round_trip(self):
-        pts = [
-            ColoredPoint(Vec3(0.0, 0.1, 0.2), Rgb(1, 2, 3)),
-            ColoredPoint(Vec3(-0.5, 0.0, 2.0), Rgb(200, 100, 0)),
-        ]
-        c = ColoredPointCloud.from_points("tool", pts)
-        assert c.points == pts
+        xyz = [[0.0, 0.1, 0.2], [-0.5, 0.0, 2.0]]
+        rgb = [[1, 2, 3], [200, 100, 0]]
+        c = ColoredPointCloud("tool", xyz, rgb)
+        assert ColoredPointCloud("tool", c.xyz, c.rgb) == c
+        assert (c.xyz.tolist(), c.rgb.tolist()) == (xyz, rgb)
 
     def test_invalid_frame(self):
         with pytest.raises(FrameMismatchError):

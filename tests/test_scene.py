@@ -1,17 +1,19 @@
-import math
-
+import numpy as np
 import pytest
 
 from berrypick.errors import ConfigError, StateError
 from berrypick.geometry import Aabb, Vec3
 from berrypick.scene import (
+    KIND_FRUIT,
+    KIND_STEM,
+    KIND_TROUGH,
     MAX_STEM_BEND,
     Scene,
     StrawberryTruth,
     detach_fruit,
     generate_scene,
     load_scene,
-    sample_surfaces,
+    sample_surface_arrays,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -85,72 +87,71 @@ class TestGenerateScene:
             Scene(strawberries=(s,), rng_seed=0, workspace=Aabb(Vec3(0, 0, 0), Vec3(0.1, 0.1, 0.1)))
 
 
+def is_red(rgb):
+    return (rgb[:, 0] > 100) & (rgb[:, 1] < 70) & (rgb[:, 2] < 70)
+
+
+def assert_batches_equal(a, b):
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
 class TestSampleSurfaces:
     def test_fruit_points_on_sphere(self):
         scene = generate_scene(2, 1)
         fruit = scene.strawberries[0]
-        pts = sample_surfaces(scene, 30000.0)
-        fruit_pts = [p for p in pts if p.owner.kind == "fruit"]
-        assert fruit_pts
-        for p in fruit_pts:
-            d = math.dist(
-                (p.position.x, p.position.y, p.position.z),
-                (fruit.center.x, fruit.center.y, fruit.center.z),
-            )
-            assert abs(d - fruit.radius) <= 1e-9
+        batch = sample_surface_arrays(scene, 30000.0)
+        fruit_pts = batch.xyz[batch.kind == KIND_FRUIT]
+        assert len(fruit_pts)
+        d = np.linalg.norm(fruit_pts - fruit.center.to_array(), axis=1)
+        assert np.abs(d - fruit.radius).max() <= 1e-9
 
     def test_visible_hemisphere_count(self):
         # a large fruit sampled at the default density keeps the front
         # hemisphere above the minimum cluster size
         scene = generate_scene(2, 1, radius_band=(0.0175, 0.0175))
         fruit = scene.strawberries[0]
-        pts = sample_surfaces(scene, scene.surface_density)
-        front = [
-            p for p in pts
-            if p.owner.kind == "fruit" and p.position.x <= fruit.center.x
-        ]
-        assert len(front) >= 20
+        batch = sample_surface_arrays(scene, scene.surface_density)
+        front = (batch.kind == KIND_FRUIT) & (batch.xyz[:, 0] <= fruit.center.x)
+        assert front.sum() >= 20
 
     def test_tiny_density_no_error(self):
         scene = generate_scene(2, 1)
-        pts = sample_surfaces(scene, 0.001)
-        assert isinstance(pts, list)
+        batch = sample_surface_arrays(scene, 0.001)
+        assert len(batch.xyz) == len(batch.rgb) == len(batch.kind) == len(batch.owner)
 
     def test_ripe_and_unripe_color_bands(self):
         scene = generate_scene(4, 6, ripe_fraction=0.5)
-        ripe_ids = {s.id for s in scene.strawberries if s.ripe}
-        for p in sample_surfaces(scene, 20000.0):
-            if p.owner.kind == "fruit":
-                if p.owner.id in ripe_ids:
-                    assert p.color.r > 100 and p.color.g < 70 and p.color.b < 70
-                else:
-                    assert not (p.color.r > 100 and p.color.g < 70 and p.color.b < 70)
-            elif p.owner.kind in ("stem", "trough"):
-                assert not (p.color.r > 100 and p.color.g < 70 and p.color.b < 70)
+        ripe_ids = [s.id for s in scene.strawberries if s.ripe]
+        batch = sample_surface_arrays(scene, 20000.0)
+        red = is_red(batch.rgb)
+        fruit = batch.kind == KIND_FRUIT
+        ripe = fruit & np.isin(batch.owner, ripe_ids)
+        assert ripe.any() and (fruit & ~ripe).any()
+        assert red[ripe].all()
+        assert not red[fruit & ~ripe].any()
+        assert not red[(batch.kind == KIND_STEM) | (batch.kind == KIND_TROUGH)].any()
 
     def test_stem_points_near_segment(self):
         scene = generate_scene(6, 2)
         by_id = {s.id: s for s in scene.strawberries}
         from oracles import point_to_segment_distance
 
-        for p in sample_surfaces(scene, 40000.0):
-            if p.owner.kind != "stem":
-                continue
-            s = by_id[p.owner.id]
-            d = point_to_segment_distance(
-                p.position.to_array(), s.stem_top.to_array(), s.stem_attach.to_array()
-            )
+        batch = sample_surface_arrays(scene, 40000.0)
+        stem = batch.kind == KIND_STEM
+        assert stem.any()
+        for p, owner in zip(batch.xyz[stem], batch.owner[stem]):
+            s = by_id[int(owner)]
+            d = point_to_segment_distance(p, s.stem_top.to_array(), s.stem_attach.to_array())
             assert d == pytest.approx(s.stem_diameter / 2, abs=1e-9)
 
     def test_sampling_deterministic(self):
         scene = generate_scene(2, 3)
-        a = sample_surfaces(scene, 5000.0)
-        b = sample_surfaces(scene, 5000.0)
-        assert a == b
+        assert_batches_equal(sample_surface_arrays(scene, 5000.0), sample_surface_arrays(scene, 5000.0))
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
-            sample_surfaces(generate_scene(1, 1), 0.0)
+            sample_surface_arrays(generate_scene(1, 1), 0.0)
 
 
 class TestDetach:
@@ -173,9 +174,9 @@ class TestDetach:
 
     def test_sampling_unchanged_for_other_fruits(self):
         scene = generate_scene(12, 3)
-        before = sample_surfaces(scene, 8000.0)
-        after = sample_surfaces(detach_fruit(scene, 0), 8000.0)
-        assert before == after  # sampling ignores the detached flag
+        before = sample_surface_arrays(scene, 8000.0)
+        after = sample_surface_arrays(detach_fruit(scene, 0), 8000.0)
+        assert_batches_equal(before, after)  # sampling ignores the detached flag
 
 
 class TestSerialization:
