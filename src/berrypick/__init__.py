@@ -17,7 +17,6 @@ from .localization import (
     StrawberryBox,
     boxes_of,
     crop_window,
-    euclidean_cluster,
     localize,
     threshold_red,
 )

@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .bench import run_bench
+from .camera import capture_rig
 from .config import (
     SWEEP_AXES,
     apply_sweep_value,
@@ -60,18 +61,6 @@ def cycles_to_csv(reports: list[CycleReport]) -> str:
     for r in reports:
         writer.writerow([r.fruit_id, repr(r.cycle_time), repr(r.cut_time), r.outcome])
     return buf.getvalue()
-
-
-def cycles_from_csv(text: str) -> list[CycleReport]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CYCLES_HEADER:
-        raise ValueError(f"unexpected cycles header: {header}")
-    return [
-        CycleReport(int(row[0]), float(row[1]), float(row[2]), row[3])
-        for row in reader
-        if row
-    ]
 
 
 def metrics_to_json(metrics: dict) -> str:
@@ -138,9 +127,10 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     }
     _write_text(run_dir / "wallclock.json", json.dumps(wallclock, sort_keys=True, indent=2) + "\n")
 
-    if dump_clouds is not None and "clouds" in telemetry:
+    if dump_clouds is not None and built.box_source == "cameras":
+        # capture_rig is pure in (scene, rig, seed): these are the clouds the run localized
+        c1, c2 = capture_rig(built.scene, built.rig, seed)
         dump_clouds.mkdir(parents=True, exist_ok=True)
-        c1, c2 = telemetry["clouds"]
         dump_cloud(c1, dump_clouds / "cam1.txt")
         dump_cloud(c2, dump_clouds / "cam2.txt")
         merged = merge_clouds(

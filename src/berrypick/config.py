@@ -343,11 +343,11 @@ def _keyed(section: str):
 
 def _workspace(cfg: dict) -> Aabb:
     loc = cfg["localization"]
-    margin = cfg["robot"]["workspace_margin"]
-    return Aabb(
-        Vec3(loc["x_minus"] - margin, loc["y_minus"] - margin, loc["z_minus"] - margin),
-        Vec3(loc["x_plus"] + margin, loc["y_plus"] + margin, loc["z_plus"] + margin),
+    crop = Aabb(
+        Vec3(loc["x_minus"], loc["y_minus"], loc["z_minus"]),
+        Vec3(loc["x_plus"], loc["y_plus"], loc["z_plus"]),
     )
+    return crop.inflate(cfg["robot"]["workspace_margin"])
 
 
 def build_scene(cfg: dict, run_seed: int) -> Scene:

@@ -9,9 +9,10 @@ fruit, release, and move on. The trailing move returns to HOME.
 The event log is the authoritative record: every move, tool action and
 per-cycle summary is appended with its simulation timestamp, and rerunning
 with the same scene, configuration and seed reproduces the log byte for
-byte. Wall-clock measurements (localization latency) never enter the log;
-they are surfaced through the optional telemetry dict so callers can keep
-them in a sidecar artifact.
+byte, and the cycle reports are read back from its `cycle` records.
+Wall-clock measurements never enter the log: the optional telemetry dict
+carries only the localization stage counts and its duration, which
+callers keep in a sidecar artifact.
 
 Cycle accounting follows the detachment-to-detachment convention: cycle i
 spans from detachment i-1 (or the first HOME arrival) to detachment i.
@@ -90,10 +91,10 @@ class CycleReport:
 
 
 class HarvestEventLog:
-    """Ordered, timestamped event records with JSONL round-tripping."""
+    """Ordered, timestamped event records, written as canonical JSON lines."""
 
-    def __init__(self, records: list[dict] | None = None):
-        self.records: list[dict] = list(records or [])
+    def __init__(self):
+        self.records: list[dict] = []
 
     def append(self, t: float, event: str, **fields) -> None:
         if self.records and t < self.records[-1]["t"] - 1e-12:
@@ -111,11 +112,6 @@ class HarvestEventLog:
         with open(path, "w", newline="\n") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "HarvestEventLog":
-        with open(path) as fh:
-            return cls([json.loads(line) for line in fh if line.strip()])
 
     def __len__(self) -> int:
         return len(self.records)
@@ -169,7 +165,8 @@ def run_harvest(
     config_hash: str | None = None,
     telemetry: dict | None = None,
 ) -> tuple[HarvestEventLog, list[CycleReport]]:
-    """Execute one full harvest pass and return its log and cycle reports.
+    """Execute one full harvest pass and return its log and cycle reports,
+    the latter read from the log's `cycle` records.
 
     `box_source` selects camera-driven localization ("cameras") or perfect
     ground-truth boxes ("truth"); `box_offset` translates the boxes after
@@ -199,6 +196,7 @@ def run_harvest(
     _log_move(log, rec, "home", None)
     cycle_start = t
 
+    log_counts: dict = {}
     if box_source == "truth":
         boxes = truth_boxes(scene, params)
         if telemetry is not None:
@@ -210,7 +208,6 @@ def run_harvest(
         log_counts = {k: loc_tel[k] for k in ("n_merged", "n_cropped", "n_red") if k in loc_tel}
         if telemetry is not None:
             telemetry.update(loc_tel)
-            telemetry["clouds"] = (c1, c2)
     if box_offset is not None:
         boxes = inject_localization_error(boxes, box_offset)
     log.append(
@@ -219,21 +216,14 @@ def run_harvest(
         n_boxes=len(boxes),
         source=box_source,
         offset=[box_offset.x, box_offset.y, box_offset.z] if box_offset else [0.0, 0.0, 0.0],
-        **(log_counts if box_source == "cameras" else {}),
+        **log_counts,
     )
 
-    reports: list[CycleReport] = []
-    if not boxes:
+    if boxes:
+        z_min = compute_z_min(boxes)
+        log.append(t, "z_min", value=z_min)
+    else:
         log.append(t, "no_fruit")
-        state, rec = robot_move(state, robot.home, t)
-        t = rec.t_end
-        _log_move(log, rec, "home", None)
-        ctl.advance(ControllerPhase.DONE)
-        log.append(t, "end")
-        return log, reports
-
-    z_min = compute_z_min(boxes)
-    log.append(t, "z_min", value=z_min)
     tool = ToolState()
 
     for box in boxes:
@@ -252,88 +242,62 @@ def run_harvest(
                 ctl.advance(ControllerPhase.ASCEND)
         ctl.advance(ControllerPhase.TRAP)
 
+        tool.engage_trap()
         if fruit is None:
             # box with no live fruit underneath it: the trapper closes on air
-            tool.engage_trap()
             log.append(t, "trap", fruit=fid, outcome="missed", lateral_error=None)
-            tool.release_stem()
-            log.append(t, "release", fruit=fid)
-            reports.append(CycleReport(fid, t - cycle_start, 0.0, "missed_trap"))
-            log.append(t, "cycle", fruit=fid, cycle_time=t - cycle_start, cut_time=0.0, outcome="missed_trap")
-            continue
+            trapped = False
+        else:
+            trap = trap_stem(state.tool_pos, fruit, geom)
+            log.append(t, "trap", fruit=fid, outcome=trap.outcome, lateral_error=trap.lateral_error)
+            trapped = trap.outcome != "missed"
 
-        tool.engage_trap()
-        trap = trap_stem(state.tool_pos, fruit, geom)
-        log.append(t, "trap", fruit=fid, outcome=trap.outcome, lateral_error=trap.lateral_error)
-
-        if trap.outcome == "missed":
-            tool.release_stem()
-            log.append(t, "release", fruit=fid)
-            reports.append(CycleReport(fid, t - cycle_start, 0.0, "missed_trap"))
-            log.append(t, "cycle", fruit=fid, cycle_time=t - cycle_start, cut_time=0.0, outcome="missed_trap")
-            continue
-
-        ctl.advance(ControllerPhase.CUT)
-        cut_i = replace(cut, duty=duty_for_stem(fruit.stem_diameter, geom)) if derive_duty else cut
-        tool.set_laser(True)
-        log.append(t, "laser_on", fruit=fid, energy=0.0)
-        max_steps = int(round(laser_timeout / dt))
-        acc = 0.0
-        done = False
-        steps = 0
-        while steps < max_steps and not done:
-            acc, done = laser_step(cut_i, fruit, dt, acc)
-            steps += 1
-        cut_time = steps * dt
-
-        detected = False
-        fall_t = 0.0
-        if done:
-            fall_t = free_fall_detect(fruit, geom, dt)
-            detected = cut_time + fall_t <= laser_timeout
-        if not detected:
-            t_off = t + laser_timeout
-            log.append(t_off, "laser_timeout", fruit=fid, energy=acc)
+        cut_time, outcome = 0.0, "missed_trap"
+        if trapped:
+            ctl.advance(ControllerPhase.CUT)
+            cut_i = replace(cut, duty=duty_for_stem(fruit.stem_diameter, geom)) if derive_duty else cut
+            tool.set_laser(True)
+            log.append(t, "laser_on", fruit=fid, energy=0.0)
+            max_steps = int(round(laser_timeout / dt))
+            acc = 0.0
+            done = False
+            steps = 0
+            while steps < max_steps and not done:
+                acc, done = laser_step(cut_i, fruit, dt, acc)
+                steps += 1
+            burn = steps * dt
+            fall_t = free_fall_detect(fruit, geom, dt) if done else 0.0
+            if done and burn + fall_t <= laser_timeout:
+                t_cut = t + burn
+                log.append(t_cut, "cut_done", fruit=fid, energy=acc)
+                t = t_cut + fall_t
+                scene = detach_fruit(scene, fid)
+                log.append(t, "detach_detect", fruit=fid, energy=acc, ir=[False, True])
+                cut_time, outcome = burn, "harvested"
+            else:
+                t += laser_timeout
+                log.append(t, "laser_timeout", fruit=fid, energy=acc)
+                cut_time, outcome = (burn if done else 0.0), "not_detected"
             tool.set_laser(False)
-            log.append(t_off, "laser_off", fruit=fid, energy=acc)
+            log.append(t, "laser_off", fruit=fid, energy=acc)
             ctl.advance(ControllerPhase.RELEASE)
-            tool.release_stem()
-            log.append(t_off, "release", fruit=fid)
-            t = t_off
-            rep_cut = cut_time if done else 0.0
-            reports.append(CycleReport(fid, t - cycle_start, rep_cut, "not_detected"))
-            log.append(
-                t, "cycle", fruit=fid, cycle_time=t - cycle_start,
-                cut_time=rep_cut, outcome="not_detected",
-            )
-            continue
 
-        t_cut = t + cut_time
-        log.append(t_cut, "cut_done", fruit=fid, energy=acc)
-        t_detach = t_cut + fall_t
-        scene = detach_fruit(scene, fid)
-        log.append(t_detach, "detach_detect", fruit=fid, energy=acc, ir=[False, True])
-        tool.set_laser(False)
-        log.append(t_detach, "laser_off", fruit=fid, energy=acc)
-        ctl.advance(ControllerPhase.RELEASE)
+        # every cycle ends here; cycle i spans detachment i-1 to detachment i
         tool.release_stem()
-        log.append(t_detach, "release", fruit=fid)
-        t = t_detach
-
-        reports.append(CycleReport(fid, t_detach - cycle_start, cut_time, "harvested"))
-        log.append(
-            t, "cycle", fruit=fid, cycle_time=t_detach - cycle_start,
-            cut_time=cut_time, outcome="harvested",
-        )
-        cycle_start = t_detach
+        log.append(t, "release", fruit=fid)
+        log.append(t, "cycle", fruit=fid, cycle_time=t - cycle_start, cut_time=cut_time, outcome=outcome)
+        if outcome == "harvested":
+            cycle_start = t
 
     state, rec = robot_move(state, robot.home, t)
     t = rec.t_end
     _log_move(log, rec, "home", None)
-    ctl.advance(ControllerPhase.HOME)
+    if boxes:
+        ctl.advance(ControllerPhase.HOME)
     ctl.advance(ControllerPhase.DONE)
     log.append(t, "end")
-    return log, reports
+    cycles = log.events("cycle")
+    return log, [CycleReport(c["fruit"], c["cycle_time"], c["cut_time"], c["outcome"]) for c in cycles]
 
 
 def _log_move(log: HarvestEventLog, rec, event: str, fruit_id, **extra) -> None:
@@ -364,12 +328,8 @@ def _match_fruit(scene: Scene, box: StrawberryBox):
     return min(candidates, key=lambda s: distance(s.center, center))
 
 
-def cycle_metrics(log: HarvestEventLog, wallclock: dict | None = None) -> dict:
-    """Aggregate a log into mean cycle/cut time and success rate.
-
-    Localization latency is wall-clock data and lives outside the log; pass
-    the sidecar dict to include it.
-    """
+def cycle_metrics(log: HarvestEventLog) -> dict:
+    """Aggregate a log into mean cycle/cut time and success rate."""
     if len(log) == 0:
         raise EmptyInputError("cannot compute metrics of an empty log")
     begin = log.records[0]
@@ -391,5 +351,6 @@ def cycle_metrics(log: HarvestEventLog, wallclock: dict | None = None) -> dict:
             float(np.mean([c["cut_time"] for c in harvested])) if harvested else None
         ),
         "success_rate": (len(harvested) / n_ripe) if n_ripe else None,
-        "localization_ms": wallclock.get("localization_ms") if wallclock else None,
+        # always null: latency lives in wallclock.json; the key stays until the manifests are re-pinned
+        "localization_ms": None,
     }

@@ -110,10 +110,6 @@ class RigidTransform:
         if abs(det - 1.0) > ROTATION_TOL:
             raise ValueError(f"rotation determinant is {det}, expected +1")
 
-    @classmethod
-    def identity(cls, source_frame: str | None = None, target_frame: str | None = None) -> "RigidTransform":
-        return cls(np.eye(3), Vec3(0.0, 0.0, 0.0), source_frame, target_frame)
-
     def apply_to(self, xyz: np.ndarray) -> np.ndarray:
         return xyz @ self.rotation.T + self.translation.to_array()
 

@@ -214,16 +214,6 @@ def cluster_indices(
     return [clusters[i] for i in by_y]
 
 
-def euclidean_cluster(
-    cloud: ColoredPointCloud,
-    p: LocalizationParams,
-    telemetry: dict | None = None,
-) -> list[ColoredPointCloud]:
-    """Cluster a cloud; see `cluster_indices` for the adjacency contract."""
-    groups = cluster_indices(cloud.xyz, p.tol, p.s_min, p.s_max, telemetry)
-    return [ColoredPointCloud(cloud.frame, cloud.xyz[g], cloud.rgb[g]) for g in groups]
-
-
 def boxes_of(clusters: list[ColoredPointCloud]) -> list[StrawberryBox]:
     """Axis-aligned bounds of each cluster, indexed in the given (y-sorted) order."""
     boxes = []
@@ -265,8 +255,8 @@ def localize(
     merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
     cropped = crop_window(merged, p)
     red = threshold_red(cropped, p)
-    clusters = euclidean_cluster(red, p, telemetry)
-    boxes = boxes_of(clusters)
+    groups = cluster_indices(red.xyz, p.tol, p.s_min, p.s_max, telemetry)
+    boxes = boxes_of([ColoredPointCloud(red.frame, red.xyz[g], red.rgb[g]) for g in groups])
     if telemetry is not None:
         telemetry.update(
             duration_ms=(time.perf_counter() - start) * 1e3,

@@ -13,7 +13,6 @@ reproducible across platforms; every log records the seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -35,12 +34,10 @@ NEUTRAL_GREY = (120, 180)
 
 MAX_STEM_BEND = 0.015
 
-SCENE_SCHEMA_VERSION = 1
-
 # a fruit hangs within this distance in x of the layout's fruit_x
 FRUIT_X_JITTER = 0.005
 
-# scene heights and sampling density, shared by Scene and generate_scene
+# scene heights (generate_scene) and sampling density (shared with Scene)
 TROUGH_HEIGHT = 1.03
 BASE_HEIGHT = 0.55
 SURFACE_DENSITY = 60000.0
@@ -82,8 +79,6 @@ class Scene:
     strawberries: tuple[StrawberryTruth, ...]
     rng_seed: int
     workspace: Aabb = DEFAULT_WORKSPACE
-    trough_height: float = TROUGH_HEIGHT
-    base_height: float = BASE_HEIGHT
     trough: Aabb | None = Aabb(Vec3(0.50, -0.60, 0.18), Vec3(0.70, 0.60, 0.48))
     occluders: tuple[Aabb, ...] = ()
     surface_density: float = SURFACE_DENSITY
@@ -95,18 +90,6 @@ class Scene:
         for s in self.strawberries:
             if s.ripe and not self.workspace.contains(s.center):
                 raise ValueError(f"ripe fruit {s.id} center {s.center} outside workspace")
-
-    @property
-    def lip_z(self) -> float:
-        if self.trough is None:
-            return self.trough_height - self.base_height
-        return self.trough.max.z
-
-    def fruit(self, fruit_id: int) -> StrawberryTruth:
-        for s in self.strawberries:
-            if s.id == fruit_id:
-                return s
-        raise StateError(f"no strawberry with id {fruit_id}")
 
     def ripe_in_workspace(self) -> list[StrawberryTruth]:
         return [s for s in self.strawberries if s.ripe and self.workspace.contains(s.center)]
@@ -203,8 +186,6 @@ def generate_scene(
     return Scene(
         strawberries=tuple(fruits),
         rng_seed=seed,
-        trough_height=trough_height,
-        base_height=base_height,
         trough=trough,
         occluders=tuple(occluders),
         surface_density=surface_density,
@@ -353,78 +334,3 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
         np.concatenate(kind_parts),
         np.concatenate(owner_parts),
     )
-
-
-def _aabb_to_list(box: Aabb) -> list[list[float]]:
-    return [[box.min.x, box.min.y, box.min.z], [box.max.x, box.max.y, box.max.z]]
-
-
-def _aabb_from_list(v) -> Aabb:
-    return Aabb(Vec3(*map(float, v[0])), Vec3(*map(float, v[1])))
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "schema_version": SCENE_SCHEMA_VERSION,
-        "units": "m",
-        "rng": "philox",
-        "rng_seed": scene.rng_seed,
-        "trough_height": scene.trough_height,
-        "base_height": scene.base_height,
-        "surface_density": scene.surface_density,
-        "workspace": _aabb_to_list(scene.workspace),
-        "trough": _aabb_to_list(scene.trough) if scene.trough is not None else None,
-        "occluders": [_aabb_to_list(o) for o in scene.occluders],
-        "strawberries": [
-            {
-                "id": s.id,
-                "center": [s.center.x, s.center.y, s.center.z],
-                "radius": s.radius,
-                "ripe": s.ripe,
-                "stem_top": [s.stem_top.x, s.stem_top.y, s.stem_top.z],
-                "stem_bend": s.stem_bend,
-                "stem_diameter": s.stem_diameter,
-                "detached": s.detached,
-            }
-            for s in scene.strawberries
-        ],
-    }
-
-
-def scene_from_dict(d: dict) -> Scene:
-    if d.get("units") != "m":
-        raise ConfigError(f"scene units must be 'm', got {d.get('units')!r}")
-    fruits = tuple(
-        StrawberryTruth(
-            id=int(f["id"]),
-            center=Vec3(*map(float, f["center"])),
-            radius=float(f["radius"]),
-            ripe=bool(f["ripe"]),
-            stem_top=Vec3(*map(float, f["stem_top"])),
-            stem_bend=float(f["stem_bend"]),
-            stem_diameter=float(f["stem_diameter"]),
-            detached=bool(f.get("detached", False)),
-        )
-        for f in d["strawberries"]
-    )
-    return Scene(
-        strawberries=fruits,
-        rng_seed=int(d["rng_seed"]),
-        workspace=_aabb_from_list(d["workspace"]),
-        trough_height=float(d["trough_height"]),
-        base_height=float(d["base_height"]),
-        trough=_aabb_from_list(d["trough"]) if d["trough"] is not None else None,
-        occluders=tuple(_aabb_from_list(o) for o in d.get("occluders", [])),
-        surface_density=float(d["surface_density"]),
-    )
-
-
-def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(scene_to_dict(scene), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_scene(path) -> Scene:
-    with open(path) as fh:
-        return scene_from_dict(json.load(fh))

@@ -203,6 +203,26 @@ class TestNotDetected:
         assert names.index("laser_off") < names.index("release")
 
 
+class TestBoxOverAir:
+    def test_second_box_closes_on_air(self, monkeypatch):
+        scene = generate_scene(5, 1, 1.0, 0.0)
+        (box,) = truth_boxes(scene, PARAMS)
+        monkeypatch.setattr("berrypick.controller.localize", lambda *args, **kwargs: [box, box])
+        log, reports = run(scene)
+        assert [r.outcome for r in reports] == ["harvested", "missed_trap"]
+        detach_t = log.events("detach_detect")[0]["t"]
+        air = [r for r in log.records if r.get("fruit") == -1 and r["event"] != "move"]
+        t = air[0]["t"]
+        assert air == [
+            {"t": t, "event": "trap", "fruit": -1, "outcome": "missed", "lateral_error": None},
+            {"t": t, "event": "release", "fruit": -1},
+            {"t": t, "event": "cycle", "fruit": -1, "cycle_time": t - detach_t, "cut_time": 0.0,
+             "outcome": "missed_trap"},
+        ]
+        assert [r["event"] for r in log.records[-2:]] == ["home", "end"]
+        assert reports[1] == CycleReport(-1, t - detach_t, 0.0, "missed_trap")
+
+
 class TestNoFruit:
     def test_all_unripe_scene(self):
         scene = generate_scene(9, 4, ripe_fraction=0.0)
@@ -284,17 +304,15 @@ class TestMetrics:
         direct = cycle_metrics(log)
         path = tmp_path / "events.jsonl"
         log.to_jsonl(path)
-        reloaded = cycle_metrics(HarvestEventLog.from_jsonl(path))
-        assert reloaded == direct
+        reloaded = HarvestEventLog()
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            reloaded.append(rec.pop("t"), rec.pop("event"), **rec)
+        assert cycle_metrics(reloaded) == direct
 
     def test_empty_log_rejected(self):
         with pytest.raises(EmptyInputError):
             cycle_metrics(HarvestEventLog())
-
-    def test_wallclock_sidecar_joined(self):
-        m = cycle_metrics(self.synthetic_log([(8.0, 2.3, "harvested")]),
-                          wallclock={"localization_ms": 12.5})
-        assert m["localization_ms"] == 12.5
 
     def test_missed_not_in_means(self):
         m = cycle_metrics(self.synthetic_log([
@@ -317,8 +335,7 @@ class TestLogType:
         log.append(1.5, "end")
         p = tmp_path / "log.jsonl"
         log.to_jsonl(p)
-        back = HarvestEventLog.from_jsonl(p)
-        assert back.records == log.records
+        assert [json.loads(line) for line in p.read_text().splitlines()] == log.records
         # serialized form is canonical json lines
         for line in p.read_text().splitlines():
             assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line

@@ -79,7 +79,7 @@ class TestRigidTransform:
             RigidTransform(m, Vec3(0, 0, 0))
 
     def test_identity_apply(self):
-        t = RigidTransform.identity()
+        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0))
         assert t.apply_to(np.array([[1.0, 2.0, 3.0]])).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pure_translation(self):
@@ -106,7 +106,7 @@ class TestTransformCloud:
     def test_identity_relabels_frame(self):
         rng = np.random.default_rng(0)
         c = random_cloud(rng, 5, frame="cam1")
-        out = transform_cloud(RigidTransform.identity(), c, "base")
+        out = transform_cloud(RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0)), c, "base")
         assert out.frame == "base"
         assert np.array_equal(out.xyz, c.xyz)
         assert np.array_equal(out.rgb, c.rgb)
@@ -119,7 +119,7 @@ class TestTransformCloud:
 
     def test_frame_mismatch_rejected(self):
         c = ColoredPointCloud.empty("cam2")
-        t = RigidTransform.identity(source_frame="cam1", target_frame="base")
+        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base")
         with pytest.raises(FrameMismatchError):
             transform_cloud(t, c, "base")
 

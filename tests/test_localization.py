@@ -8,7 +8,6 @@ from berrypick.localization import (
     boxes_of,
     cluster_indices,
     crop_window,
-    euclidean_cluster,
     localize,
     threshold_red,
 )
@@ -23,6 +22,11 @@ def cloud_of(xyz, rgb=None, frame="base"):
     if rgb is None:
         rgb = np.tile(np.array([[200, 30, 30]], dtype=np.uint8), (len(xyz), 1))
     return ColoredPointCloud(frame, xyz, rgb)
+
+
+def clusters_of(cloud, p):
+    groups = cluster_indices(cloud.xyz, p.tol, p.s_min, p.s_max)
+    return [ColoredPointCloud(cloud.frame, cloud.xyz[g], cloud.rgb[g]) for g in groups]
 
 
 def blob(rng, center, n=30, radius=0.008):
@@ -235,7 +239,7 @@ class TestBoxesOf:
 
     def test_boxes_sorted_by_center_y(self):
         rng = np.random.default_rng(24)
-        clusters = euclidean_cluster(
+        clusters = clusters_of(
             cloud_of(np.concatenate([blob(rng, np.array([0.0, y, 0.0]), 30) for y in (-0.2, 0.0, 0.2)])),
             LocalizationParams(s_min=1),
         )
@@ -287,7 +291,7 @@ class TestLocalize:
         boxes = localize(c1, c2, t1, t2, p)
 
         merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
-        staged = boxes_of(euclidean_cluster(threshold_red(crop_window(merged, p), p), p))
+        staged = boxes_of(clusters_of(threshold_red(crop_window(merged, p), p), p))
         assert boxes == staged
         assert len(boxes) == 3
 
@@ -298,13 +302,13 @@ class TestLocalize:
         green[:, 1] = 200
         c1 = ColoredPointCloud("cam1", xyz[:150], green[:150])
         c2 = ColoredPointCloud("cam2", xyz[150:], green[150:])
-        ident1 = RigidTransform.identity("cam1", "base")
-        ident2 = RigidTransform.identity("cam2", "base")
+        ident1 = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base")
+        ident2 = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam2", "base")
         assert localize(c1, c2, ident1, ident2, PARAMS) == []
 
     def test_frame_checks(self):
         c = ColoredPointCloud.empty("base")
-        ident = RigidTransform.identity()
+        ident = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0))
         with pytest.raises(FrameMismatchError):
             localize(c, ColoredPointCloud.empty("cam2"), ident, ident, PARAMS)
         with pytest.raises(FrameMismatchError):
