@@ -1,9 +1,13 @@
 """Virtual RGB-D cameras: visibility-culled, noise-perturbed scene clouds.
 
-`capture_rig` samples the scene surfaces once and renders that batch
-from each camera; `capture` does the same for a single camera. Rendering
-runs four visibility passes, cheapest first. The first three only drop
-points, so the z-buffer sees the survivors in sampling order:
+A capture runs in two steps. The view (`_view`) is the seed-free
+geometry: which surface samples a camera sees and where, in its own
+frame. The sensor (`_sense`) then perturbs that view with the capture
+seed. `capture_rig` samples the scene surfaces once and views that
+batch from each camera; `capture` does the same for a single camera.
+
+Viewing runs four visibility passes, cheapest first. The first three
+only drop points, so the z-buffer sees the survivors in sampling order:
 
 1. Back-face cull. A box sample (trough, occluder) on a face of its own
    box that is turned away from the eye is provably blocked by that box,
@@ -18,15 +22,25 @@ points, so the z-buffer sees the survivors in sampling order:
    wins, which handles curved-surface self-occlusion at cloud granularity
    without ray tracing.
 
-Depth noise is then applied along each surviving ray, and dropout removes
+Sensing applies depth noise along each visible ray, and dropout removes
 points independently. Both randomness streams derive from the capture
 seed, so a capture is a pure function of (scene, camera, seed).
+
+The views of the last capture are kept, one entry only, and reused when
+the next capture has an equal key: the frozen `Scene` (fruit and their
+detached flags, trough, occluders, surface density, scene seed) and,
+per camera, every `CameraModel` field but depth noise and dropout, the
+pose as bytes. Within one process, then, a scene is viewed once for the
+runs of a fixed scene over several run seeds, for each seed's points of
+a sweep (`berrypick sweep` runs them one after another), and for the
+`--dump-clouds` re-capture of a run; a scene that changes with every
+run is viewed every time. The kept arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -240,8 +254,9 @@ def _frustum(cam: CameraModel, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return q, az, el, inside
 
 
-def _render(surf: _Surfaces, cam: CameraModel, seed: int) -> ColoredPointCloud:
-    """Render one camera view of a sampled scene."""
+def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-frame positions and colours of the samples one camera sees,
+    one per angular bin in bin order; read-only, as they may be reused."""
     eye = cam.pose.translation.to_array()
     keep = ~_back_faces(surf.bounds, eye)[surf.face]
     xyz = surf.xyz[keep]
@@ -253,9 +268,6 @@ def _render(surf: _Surfaces, cam: CameraModel, seed: int) -> ColoredPointCloud:
             break
         clear = ~_occluded_by_box(eye, xyz, lo, hi)
         xyz, q, rgb, az, el = xyz[clear], q[clear], rgb[clear], az[clear], el[clear]
-
-    if len(q) == 0:
-        return ColoredPointCloud.empty(cam.frame)
 
     n_az = int(math.ceil(cam.h_fov / cam.bin_res)) + 1
     bi = np.floor((az + cam.h_fov / 2) / cam.bin_res).astype(np.int64)
@@ -270,7 +282,14 @@ def _render(surf: _Surfaces, cam: CameraModel, seed: int) -> ColoredPointCloud:
     sel = order[first]
     q = q[sel]
     rgb = rgb[sel]
+    q.setflags(write=False)
+    rgb.setflags(write=False)
+    return q, rgb
 
+
+def _sense(q: np.ndarray, rgb: np.ndarray, cam: CameraModel, seed: int) -> ColoredPointCloud:
+    """The cloud one camera reports for a view: depth noise along each ray,
+    then dropout, from two streams derived from `seed`."""
     ss = np.random.SeedSequence(seed)
     noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
 
@@ -283,18 +302,52 @@ def _render(surf: _Surfaces, cam: CameraModel, seed: int) -> ColoredPointCloud:
     return ColoredPointCloud(cam.frame, q[kept], rgb[kept])
 
 
+# CameraModel fields that only perturb a view; every other field shapes it
+_SENSOR_FIELDS = ("depth_noise_sigma", "dropout_rate")
+
+
+def _view_key(cam: CameraModel) -> tuple:
+    """What a camera's view depends on: each CameraModel field but the
+    sensor's, the pose as the bytes of its rotation and translation."""
+    return tuple(
+        cam.pose.rotation.tobytes() + cam.pose.translation.to_array().tobytes()
+        if f.name == "pose"
+        else getattr(cam, f.name)
+        for f in fields(CameraModel)
+        if f.name not in _SENSOR_FIELDS
+    )
+
+
+# (key, views) of the last capture; see the module docstring
+_last_views: tuple | None = None
+
+
+def _views(scene: Scene, cams: tuple[CameraModel, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The view of `scene` from each camera, from one surface sampling,
+    or the last capture's views when scene and camera geometry are equal."""
+    global _last_views
+    key = (scene, tuple(_view_key(cam) for cam in cams))
+    if _last_views is not None and _last_views[0] == key:
+        return _last_views[1]
+    surf = _surfaces(scene)
+    views = tuple(_view(surf, cam) for cam in cams)
+    _last_views = (key, views)
+    return views
+
+
 def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
     """Render one camera view of the scene as a cloud in the camera frame.
 
     Output order follows the angular bin index, which is deterministic for
     a fixed (scene, cam, seed) triple.
     """
-    return _render(_surfaces(scene), cam, seed)
+    (view,) = _views(scene, (cam,))
+    return _sense(*view, cam, seed)
 
 
 def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCloud, ColoredPointCloud]:
     """Capture both cameras from one surface sampling, with independent
     noise streams derived from `seed`."""
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    surf = _surfaces(scene)
-    return _render(surf, rig.cam1, int(s1)), _render(surf, rig.cam2, int(s2))
+    v1, v2 = _views(scene, (rig.cam1, rig.cam2))
+    return _sense(*v1, rig.cam1, int(s1)), _sense(*v2, rig.cam2, int(s2))

@@ -159,7 +159,17 @@ def _sweep_job(job) -> tuple:
     return axis, value, seed, metrics, wallclock
 
 
+def _env_threads() -> int:
+    """Worker count from BERRYPICK_THREADS; unset or empty reads as 1."""
+    raw = os.environ.get("BERRYPICK_THREADS", "")
+    try:
+        return int(raw or "1")
+    except ValueError:
+        raise ConfigError(f"BERRYPICK_THREADS must be an integer, got {raw!r}") from None
+
+
 def cmd_sweep(args) -> int:
+    threads = _env_threads()
     cfg = resolve_config_arg(args.config)
     axis = args.axis
     key = SWEEP_AXES[axis]
@@ -169,22 +179,24 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out or cfg["out"] or f"out/{cfg['name']}_sweep_{axis}")
     out_root.mkdir(parents=True, exist_ok=True)
 
+    # Seed-major: no sweep axis changes the scene, so a seed's points run
+    # one after another and view its scene once (camera.py keeps the last
+    # view). The rows are then put back in value-major order.
     jobs = []
-    for value in values:
-        for seed in cfg["seeds"]:
+    for seed in cfg["seeds"]:
+        for value in values:
             point = apply_sweep_value(cfg, axis, value)
             run_dir = out_root / f"{axis}_{value}_seed{seed}"
             jobs.append((point, axis, value, seed, str(run_dir)))
 
-    workers = int(os.environ.get("BERRYPICK_THREADS", "1") or "1")
-    workers = max(1, min(workers, len(jobs)))
-    results = []
+    workers = max(1, min(threads, len(jobs)))
     if workers == 1:
-        for job in jobs:
-            results.append(_sweep_job(job))
+        results = [_sweep_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs))
+    n_values, n_seeds = len(values), len(cfg["seeds"])
+    results = [results[s * n_values + v] for v in range(n_values) for s in range(n_seeds)]
 
     rows = []
     wall_rows = []
@@ -305,6 +317,17 @@ def cmd_localize(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berrypick",
@@ -326,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="time the localization pipeline on synthetic clouds")
-    p_bench.add_argument("--size", type=int, required=True, help="total merged cloud size")
-    p_bench.add_argument("--reps", type=int, default=20)
+    p_bench.add_argument("--size", type=_positive_int, required=True, help="total merged cloud size")
+    p_bench.add_argument("--reps", type=_positive_int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--config", default=None)
     p_bench.add_argument("--out", default=None)

@@ -72,10 +72,6 @@ _ALLOWED_TRANSITIONS = {
 }
 
 
-def allowed_transitions(phase: ControllerPhase) -> set[ControllerPhase]:
-    return set(_ALLOWED_TRANSITIONS[phase])
-
-
 @dataclass(frozen=True)
 class CycleReport:
     fruit_id: int

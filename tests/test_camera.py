@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -208,16 +208,9 @@ class TestCaptureRig:
         assert camera._frustum(rig.cam1, probe)[-1].all()
         assert camera._frustum(rig.cam2, probe)[-1].all()
 
-    def test_samples_surfaces_once(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return sample_surface_arrays(*args)
-
-        monkeypatch.setattr(camera, "sample_surface_arrays", counting)
+    def test_samples_surfaces_once(self, sample_calls):
         capture_rig(generate_scene(2, 3), default_rig(), 1)
-        assert len(calls) == 1
+        assert len(sample_calls) == 1
 
 
 def _paper9():
@@ -292,3 +285,74 @@ class TestCullingEquivalence:
         for cam in (default_rig().cam1, default_rig().cam2):
             culled = camera._back_faces(surf.bounds, cam.pose.translation.to_array())[surf.face]
             assert occ.any() and not culled[occ].any()
+
+
+def _cam1_at(rig, eye, target):
+    cam1 = camera.make_camera("cam1", **{**camera.DEFAULT_RIG["cam1"], "eye": eye, "target": target})
+    return CameraRig(cam1=cam1, cam2=rig.cam2)
+
+
+# each case changes one thing a view depends on
+VIEW_CHANGES = {
+    "detached_fruit": lambda scene, rig: (detach_fruit(scene, 4), rig),
+    # eye and target shifted alike: the same rotation, a new translation
+    "moved_eye": lambda scene, rig: (scene, _cam1_at(rig, [-0.05, 0.01, 0.45], [0.45, 0.01, 0.40])),
+    "turned_camera": lambda scene, rig: (scene, _cam1_at(rig, [-0.05, 0.0, 0.45], [0.45, 0.02, 0.40])),
+    "bin_res": lambda scene, rig: (scene, replace(rig, cam2=replace(rig.cam2, bin_res=rig.cam2.bin_res * 1.5))),
+    "h_fov": lambda scene, rig: (scene, replace(rig, cam1=replace(rig.cam1, h_fov=rig.cam1.h_fov / 2))),
+    "v_fov": lambda scene, rig: (scene, replace(rig, cam1=replace(rig.cam1, v_fov=rig.cam1.v_fov / 2))),
+    "min_range": lambda scene, rig: (scene, replace(rig, cam2=replace(rig.cam2, min_range=0.4))),
+    "max_range": lambda scene, rig: (scene, replace(rig, cam2=replace(rig.cam2, max_range=0.45))),
+    "surface_density": lambda scene, rig: (replace(scene, surface_density=scene.surface_density / 2), rig),
+    "occluder": lambda scene, rig: (replace(scene, occluders=CULL_SCENES["occluder"]().occluders), rig),
+}
+
+
+class TestViewCache:
+    """`capture_rig` reuses the last views only for an equal scene and
+    equal camera geometry."""
+
+    def test_same_scene_is_not_sampled_again(self, sample_calls):
+        scene, rig = _paper9(), default_rig()
+        first = capture_rig(scene, rig, 1)
+        assert len(sample_calls) == 1
+        again = capture_rig(_paper9(), default_rig(), 1)
+        assert len(sample_calls) == 1
+        assert all(_same_bytes(a, b) for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("sigma, rate", [(0.0, 0.0), (0.004, 0.1), (0.002, 0.5)])
+    def test_noise_and_dropout_reuse_the_view(self, sample_calls, sigma, rate):
+        scene = _paper9()
+        capture_rig(scene, default_rig(), 1)
+        rig = default_rig(depth_noise_sigma=sigma, dropout_rate=rate)
+        seed = 5
+        c1, c2 = capture_rig(scene, rig, seed)
+        assert len(sample_calls) == 1
+        s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+        assert _same_bytes(c1, reference_capture(scene, rig.cam1, s1))
+        assert _same_bytes(c2, reference_capture(scene, rig.cam2, s2))
+
+    @pytest.mark.parametrize("change", sorted(VIEW_CHANGES))
+    def test_changed_view_input_misses(self, sample_calls, monkeypatch, change):
+        scene, rig = VIEW_CHANGES[change](_paper9(), default_rig())
+        capture_rig(_paper9(), default_rig(), 1)
+        warm = capture_rig(scene, rig, 2)
+        assert len(sample_calls) == 2
+        monkeypatch.setattr(camera, "_last_views", None)
+        cold = capture_rig(scene, rig, 2)
+        assert all(_same_bytes(a, b) for a, b in zip(warm, cold))
+
+    def test_key_is_every_field_but_noise_and_dropout(self):
+        cam = default_rig().cam1
+        key = camera._view_key(cam)
+        assert len(key) == len(fields(CameraModel)) - 2
+        assert camera._view_key(replace(cam, depth_noise_sigma=0.01, dropout_rate=0.5)) == key
+
+    def test_cached_arrays_are_read_only(self, sample_calls):
+        capture_rig(generate_scene(2, 3), default_rig(), 1)
+        views = camera._last_views[1]
+        assert len(views) == 2
+        for q, rgb in views:
+            assert len(q) and not q.flags.writeable and not rgb.flags.writeable
+            with pytest.raises(ValueError):
+                q[0, 0] = 1.0

@@ -11,6 +11,7 @@ from berrypick.cli import (
     main,
     metrics_to_json,
     resolve_config_arg,
+    run_one,
 )
 from berrypick.controller import CycleReport
 from berrypick.geometry import dump_cloud
@@ -47,7 +48,7 @@ class TestRoundTrips:
 
 
 class TestPackagedScenarios:
-    @pytest.mark.parametrize("name", ["paper9", "robustness", "bench"])
+    @pytest.mark.parametrize("name", ["paper9", "robustness", "bench", "noise"])
     def test_resolvable(self, name):
         cfg = resolve_config_arg(name)
         assert cfg["name"] == name
@@ -112,6 +113,11 @@ class TestRunCommand:
         assert main(["run", "--config", cfg_path, "--out", str(out), "--dump-clouds", str(dump)]) == 0
         for name in ("cam1.txt", "cam2.txt", "merged_base.txt"):
             assert (dump / "seed5" / name).exists()
+
+    def test_dump_clouds_samples_once(self, tmp_path, sample_calls):
+        run_one(resolve_config_arg("paper9"), 1, tmp_path / "run", tmp_path / "clouds")
+        assert (tmp_path / "clouds" / "merged_base.txt").exists()
+        assert len(sample_calls) == 1
 
     def test_config_error_names_key(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, {"localization": {"s_min": -1}})
@@ -226,7 +232,7 @@ class TestSweepCommand:
             "scene": FAST_SCENE,
             "boxes": {"source": "truth"},
             "sweep": {"powers": [50.0, 100.0]},
-            "seeds": [1],
+            "seeds": [1, 2],
         }
         cfg_path = write_cfg(tmp_path, payload)
         monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
@@ -237,8 +243,54 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(par)]) == 0
         assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
 
+    def test_noise_sweep_views_each_scene_once(self, tmp_path, monkeypatch, sample_calls):
+        monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
+        cfg = resolve_config_arg("noise")
+        out = tmp_path / "noise"
+        assert main(["sweep", "--config", "noise", "--axis", "noise", "--out", str(out)]) == 0
+        # a new scene per seed, viewed once for all of its noise levels
+        assert len(sample_calls) == len(cfg["seeds"])
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        per_seed = [(value, seed) for _, value, seed, aggregate, *_ in rows if aggregate == "0"]
+        values = cfg["sweep"]["noise_sigmas"]
+        assert per_seed == [(repr(v), str(s)) for v in values for s in cfg["seeds"]]
+
+    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BERRYPICK_THREADS", "abc")
+        rc = main(["sweep", "--config", "robustness", "--axis", "offset", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "BERRYPICK_THREADS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["", "-3", "0"])
+    def test_empty_or_negative_threads_run_sequentially(self, tmp_path, monkeypatch, threads):
+        payload = {
+            "name": "mini",
+            "scene": FAST_SCENE,
+            "boxes": {"source": "truth"},
+            "sweep": {"powers": [50.0]},
+            "seeds": [1],
+        }
+        cfg_path = write_cfg(tmp_path, payload)
+        monkeypatch.setenv("BERRYPICK_THREADS", threads)
+        assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(tmp_path / "s")]) == 0
+
 
 class TestBenchCommand:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--size", "-5"], "--size"),
+        (["--size", "0"], "--size"),
+        (["--size", "abc"], "--size"),
+        (["--size", "10", "--reps", "0"], "--reps"),
+        (["--size", "10", "--reps", "-1"], "--reps"),
+    ])
+    def test_bad_count_flag_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
     def test_small_bench_runs(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         rc = main(["bench", "--size", "2000", "--reps", "3", "--out", str(out)])

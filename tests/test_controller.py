@@ -5,10 +5,10 @@ import pytest
 
 from berrypick.camera import default_rig
 from berrypick.controller import (
+    _ALLOWED_TRANSITIONS,
     ControllerPhase,
     CycleReport,
     HarvestEventLog,
-    allowed_transitions,
     cycle_metrics,
     inject_localization_error,
     run_harvest,
@@ -252,15 +252,15 @@ class TestInjectError:
 
 class TestPhases:
     def test_transition_table(self):
-        assert ControllerPhase.DESCEND_ZMIN in allowed_transitions(ControllerPhase.HOME)
-        assert allowed_transitions(ControllerPhase.DESCEND_ZMIN) == {ControllerPhase.ALIGN_XY}
-        assert allowed_transitions(ControllerPhase.ALIGN_XY) == {ControllerPhase.ASCEND}
-        assert allowed_transitions(ControllerPhase.ASCEND) == {ControllerPhase.TRAP}
-        assert ControllerPhase.CUT in allowed_transitions(ControllerPhase.TRAP)
-        assert ControllerPhase.DESCEND_ZMIN in allowed_transitions(ControllerPhase.TRAP)
-        assert allowed_transitions(ControllerPhase.CUT) == {ControllerPhase.RELEASE}
-        assert ControllerPhase.HOME in allowed_transitions(ControllerPhase.RELEASE)
-        assert allowed_transitions(ControllerPhase.DONE) == set()
+        assert ControllerPhase.DESCEND_ZMIN in _ALLOWED_TRANSITIONS[ControllerPhase.HOME]
+        assert _ALLOWED_TRANSITIONS[ControllerPhase.DESCEND_ZMIN] == {ControllerPhase.ALIGN_XY}
+        assert _ALLOWED_TRANSITIONS[ControllerPhase.ALIGN_XY] == {ControllerPhase.ASCEND}
+        assert _ALLOWED_TRANSITIONS[ControllerPhase.ASCEND] == {ControllerPhase.TRAP}
+        assert ControllerPhase.CUT in _ALLOWED_TRANSITIONS[ControllerPhase.TRAP]
+        assert ControllerPhase.DESCEND_ZMIN in _ALLOWED_TRANSITIONS[ControllerPhase.TRAP]
+        assert _ALLOWED_TRANSITIONS[ControllerPhase.CUT] == {ControllerPhase.RELEASE}
+        assert ControllerPhase.HOME in _ALLOWED_TRANSITIONS[ControllerPhase.RELEASE]
+        assert _ALLOWED_TRANSITIONS[ControllerPhase.DONE] == set()
 
 
 class TestCycleReports:
