@@ -40,10 +40,14 @@ from .localization import localize
 CYCLES_HEADER = ["fruit_id", "cycle_time", "cut_time", "outcome"]
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> bytes:
+    """Write `text` as UTF-8 through a tmp file and `os.replace`, so a
+    reader never sees half a file; returns the bytes written."""
+    data = text.encode()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="\n")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+    return data
 
 
 def _fmt(value) -> str:
@@ -54,13 +58,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cycles_to_csv(reports: list[CycleReport]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CYCLES_HEADER)
-    for r in reports:
-        writer.writerow([r.fruit_id, repr(r.cycle_time), repr(r.cut_time), r.outcome])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def cycles_to_csv(reports: list[CycleReport]) -> str:
+    return _csv_text(CYCLES_HEADER, ([r.fruit_id, r.cycle_time, r.cut_time, r.outcome] for r in reports))
 
 
 def metrics_to_json(metrics: dict) -> str:
@@ -85,39 +92,26 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     chash = config_hash(cfg)
     telemetry: dict = {}
     wall_start = time.perf_counter()
-    log, reports = run_harvest(
-        built.scene,
-        built.rig,
-        built.params,
-        built.robot,
-        built.geom,
-        built.cut,
-        seed,
-        dt=built.dt,
-        laser_timeout=built.laser_timeout,
-        box_source=built.box_source,
-        box_offset=built.box_offset,
-        derive_duty=built.derive_duty,
-        config_hash=chash,
-        telemetry=telemetry,
-    )
+    log, reports = run_harvest(built, seed, config_hash=chash, telemetry=telemetry)
     wall_s = time.perf_counter() - wall_start
 
-    run_dir.mkdir(parents=True, exist_ok=True)
-    log.to_jsonl(run_dir / "events.jsonl")
-    _write_text(run_dir / "cycles.csv", cycles_to_csv(reports))
     metrics = cycle_metrics(log)
     metrics["config_hash"] = chash
     metrics["seed"] = seed
-    _write_text(run_dir / "metrics.json", metrics_to_json(metrics))
+    deterministic = {
+        "events.jsonl": log.to_jsonl(),
+        "cycles.csv": cycles_to_csv(reports),
+        "metrics.json": metrics_to_json(metrics),
+    }
+    run_dir.mkdir(parents=True, exist_ok=True)
     # manifest ties config hash + seed to the checksum of every
     # deterministic artifact; the wall-clock sidecar stays outside it
     manifest = {
         "config_hash": chash,
         "seed": seed,
         "files": {
-            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in ("events.jsonl", "cycles.csv", "metrics.json")
+            name: hashlib.sha256(_write_text(run_dir / name, text)).hexdigest()
+            for name, text in deterministic.items()
         },
     }
     _write_text(run_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -151,6 +145,28 @@ def cmd_run(args) -> int:
         metrics, _ = run_one(cfg, seed, run_dir, dump_dir)
         print(f"seed {seed}: {metrics['n_harvested']}/{metrics['n_ripe']} harvested -> {run_dir}")
     return 0
+
+
+def _mean(values: list):
+    known = [v for v in values if v is not None]
+    return sum(known) / len(known) if known else None
+
+
+# sweep.csv: each run's metrics, and how a value's aggregate row (seed
+# blank, aggregate 1) combines them over the seeds
+SWEEP_ROW_KEYS = ("axis", "value", "seed")
+SWEEP_COLUMNS = {
+    "n_ripe": sum,
+    "n_harvested": sum,
+    "n_missed_trap": sum,
+    "n_not_detected": sum,
+    "success_rate": _mean,
+    "mean_cycle_time": _mean,
+    "mean_cut_time": _mean,
+    "config_hash": lambda hashes: hashes[0],
+}
+# sweep_wallclock.csv: each run's wall-clock sidecar
+WALL_COLUMNS = ("localization_ms", "wall_s")
 
 
 def _sweep_job(job) -> tuple:
@@ -198,76 +214,14 @@ def cmd_sweep(args) -> int:
     n_values, n_seeds = len(values), len(cfg["seeds"])
     results = [results[s * n_values + v] for v in range(n_values) for s in range(n_seeds)]
 
-    rows = []
-    wall_rows = []
-    for axis_name, value, seed, metrics, wallclock in results:
-        rows.append(
-            {
-                "axis": axis_name,
-                "value": value,
-                "seed": seed,
-                "aggregate": 0,
-                "n_ripe": metrics["n_ripe"],
-                "n_harvested": metrics["n_harvested"],
-                "n_missed_trap": metrics["n_missed_trap"],
-                "n_not_detected": metrics["n_not_detected"],
-                "success_rate": metrics["success_rate"],
-                "mean_cycle_time": metrics["mean_cycle_time"],
-                "mean_cut_time": metrics["mean_cut_time"],
-                "config_hash": metrics["config_hash"],
-            }
-        )
-        wall_rows.append(
-            {
-                "axis": axis_name,
-                "value": value,
-                "seed": seed,
-                "localization_ms": wallclock["localization_ms"],
-                "wall_s": wallclock["wall_s"],
-            }
-        )
-
+    rows = [[a, v, seed, 0, *(metrics[c] for c in SWEEP_COLUMNS)] for a, v, seed, metrics, _ in results]
     for value in values:
-        sub = [r for r in rows if r["value"] == value and not r["aggregate"]]
-        def mean_of(field):
-            vals = [r[field] for r in sub if r[field] is not None]
-            return sum(vals) / len(vals) if vals else None
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
-                "seed": "",
-                "aggregate": 1,
-                "n_ripe": sum(r["n_ripe"] for r in sub),
-                "n_harvested": sum(r["n_harvested"] for r in sub),
-                "n_missed_trap": sum(r["n_missed_trap"] for r in sub),
-                "n_not_detected": sum(r["n_not_detected"] for r in sub),
-                "success_rate": mean_of("success_rate"),
-                "mean_cycle_time": mean_of("mean_cycle_time"),
-                "mean_cut_time": mean_of("mean_cut_time"),
-                "config_hash": sub[0]["config_hash"] if sub else "",
-            }
-        )
+        sub = [metrics for _, v, _, metrics, _ in results if v == value]
+        rows.append([axis, value, "", 1, *(combine([m[c] for m in sub]) for c, combine in SWEEP_COLUMNS.items())])
+    _write_text(out_root / "sweep.csv", _csv_text([*SWEEP_ROW_KEYS, "aggregate", *SWEEP_COLUMNS], rows))
 
-    header = [
-        "axis", "value", "seed", "aggregate", "n_ripe", "n_harvested",
-        "n_missed_trap", "n_not_detected", "success_rate",
-        "mean_cycle_time", "mean_cut_time", "config_hash",
-    ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for r in rows:
-        writer.writerow([_fmt(r[h]) for h in header])
-    _write_text(out_root / "sweep.csv", buf.getvalue())
-
-    wall_header = ["axis", "value", "seed", "localization_ms", "wall_s"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(wall_header)
-    for r in wall_rows:
-        writer.writerow([_fmt(r[h]) for h in wall_header])
-    _write_text(out_root / "sweep_wallclock.csv", buf.getvalue())
+    wall_rows = [[a, v, seed, *(wallclock[c] for c in WALL_COLUMNS)] for a, v, seed, _, wallclock in results]
+    _write_text(out_root / "sweep_wallclock.csv", _csv_text([*SWEEP_ROW_KEYS, *WALL_COLUMNS], wall_rows))
 
     print(f"swept {axis} over {len(values)} values x {len(cfg['seeds'])} seeds -> {out_root}")
     return 0

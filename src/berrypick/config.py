@@ -11,7 +11,9 @@ always millimeters (the key carries its unit).
 This module checks types and the keys no component consumes. Every range
 rule belongs to its component: resolving a config builds the components
 for it and for each sweep point, and a rejected value becomes a
-`ConfigError` naming its dotted key.
+`ConfigError` naming its dotted key. The robot workspace, the
+localization crop window inflated by `robot.workspace_margin`, is built
+here only, and so are the scene rules that read it.
 
 The resolved (defaulted, meter-converted) dictionary is hashed with
 SHA-256 and the hash is embedded in every artifact, so artifacts can be
@@ -26,22 +28,22 @@ import inspect
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .camera import DEFAULT_RIG, CameraRig, make_camera
-from .controller import DEFAULT_DT, DEFAULT_LASER_TIMEOUT
+from .controller import BuiltScenario
 from .cutter import CutModel, ToolGeometry
 from .errors import ConfigError
 from .geometry import Aabb, Vec3
 from .localization import LocalizationParams
 from .motion import DEFAULT_HOME, RobotState
-from .scene import Scene, generate_scene
+from .scene import FRUIT_X_JITTER, Scene, generate_scene
 
 CONFIG_VERSION = 1
 
 _UNIT_SCALE = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
-_ROBOT = RobotState(DEFAULT_HOME)
+_ROBOT = inspect.signature(RobotState).parameters
 
 # Each default below is read from the component that consumes it; only
 # the keys no component consumes state their own.
@@ -61,8 +63,8 @@ DEFAULTS: dict = {
     "localization": asdict(LocalizationParams()),
     "robot": {
         "home": [DEFAULT_HOME.x, DEFAULT_HOME.y, DEFAULT_HOME.z],
-        "velocity_scale": _ROBOT.velocity_scale,
-        "max_speed": _ROBOT.max_speed,
+        "velocity_scale": _ROBOT["velocity_scale"].default,
+        "max_speed": _ROBOT["max_speed"].default,
         "workspace_margin": 0.10,
     },
     "tool": asdict(ToolGeometry()),
@@ -70,8 +72,8 @@ DEFAULTS: dict = {
         "laser_power": CutModel().laser_power,
         "cut_energy_per_area": None,
         "duty": None,
-        "dt": DEFAULT_DT,
-        "laser_timeout": DEFAULT_LASER_TIMEOUT,
+        "dt": 0.01,  # simulation timestep, s
+        "laser_timeout": 10.0,  # s
     },
     "boxes": {
         "source": "cameras",
@@ -309,23 +311,6 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
-@dataclass(frozen=True)
-class BuiltScenario:
-    """Simulator components assembled from a resolved config for one seed."""
-
-    scene: Scene
-    rig: CameraRig
-    params: LocalizationParams
-    robot: RobotState
-    geom: ToolGeometry
-    cut: CutModel
-    derive_duty: bool
-    dt: float
-    laser_timeout: float
-    box_source: str
-    box_offset: Vec3
-
-
 # component field -> config key, where the two names differ
 _CONFIG_KEYS = {"h_fov": "h_fov_deg", "v_fov": "v_fov_deg", "bin_res": "bin_res_deg", "radius": "radius_band"}
 
@@ -402,15 +387,37 @@ def build_cut(cfg: dict) -> tuple[CutModel, bool]:
         return CutModel(**kwargs), ct["duty"] is None
 
 
+def _require_ripe_in_workspace(cfg: dict, scene: Scene, ws: Aabb) -> None:
+    """The scene rules that read the robot workspace: where any fruit is
+    ripe, `fruit_x` (give or take its jitter) and `fruit_z_band` lie in it."""
+    if not any(s.ripe for s in scene.strawberries):
+        return
+    x, (z_lo, z_hi) = cfg["scene"]["fruit_x"], cfg["scene"]["fruit_z_band"]
+    _require(
+        ws.min.x <= x - FRUIT_X_JITTER and x + FRUIT_X_JITTER <= ws.max.x, "scene.fruit_x",
+        f"must lie within [{ws.min.x + FRUIT_X_JITTER:g}, {ws.max.x - FRUIT_X_JITTER:g}] m"
+        " so that ripe fruit stay in the workspace",
+    )
+    _require(
+        ws.min.z <= z_lo and z_hi <= ws.max.z, "scene.fruit_z_band",
+        f"must lie within [{ws.min.z:g}, {ws.max.z:g}] m so that ripe fruit stay in the workspace",
+    )
+
+
 def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     """Build every component of a resolved config for one run seed. A
     component that rejects a value raises a ConfigError naming its key."""
+    # the crop window first: the workspace is built from it
+    params = build_localization(cfg)
+    robot = build_robot(cfg)
+    scene = build_scene(cfg, run_seed)
+    _require_ripe_in_workspace(cfg, scene, robot.workspace)
     cut, derive_duty = build_cut(cfg)
     return BuiltScenario(
-        scene=build_scene(cfg, run_seed),
+        scene=scene,
         rig=build_rig(cfg),
-        params=build_localization(cfg),
-        robot=build_robot(cfg),
+        params=params,
+        robot=robot,
         geom=build_tool(cfg),
         cut=cut,
         derive_duty=derive_duty,

@@ -6,6 +6,12 @@ every box in ascending-y order: descend, align in x/y, ascend around the
 fruit, trap the stem, burn until a photo interrupter reports the falling
 fruit, release, and move on. The trailing move returns to HOME.
 
+A run reads one `BuiltScenario`, which `config.build_scenario` assembles
+from a resolved config and a run seed. Its ripe set is the ripe fruit
+inside the robot's workspace (the crop window inflated by
+`robot.workspace_margin`): the `begin` record counts them, and
+ground-truth boxes are drawn from them.
+
 The event log is the authoritative record: every move, tool action and
 per-cycle summary is appended with its simulation timestamp, and rerunning
 with the same scene, configuration and seed reproduces the log byte for
@@ -40,13 +46,9 @@ from .errors import EmptyInputError, StateError
 from .geometry import Aabb, Vec3, distance
 from .localization import LocalizationParams, StrawberryBox, localize
 from .motion import RobotState, compute_z_min, plan_cycle_waypoints, robot_move
-from .scene import Scene, detach_fruit
+from .scene import Scene, StrawberryTruth, detach_fruit
 
 LOG_SCHEMA_VERSION = 1
-
-# simulation timestep and laser timeout, seconds; also the `cut` config defaults
-DEFAULT_DT = 0.01
-DEFAULT_LASER_TIMEOUT = 10.0
 
 
 class ControllerPhase(enum.Enum):
@@ -104,25 +106,24 @@ class HarvestEventLog:
             return list(self.records)
         return [r for r in self.records if r["event"] in names]
 
-    def to_jsonl(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    def to_jsonl(self) -> str:
+        """The log as canonical JSON lines, one record per line."""
+        return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def truth_boxes(scene: Scene, params: LocalizationParams) -> list[StrawberryBox]:
-    """Perfect per-fruit boxes straight from ground truth.
+def truth_boxes(fruits: list[StrawberryTruth], params: LocalizationParams) -> list[StrawberryBox]:
+    """Perfect boxes straight from the ground truth of `fruits`, in
+    ascending-y order.
 
     Used by robustness sweeps that study the trap step function in
     isolation from camera and clustering effects. The synthetic point
     count is the minimum admissible cluster size.
     """
-    fruits = sorted(scene.ripe_in_workspace(), key=lambda s: (s.center.y, s.center.x, s.center.z))
     boxes = []
-    for i, s in enumerate(fruits):
+    for i, s in enumerate(sorted(fruits, key=lambda s: (s.center.y, s.center.x, s.center.z))):
         lo = Vec3(s.center.x - s.radius, s.center.y - s.radius, s.center.z - s.radius)
         hi = Vec3(s.center.x + s.radius, s.center.y + s.radius, s.center.z + s.radius)
         boxes.append(StrawberryBox(index=i, box=Aabb(lo, hi), point_count=params.s_min))
@@ -144,35 +145,41 @@ class _PhaseTracker:
         self.phase = phase
 
 
+@dataclass(frozen=True)
+class BuiltScenario:
+    """Everything one harvest run reads, built from a resolved config by
+    `config.build_scenario`. `box_source` is "cameras" (localize camera
+    clouds) or "truth" (perfect boxes from ground truth); `box_offset`
+    translates the boxes to emulate a systematic localization error."""
+
+    scene: Scene
+    rig: CameraRig
+    params: LocalizationParams
+    robot: RobotState
+    geom: ToolGeometry
+    cut: CutModel
+    derive_duty: bool
+    dt: float
+    laser_timeout: float
+    box_source: str
+    box_offset: Vec3
+
+
 def run_harvest(
-    scene: Scene,
-    rig: CameraRig,
-    params: LocalizationParams,
-    robot: RobotState,
-    geom: ToolGeometry,
-    cut: CutModel,
+    built: BuiltScenario,
     seed: int,
     *,
-    dt: float = DEFAULT_DT,
-    laser_timeout: float = DEFAULT_LASER_TIMEOUT,
-    box_source: str = "cameras",
-    box_offset: Vec3 | None = None,
-    derive_duty: bool = True,
     config_hash: str | None = None,
     telemetry: dict | None = None,
 ) -> tuple[HarvestEventLog, list[CycleReport]]:
     """Execute one full harvest pass and return its log and cycle reports,
-    the latter read from the log's `cycle` records.
-
-    `box_source` selects camera-driven localization ("cameras") or perfect
-    ground-truth boxes ("truth"); `box_offset` translates the boxes after
-    localization to emulate a systematic localization error.
-    """
-    if box_source not in ("cameras", "truth"):
-        raise ValueError(f"box_source must be 'cameras' or 'truth', got {box_source!r}")
+    the latter read from the log's `cycle` records. The fruit to harvest
+    are the ripe ones inside the robot's workspace."""
+    scene, robot, offset = built.scene, built.robot, built.box_offset
+    dt, laser_timeout = built.dt, built.laser_timeout
     log = HarvestEventLog()
     ctl = _PhaseTracker()
-    ripe = scene.ripe_in_workspace()
+    ripe = [s for s in scene.strawberries if s.ripe and robot.workspace.contains(s.center)]
     log.append(
         0.0,
         "begin",
@@ -182,7 +189,7 @@ def run_harvest(
         rng="philox",
         n_straw=len(scene.strawberries),
         n_ripe=len(ripe),
-        box_source=box_source,
+        box_source=built.box_source,
         config_hash=config_hash,
     )
 
@@ -193,25 +200,25 @@ def run_harvest(
     cycle_start = t
 
     log_counts: dict = {}
-    if box_source == "truth":
-        boxes = truth_boxes(scene, params)
+    if built.box_source == "truth":
+        boxes = truth_boxes(ripe, built.params)
         if telemetry is not None:
             telemetry.update(duration_ms=0.0, n_boxes=len(boxes))
     else:
+        rig = built.rig
         c1, c2 = capture_rig(scene, rig, seed)
         loc_tel: dict = {}
-        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params, loc_tel)
+        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, loc_tel)
         log_counts = {k: loc_tel[k] for k in ("n_merged", "n_cropped", "n_red") if k in loc_tel}
         if telemetry is not None:
             telemetry.update(loc_tel)
-    if box_offset is not None:
-        boxes = inject_localization_error(boxes, box_offset)
+    boxes = inject_localization_error(boxes, offset)
     log.append(
         t,
         "localize",
         n_boxes=len(boxes),
-        source=box_source,
-        offset=[box_offset.x, box_offset.y, box_offset.z] if box_offset else [0.0, 0.0, 0.0],
+        source=built.box_source,
+        offset=_v(offset),
         **log_counts,
     )
 
@@ -244,14 +251,16 @@ def run_harvest(
             log.append(t, "trap", fruit=fid, outcome="missed", lateral_error=None)
             trapped = False
         else:
-            trap = trap_stem(state.tool_pos, fruit, geom)
+            trap = trap_stem(state.tool_pos, fruit, built.geom)
             log.append(t, "trap", fruit=fid, outcome=trap.outcome, lateral_error=trap.lateral_error)
             trapped = trap.outcome != "missed"
 
         cut_time, outcome = 0.0, "missed_trap"
         if trapped:
             ctl.advance(ControllerPhase.CUT)
-            cut_i = replace(cut, duty=duty_for_stem(fruit.stem_diameter, geom)) if derive_duty else cut
+            cut = built.cut
+            if built.derive_duty:
+                cut = replace(cut, duty=duty_for_stem(fruit.stem_diameter, built.geom))
             tool.set_laser(True)
             log.append(t, "laser_on", fruit=fid, energy=0.0)
             max_steps = int(round(laser_timeout / dt))
@@ -259,10 +268,10 @@ def run_harvest(
             done = False
             steps = 0
             while steps < max_steps and not done:
-                acc, done = laser_step(cut_i, fruit, dt, acc)
+                acc, done = laser_step(cut, fruit, dt, acc)
                 steps += 1
             burn = steps * dt
-            fall_t = free_fall_detect(fruit, geom, dt) if done else 0.0
+            fall_t = free_fall_detect(fruit, built.geom, dt) if done else 0.0
             if done and burn + fall_t <= laser_timeout:
                 t_cut = t + burn
                 log.append(t_cut, "cut_done", fruit=fid, energy=acc)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from .errors import EmptyInputError, MotionRejectedError
 from .geometry import Aabb, Vec3, distance
 from .localization import StrawberryBox
-from .scene import DEFAULT_WORKSPACE
 
 # empirically motivated approach offsets applied to box maxima
 X_SAFETY_OFFSET = 0.010
@@ -27,16 +26,22 @@ DEFAULT_HOME = Vec3(0.20, -0.35, 0.44)
 @dataclass(frozen=True)
 class RobotState:
     tool_pos: Vec3
+    workspace: Aabb  # reachable targets; config.build_robot builds it from the crop window
     velocity_scale: float = 0.5
     max_speed: float = 0.1
     home: Vec3 = DEFAULT_HOME
-    workspace: Aabb = DEFAULT_WORKSPACE
 
     def __post_init__(self):
         if not 0.0 < self.velocity_scale <= 1.0:
             raise ValueError(f"velocity_scale must be in (0, 1], got {self.velocity_scale}")
         if self.max_speed <= 0:
             raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
+        if not self.workspace.contains(self.home):
+            h, lo, hi = self.home, self.workspace.min, self.workspace.max
+            raise ValueError(
+                f"home ({h.x:g}, {h.y:g}, {h.z:g}) must lie within the workspace"
+                f" [{lo.x:g}, {hi.x:g}] x [{lo.y:g}, {hi.y:g}] x [{lo.z:g}, {hi.z:g}] m"
+            )
 
 
 @dataclass(frozen=True)

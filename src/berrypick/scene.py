@@ -7,6 +7,11 @@ straight thin cylinders whose fruit end may be laterally offset to mimic
 natural stem bending, and the trough is a box. Heights are expressed in
 the arm base frame; the trough lip sits at `trough_height - base_height`.
 
+The scene holds no workspace. Which fruit a run can reach is the
+robot's workspace, which only `config` builds: it checks `scene.fruit_x`
+and `scene.fruit_z_band` against it, and the controller harvests the
+ripe fruit inside it.
+
 Randomness uses numpy's counter-based Philox generator so scenes are
 reproducible across platforms; every log records the seed.
 """
@@ -22,9 +27,6 @@ import numpy as np
 from .errors import ConfigError, StateError
 from .geometry import Aabb, Vec3
 
-# reachable workspace: the localization crop window inflated by 10 cm
-DEFAULT_WORKSPACE = Aabb(Vec3(0.15, -0.40, 0.20), Vec3(0.65, 0.40, 0.60))
-
 # color bands: ripe strictly passes the red threshold, unripe strictly fails it
 RIPE_R = (150, 255)
 RIPE_GB = (0, 69)
@@ -36,11 +38,6 @@ MAX_STEM_BEND = 0.015
 
 # a fruit hangs within this distance in x of the layout's fruit_x
 FRUIT_X_JITTER = 0.005
-
-# scene heights (generate_scene) and sampling density (shared with Scene)
-TROUGH_HEIGHT = 1.03
-BASE_HEIGHT = 0.55
-SURFACE_DENSITY = 60000.0
 
 # owner kinds for sampled surface points
 KIND_FRUIT = 0
@@ -78,21 +75,14 @@ class StrawberryTruth:
 class Scene:
     strawberries: tuple[StrawberryTruth, ...]
     rng_seed: int
-    workspace: Aabb = DEFAULT_WORKSPACE
-    trough: Aabb | None = Aabb(Vec3(0.50, -0.60, 0.18), Vec3(0.70, 0.60, 0.48))
-    occluders: tuple[Aabb, ...] = ()
-    surface_density: float = SURFACE_DENSITY
+    trough: Aabb | None
+    occluders: tuple[Aabb, ...]
+    surface_density: float
 
     def __post_init__(self):
         ids = [s.id for s in self.strawberries]
         if len(ids) != len(set(ids)):
             raise ValueError("strawberry ids must be unique")
-        for s in self.strawberries:
-            if s.ripe and not self.workspace.contains(s.center):
-                raise ValueError(f"ripe fruit {s.id} center {s.center} outside workspace")
-
-    def ripe_in_workspace(self) -> list[StrawberryTruth]:
-        return [s for s in self.strawberries if s.ripe and self.workspace.contains(s.center)]
 
 
 def _scene_rng(seed: int, stream: int) -> np.random.Generator:
@@ -110,9 +100,9 @@ def generate_scene(
     fruit_z_band: tuple[float, float] = (0.38, 0.42),
     radius_band: tuple[float, float] = (0.012, 0.0175),
     stem_diameter: float = 0.003,
-    trough_height: float = TROUGH_HEIGHT,
-    base_height: float = BASE_HEIGHT,
-    surface_density: float = SURFACE_DENSITY,
+    trough_height: float = 1.03,
+    base_height: float = 0.55,
+    surface_density: float = 60000.0,
     occluders: tuple[Aabb, ...] = (),
 ) -> Scene:
     """Deterministically lay out `n_straw` fruits along the trough y-axis.
@@ -143,17 +133,6 @@ def generate_scene(
     lip_z = trough_height - base_height
     if fruit_z_band[1] >= lip_z:
         raise ConfigError(f"fruit_z_band must lie below the trough lip at z = {lip_z:g} m")
-    n_ripe = int(round(n_straw * ripe_fraction))
-    ws = DEFAULT_WORKSPACE
-    if n_ripe and not (ws.min.x <= fruit_x - FRUIT_X_JITTER and fruit_x + FRUIT_X_JITTER <= ws.max.x):
-        raise ConfigError(
-            f"fruit_x must lie within [{ws.min.x + FRUIT_X_JITTER:g}, {ws.max.x - FRUIT_X_JITTER:g}] m"
-            " so that ripe fruit stay in the workspace"
-        )
-    if n_ripe and not (ws.min.z <= fruit_z_band[0] and fruit_z_band[1] <= ws.max.z):
-        raise ConfigError(
-            f"fruit_z_band must lie within [{ws.min.z:g}, {ws.max.z:g}] m so that ripe fruit stay in the workspace"
-        )
     if n_straw > 0:
         half_span = (n_straw - 1) * spacing / 2.0
         if half_span > 0.28:
@@ -163,6 +142,7 @@ def generate_scene(
     rng = _scene_rng(seed, 0)
     trough = Aabb(Vec3(0.50, -0.60, lip_z - 0.30), Vec3(0.70, 0.60, lip_z))
 
+    n_ripe = int(round(n_straw * ripe_fraction))
     ripe_ids = set(rng.choice(n_straw, size=n_ripe, replace=False).tolist()) if n_straw else set()
 
     fruits = []

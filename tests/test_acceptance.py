@@ -6,6 +6,7 @@ failure); thresholds are fixed here, not tunable from outside.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,15 +39,6 @@ def report(cid: str, ok: bool, detail: str) -> None:
     assert ok, f"{cid}: {detail}"
 
 
-def run_built(built, seed, **kwargs):
-    return run_harvest(
-        built.scene, built.rig, built.params, built.robot, built.geom, built.cut, seed,
-        dt=built.dt, laser_timeout=built.laser_timeout,
-        box_source=built.box_source, box_offset=built.box_offset,
-        derive_duty=built.derive_duty, **kwargs,
-    )
-
-
 @pytest.fixture(scope="module")
 def robustness_sweep():
     """All offset-sweep runs: {offset_mm: [(log, reports), ...]}. Shared by C1 and C8."""
@@ -58,7 +50,7 @@ def robustness_sweep():
         runs = []
         for seed in cfg["seeds"]:
             built = build_scenario(point, seed)
-            runs.append(run_built(built, seed))
+            runs.append(run_harvest(built, seed))
         results[offset_mm] = runs
     elapsed = time.perf_counter() - start
     return results, elapsed, cfg
@@ -70,7 +62,7 @@ def paper9_run():
     cfg = resolve_config_arg("paper9")
     seed = cfg["seeds"][0]
     built = build_scenario(cfg, seed)
-    log, reports = run_built(built, seed)
+    log, reports = run_harvest(built, seed)
     return cfg, seed, log, reports
 
 
@@ -202,13 +194,13 @@ def test_c5_cut_time_anchor_and_scaling():
     dt = cfg["cut"]["dt"]
 
     built = build_scenario(cfg, 1)
-    _, reports = run_built(built, 1)
+    _, reports = run_harvest(built, 1)
     t50 = reports[0].cut_time
 
     boosted = json.loads(json.dumps(cfg))
     boosted["cut"]["laser_power"] = 100.0
     built100 = build_scenario(boosted, 1)
-    _, reports100 = run_built(built100, 1)
+    _, reports100 = run_harvest(built100, 1)
     t100 = reports100[0].cut_time
 
     ok = abs(t50 - CUT_TIME_TARGET) <= dt and abs(t100 - CUT_TIME_100W_TARGET) <= dt
@@ -234,7 +226,7 @@ def test_c6_cycle_time_reproduction(paper9_run):
     fast_cfg = json.loads(json.dumps(cfg))
     fast_cfg["robot"]["velocity_scale"] = 1.0
     fast_built = build_scenario(fast_cfg, seed)
-    fast_log, _ = run_built(fast_built, seed)
+    fast_log, _ = run_harvest(fast_built, seed)
     slow_moves = [r["dur"] for r in log.events("move", "home")]
     fast_moves = [r["dur"] for r in fast_log.events("move", "home")]
     halved = len(slow_moves) == len(fast_moves) and all(
@@ -318,10 +310,7 @@ def test_c8_state_machine_safety(robustness_sweep, paper9_run):
     cfg = resolve_config_arg("robustness")
     built = build_scenario(cfg, 1)
     weak = CutModel(laser_power=0.001)
-    timeout_log, timeout_reports = run_harvest(
-        built.scene, built.rig, built.params, built.robot, built.geom, weak, 1,
-        box_source="truth", laser_timeout=2.0,
-    )
+    timeout_log, timeout_reports = run_harvest(replace(built, cut=weak, laser_timeout=2.0), 1)
     violations.extend(_scan_safety(timeout_log))
     n_logs += 1
     if not all(r.outcome == "not_detected" for r in timeout_reports):

@@ -169,7 +169,7 @@ class TestCaptureRig:
     def test_empty_scene(self):
         from berrypick.scene import Scene
 
-        scene = Scene(strawberries=(), rng_seed=1, trough=None)
+        scene = Scene(strawberries=(), rng_seed=1, trough=None, occluders=(), surface_density=60000.0)
         c1, c2 = capture_rig(scene, default_rig(), 1)
         assert len(c1) == 0 and len(c2) == 0
         assert (c1.frame, c2.frame) == ("cam1", "cam2")

@@ -138,6 +138,11 @@ class TestRunCommand:
         ({"scene": {"fruit_z_band": [0.2, 0.6]}}, "scene.fruit_z_band"),
         ({"scene": {"fruit_x": 0.9}}, "scene.fruit_x"),
         ({"rig": {"cam1": {"target": [-0.05, 0.0, 0.45]}}}, "rig.cam1.target"),
+        # a narrowed crop window narrows the workspace: the default fruit_x lies outside it
+        ({"localization": {"x_minus": 0.20, "x_plus": 0.30}, "scene": {"seed": 7}, "boxes": {"source": "truth"}},
+         "scene.fruit_x"),
+        # ... and can leave the robot's HOME outside it
+        ({"localization": {"x_minus": 0.35, "x_plus": 0.55}}, "robot.home"),
     ])
     def test_component_rule_is_config_error(self, tmp_path, capsys, payload, key):
         # rules only the components hold: the config is rejected when they are built
@@ -146,6 +151,13 @@ class TestRunCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"config error: {key} " in err and "Traceback" not in err
+
+    def test_widened_window_reaches_fruit(self, tmp_path, capsys):
+        payload = {"localization": {"x_plus": 0.85}, "scene": {"fruit_x": 0.7, "n_straw": 2},
+                   "boxes": {"source": "truth"}}
+        rc = main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert "seed 1: 2/2 harvested" in capsys.readouterr().out
 
     def test_paper9_has_nine_cycle_rows(self, tmp_path):
         out = tmp_path / "p9"

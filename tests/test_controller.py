@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from berrypick.camera import default_rig
+from berrypick.config import build_robot, resolve_config
 from berrypick.controller import (
     _ALLOWED_TRANSITIONS,
+    BuiltScenario,
     ControllerPhase,
     CycleReport,
     HarvestEventLog,
@@ -18,13 +20,12 @@ from berrypick.cutter import CutModel, ToolGeometry
 from berrypick.errors import EmptyInputError
 from berrypick.geometry import Aabb, Vec3
 from berrypick.localization import LocalizationParams, StrawberryBox
-from berrypick.motion import DEFAULT_HOME, RobotState
 from berrypick.scene import generate_scene
 
 PARAMS = LocalizationParams()
 GEOM = ToolGeometry()
 CUT = CutModel()
-ROBOT = RobotState(tool_pos=DEFAULT_HOME)
+ROBOT = build_robot(resolve_config({}))
 
 NAMED = ("home", "move", "trap", "laser_on", "detach_detect", "laser_off", "release")
 
@@ -33,8 +34,16 @@ def quiet_rig():
     return default_rig(depth_noise_sigma=0.0, dropout_rate=0.0)
 
 
-def run(scene, seed=1, rig=None, robot=ROBOT, **kwargs):
-    return run_harvest(scene, rig or quiet_rig(), PARAMS, robot, GEOM, CUT, seed, **kwargs)
+def built_for(scene, rig=None, robot=ROBOT, cut=CUT, box_source="cameras",
+              box_offset=Vec3(0.0, 0.0, 0.0), laser_timeout=10.0):
+    return BuiltScenario(
+        scene, rig or quiet_rig(), PARAMS, robot, GEOM, cut, derive_duty=True, dt=0.01,
+        laser_timeout=laser_timeout, box_source=box_source, box_offset=box_offset,
+    )
+
+
+def run(scene, seed=1, **kwargs):
+    return run_harvest(built_for(scene, **kwargs), seed)
 
 
 class TestEventOrder:
@@ -88,15 +97,6 @@ class TestTrapMiss:
         _, reports = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.015, 0.0))
         assert all(r.outcome == "harvested" for r in reports)
 
-    def test_zero_offset_identical_to_baseline(self, tmp_path):
-        scene = generate_scene(5, 3, 1.0, 0.0)
-        log_a, _ = run(scene, box_source="truth", box_offset=None)
-        log_b, _ = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.0, 0.0))
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        log_a.to_jsonl(a)
-        log_b.to_jsonl(b)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_mixed_bend_outcomes_reported_per_fruit(self):
         scene = generate_scene(5, 3, 1.0, 0.0)
         log, reports = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.016, 0.0))
@@ -105,26 +105,18 @@ class TestTrapMiss:
 
 
 class TestDeterminism:
-    def test_rerun_byte_identical(self, tmp_path):
+    def test_rerun_byte_identical(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
         rig = default_rig()
-        paths = []
-        for name in ("a", "b"):
-            log, _ = run_harvest(scene, rig, PARAMS, ROBOT, GEOM, CUT, 3)
-            p = tmp_path / f"{name}.jsonl"
-            log.to_jsonl(p)
-            paths.append(p)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        texts = [run(scene, 3, rig=rig)[0].to_jsonl() for _ in ("a", "b")]
+        assert texts[0] == texts[1]
 
-    def test_different_seed_changes_log(self, tmp_path):
+    def test_different_seed_changes_log(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
         rig = default_rig()
-        log_a, _ = run_harvest(scene, rig, PARAMS, ROBOT, GEOM, CUT, 3)
-        log_b, _ = run_harvest(scene, rig, PARAMS, ROBOT, GEOM, CUT, 4)
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        log_a.to_jsonl(a)
-        log_b.to_jsonl(b)
-        assert a.read_bytes() != b.read_bytes()
+        log_a, _ = run(scene, 3, rig=rig)
+        log_b, _ = run(scene, 4, rig=rig)
+        assert log_a.to_jsonl() != log_b.to_jsonl()
 
 
 class TestAccounting:
@@ -148,8 +140,8 @@ class TestAccounting:
 
     def test_halving_velocity_increases_cycle_not_cut(self):
         scene = generate_scene(7, 4, 1.0, 0.001)
-        slow_robot = RobotState(tool_pos=DEFAULT_HOME, velocity_scale=0.25)
-        fast_robot = RobotState(tool_pos=DEFAULT_HOME, velocity_scale=0.5)
+        slow_robot = replace(ROBOT, velocity_scale=0.25)
+        fast_robot = replace(ROBOT, velocity_scale=0.5)
         _, slow = run(scene, robot=slow_robot)
         _, fast = run(scene, robot=fast_robot)
         for s, f in zip(slow, fast):
@@ -191,10 +183,7 @@ class TestNotDetected:
     def test_uncuttable_stem_times_out(self):
         scene = generate_scene(5, 1, 1.0, 0.0)
         tough = CutModel(laser_power=0.001)
-        log, reports = run_harvest(
-            scene, quiet_rig(), PARAMS, ROBOT, GEOM, tough, 1,
-            box_source="truth", laser_timeout=2.0,
-        )
+        log, reports = run(scene, cut=tough, box_source="truth", laser_timeout=2.0)
         assert [r.outcome for r in reports] == ["not_detected"]
         assert len(log.events("laser_timeout")) == 1
         assert log.events("detach_detect") == []
@@ -206,7 +195,7 @@ class TestNotDetected:
 class TestBoxOverAir:
     def test_second_box_closes_on_air(self, monkeypatch):
         scene = generate_scene(5, 1, 1.0, 0.0)
-        (box,) = truth_boxes(scene, PARAMS)
+        (box,) = truth_boxes(scene.strawberries, PARAMS)
         monkeypatch.setattr("berrypick.controller.localize", lambda *args, **kwargs: [box, box])
         log, reports = run(scene)
         assert [r.outcome for r in reports] == ["harvested", "missed_trap"]
@@ -243,7 +232,7 @@ class TestInjectError:
 
     def test_truth_boxes_sorted_and_contain_centers(self):
         scene = generate_scene(5, 5, 1.0, 0.002)
-        boxes = truth_boxes(scene, PARAMS)
+        boxes = truth_boxes(scene.strawberries, PARAMS)
         ys = [b.box.center.y for b in boxes]
         assert ys == sorted(ys)
         for b in boxes:
@@ -298,14 +287,12 @@ class TestMetrics:
         m = cycle_metrics(self.synthetic_log([(6.0, 2.0, "harvested"), (10.0, 2.0, "harvested")]))
         assert m["mean_cycle_time"] == 8.0
 
-    def test_metrics_round_trip_through_jsonl(self, tmp_path):
+    def test_metrics_round_trip_through_jsonl(self):
         scene = generate_scene(7, 5, 1.0, 0.001)
         log, _ = run(scene)
         direct = cycle_metrics(log)
-        path = tmp_path / "events.jsonl"
-        log.to_jsonl(path)
         reloaded = HarvestEventLog()
-        for line in path.read_text().splitlines():
+        for line in log.to_jsonl().splitlines():
             rec = json.loads(line)
             reloaded.append(rec.pop("t"), rec.pop("event"), **rec)
         assert cycle_metrics(reloaded) == direct
@@ -329,13 +316,13 @@ class TestLogType:
         with pytest.raises(ValueError):
             log.append(0.5, "end")
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_jsonl_round_trip(self):
         log = HarvestEventLog()
         log.append(0.0, "begin", n_ripe=0)
         log.append(1.5, "end")
-        p = tmp_path / "log.jsonl"
-        log.to_jsonl(p)
-        assert [json.loads(line) for line in p.read_text().splitlines()] == log.records
+        text = log.to_jsonl()
+        assert text.endswith("\n")
+        assert [json.loads(line) for line in text.splitlines()] == log.records
         # serialized form is canonical json lines
-        for line in p.read_text().splitlines():
+        for line in text.splitlines():
             assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line

@@ -39,7 +39,7 @@ class TestRobotMove:
         assert new.tool_pos == state.tool_pos
 
     def test_outside_workspace_rejected(self):
-        state = RobotState(tool_pos=Vec3(0.2, 0, 0.4))
+        state = RobotState(tool_pos=Vec3(0.2, 0, 0.4), workspace=Aabb(Vec3(0.15, -0.4, 0.2), Vec3(0.65, 0.4, 0.6)))
         with pytest.raises(MotionRejectedError):
             robot_move(state, Vec3(5.0, 0.0, 0.4), 0.0)
 
@@ -54,11 +54,15 @@ class TestRobotMove:
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), velocity_scale=0.0)
+            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, velocity_scale=0.0)
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), velocity_scale=1.5)
+            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, velocity_scale=1.5)
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), max_speed=-1.0)
+            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, max_speed=-1.0)
+
+    def test_home_outside_workspace_rejected(self):
+        with pytest.raises(ValueError, match="^home "):
+            RobotState(tool_pos=Vec3(0, 0, 0), workspace=Aabb(Vec3(0.3, -1, 0), Vec3(1, 1, 1)))
 
 
 class TestWaypoints:

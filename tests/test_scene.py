@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from berrypick.config import build_scenario, resolve_config
 from berrypick.errors import ConfigError, StateError
-from berrypick.geometry import Aabb, Vec3
+from berrypick.geometry import Vec3
 from berrypick.scene import (
     KIND_FRUIT,
     KIND_STEM,
@@ -37,10 +38,13 @@ class TestGenerateScene:
         assert scene.strawberries == ()
 
     def test_nine_ripe_in_workspace(self):
-        scene = generate_scene(7, 9, ripe_fraction=1.0)
-        assert len(scene.strawberries) == 9
-        assert all(s.ripe for s in scene.strawberries)
-        assert all(scene.workspace.contains(s.center) for s in scene.strawberries)
+        # the default layout, and a crop window widened in x that reaches fruit hung further out
+        for raw in ({"scene": {"seed": 7}}, {"localization": {"x_plus": 0.85}, "scene": {"seed": 7, "fruit_x": 0.7}}):
+            built = build_scenario(resolve_config(raw), 1)
+            scene = built.scene
+            assert len(scene.strawberries) == 9
+            assert all(s.ripe for s in scene.strawberries)
+            assert all(built.robot.workspace.contains(s.center) for s in scene.strawberries)
 
     def test_deterministic(self):
         a = generate_scene(42, 9, 0.7, 0.004)
@@ -73,14 +77,7 @@ class TestGenerateScene:
     def test_unique_ids_enforced(self):
         s = StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.003)
         with pytest.raises(ValueError):
-            Scene(strawberries=(s, s), rng_seed=0)
-
-    def test_ripe_outside_workspace_rejected(self):
-        s = StrawberryTruth(
-            0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.003
-        )
-        with pytest.raises(ValueError):
-            Scene(strawberries=(s,), rng_seed=0, workspace=Aabb(Vec3(0, 0, 0), Vec3(0.1, 0.1, 0.1)))
+            Scene(strawberries=(s, s), rng_seed=0, trough=None, occluders=(), surface_density=60000.0)
 
 
 def is_red(rgb):
