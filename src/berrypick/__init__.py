@@ -11,7 +11,7 @@ from .geometry import (
     transform_cloud,
 )
 from .scene import Scene, StrawberryTruth, detach_fruit, generate_scene
-from .camera import CameraModel, CameraRig, capture, capture_rig, default_rig
+from .camera import CameraModel, CameraRig, capture_rig, default_rig
 from .localization import (
     LocalizationParams,
     StrawberryBox,
@@ -31,7 +31,6 @@ from .cutter import (
 )
 from .controller import (
     ControllerPhase,
-    CycleReport,
     HarvestEventLog,
     cycle_metrics,
     inject_localization_error,

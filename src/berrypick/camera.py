@@ -1,10 +1,10 @@
 """Virtual RGB-D cameras: visibility-culled, noise-perturbed scene clouds.
 
-A capture runs in two steps. The view (`_view`) is the seed-free
-geometry: which surface samples a camera sees and where, in its own
-frame. The sensor (`_sense`) then perturbs that view with the capture
-seed. `capture_rig` samples the scene surfaces once and views that
-batch from each camera; `capture` does the same for a single camera.
+`capture_rig` is the one capture: both cameras of a rig, in two steps.
+The view (`_view`) is the seed-free geometry: which surface samples a
+camera sees and where, in its own frame; the scene surfaces are sampled
+once and viewed from each camera. The sensor (`_sense`) then perturbs
+each view with a seed derived from the capture seed.
 
 Viewing runs four visibility passes, cheapest first. The first three
 only drop points, so the z-buffer sees the survivors in sampling order:
@@ -24,15 +24,16 @@ only drop points, so the z-buffer sees the survivors in sampling order:
 
 Sensing applies depth noise along each visible ray, and dropout removes
 points independently. Both randomness streams derive from the capture
-seed, so a capture is a pure function of (scene, camera, seed).
+seed, so a capture is a pure function of (scene, rig, seed).
 
 The views of the last capture are kept, one entry only, and reused when
 the next capture has an equal key: the frozen `Scene` (fruit and their
 detached flags, trough, occluders, surface density, scene seed) and,
-per camera, every `CameraModel` field but depth noise and dropout, the
-pose as bytes. Within one process, then, a scene is viewed once for the
-runs of a fixed scene over several run seeds, for each seed's points of
-a sweep (`berrypick sweep` runs them one after another), and for the
+for each of the rig's cameras, every `CameraModel` field but depth noise
+and dropout, the pose as bytes. Within one process, then, a scene is
+viewed once for the runs of a fixed scene over several run seeds, for
+each seed's points of a sweep (`berrypick sweep` runs them one after
+another, and gives each worker whole seeds), and for the
 `--dump-clouds` re-capture of a run; a scene that changes with every
 run is viewed every time. The kept arrays are read-only.
 """
@@ -113,10 +114,13 @@ class CameraRig:
 
 def look_at_pose(eye: Vec3, target: Vec3, frame: str) -> RigidTransform:
     """Camera pose with +z pointing from eye toward target (z-forward convention)."""
-    fwd = target.to_array() - eye.to_array()
-    n = np.linalg.norm(fwd)
+    with np.errstate(over="ignore"):
+        fwd = target.to_array() - eye.to_array()
+        n = np.linalg.norm(fwd)
     if n == 0:
         raise ValueError("target must differ from eye")
+    if not math.isfinite(n):
+        raise ValueError("target lies too far from eye: |target - eye| overflows")
     z = fwd / n
     up = np.array([0.0, 0.0, 1.0])
     if abs(float(z @ up)) > 0.999:
@@ -322,10 +326,12 @@ def _view_key(cam: CameraModel) -> tuple:
 _last_views: tuple | None = None
 
 
-def _views(scene: Scene, cams: tuple[CameraModel, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The view of `scene` from each camera, from one surface sampling,
-    or the last capture's views when scene and camera geometry are equal."""
+def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The view of `scene` from each of the rig's cameras, from one surface
+    sampling, or the last capture's views when scene and camera geometry
+    are equal."""
     global _last_views
+    cams = (rig.cam1, rig.cam2)
     key = (scene, tuple(_view_key(cam) for cam in cams))
     if _last_views is not None and _last_views[0] == key:
         return _last_views[1]
@@ -335,19 +341,13 @@ def _views(scene: Scene, cams: tuple[CameraModel, ...]) -> tuple[tuple[np.ndarra
     return views
 
 
-def capture(scene: Scene, cam: CameraModel, seed: int) -> ColoredPointCloud:
-    """Render one camera view of the scene as a cloud in the camera frame.
-
-    Output order follows the angular bin index, which is deterministic for
-    a fixed (scene, cam, seed) triple.
-    """
-    (view,) = _views(scene, (cam,))
-    return _sense(*view, cam, seed)
-
-
 def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCloud, ColoredPointCloud]:
-    """Capture both cameras from one surface sampling, with independent
-    noise streams derived from `seed`."""
+    """Capture both cameras from one surface sampling, each as a cloud in
+    its own frame, with independent noise streams derived from `seed`.
+
+    Each cloud's order follows the angular bin index, which is
+    deterministic for a fixed (scene, rig, seed).
+    """
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    v1, v2 = _views(scene, (rig.cam1, rig.cam2))
+    v1, v2 = _views(scene, rig)
     return _sense(*v1, rig.cam1, int(s1)), _sense(*v2, rig.cam2, int(s2))

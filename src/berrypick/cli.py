@@ -32,7 +32,7 @@ from .config import (
     load_config,
     resolve_config,
 )
-from .controller import CycleReport, cycle_metrics, run_harvest
+from .controller import HarvestEventLog, cycle_metrics, run_harvest
 from .errors import BerrypickError, ConfigError
 from .geometry import dump_cloud, load_cloud, merge_clouds, transform_cloud
 from .localization import localize
@@ -66,8 +66,10 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def cycles_to_csv(reports: list[CycleReport]) -> str:
-    return _csv_text(CYCLES_HEADER, ([r.fruit_id, r.cycle_time, r.cut_time, r.outcome] for r in reports))
+def cycles_to_csv(log: HarvestEventLog) -> str:
+    """One row per `cycle` record of the log."""
+    cycles = log.events("cycle")
+    return _csv_text(CYCLES_HEADER, ([c["fruit"], c["cycle_time"], c["cut_time"], c["outcome"]] for c in cycles))
 
 
 def metrics_to_json(metrics: dict) -> str:
@@ -90,9 +92,8 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     """Execute one harvest run and write its artifacts; returns (metrics, wallclock)."""
     built = build_scenario(cfg, seed)
     chash = config_hash(cfg)
-    telemetry: dict = {}
     wall_start = time.perf_counter()
-    log, reports = run_harvest(built, seed, config_hash=chash, telemetry=telemetry)
+    log, localization_ms = run_harvest(built, seed, config_hash=chash)
     wall_s = time.perf_counter() - wall_start
 
     metrics = cycle_metrics(log)
@@ -100,7 +101,7 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     metrics["seed"] = seed
     deterministic = {
         "events.jsonl": log.to_jsonl(),
-        "cycles.csv": cycles_to_csv(reports),
+        "cycles.csv": cycles_to_csv(log),
         "metrics.json": metrics_to_json(metrics),
     }
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -116,7 +117,7 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     }
     _write_text(run_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     wallclock = {
-        "localization_ms": telemetry.get("duration_ms"),
+        "localization_ms": localization_ms,
         "wall_s": wall_s,
     }
     _write_text(run_dir / "wallclock.json", json.dumps(wallclock, sort_keys=True, indent=2) + "\n")
@@ -205,13 +206,17 @@ def cmd_sweep(args) -> int:
             run_dir = out_root / f"{axis}_{value}_seed{seed}"
             jobs.append((point, axis, value, seed, str(run_dir)))
 
+    n_values, n_seeds = len(values), len(cfg["seeds"])
     workers = max(1, min(threads, len(jobs)))
+    # Whole seeds per worker save renders only when each seed draws its own
+    # scene and the cameras make the boxes, and they idle workers when there
+    # are fewer seeds than workers; otherwise points go out one at a time.
+    by_seed = cfg["scene"]["seed"] is None and cfg["boxes"]["source"] == "cameras" and n_seeds >= workers
     if workers == 1:
         results = [_sweep_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    n_values, n_seeds = len(values), len(cfg["seeds"])
+            results = list(pool.map(_sweep_job, jobs, chunksize=n_values if by_seed else 1))
     results = [results[s * n_values + v] for v in range(n_values) for s in range(n_seeds)]
 
     rows = [[a, v, seed, 0, *(metrics[c] for c in SWEEP_COLUMNS)] for a, v, seed, metrics, _ in results]

@@ -13,7 +13,8 @@ rule belongs to its component: resolving a config builds the components
 for it and for each sweep point, and a rejected value becomes a
 `ConfigError` naming its dotted key. The robot workspace, the
 localization crop window inflated by `robot.workspace_margin`, is built
-here only, and so are the scene rules that read it.
+here only. So are the scene rules that read the crop window: where any
+fruit is ripe, the layout must hang every fruit inside it.
 
 The resolved (defaulted, meter-converted) dictionary is hashed with
 SHA-256 and the hash is embedded in every artifact, so artifacts can be
@@ -37,7 +38,7 @@ from .errors import ConfigError
 from .geometry import Aabb, Vec3
 from .localization import LocalizationParams
 from .motion import DEFAULT_HOME, RobotState
-from .scene import FRUIT_X_JITTER, Scene, generate_scene
+from .scene import FRUIT_X_JITTER, MAX_STEM_BEND, Scene, generate_scene
 
 CONFIG_VERSION = 1
 
@@ -387,20 +388,29 @@ def build_cut(cfg: dict) -> tuple[CutModel, bool]:
         return CutModel(**kwargs), ct["duty"] is None
 
 
-def _require_ripe_in_workspace(cfg: dict, scene: Scene, ws: Aabb) -> None:
-    """The scene rules that read the robot workspace: where any fruit is
-    ripe, `fruit_x` (give or take its jitter) and `fruit_z_band` lie in it."""
+def _require_ripe_in_crop_window(cfg: dict, scene: Scene, p: LocalizationParams) -> None:
+    """The scene rules that read the crop window, which `localize` crops to
+    (strictly): where any fruit is ripe, `fruit_x` (give or take its
+    jitter), `fruit_z_band` and the row's y extent (stem bend included)
+    lie inside it."""
     if not any(s.ripe for s in scene.strawberries):
         return
-    x, (z_lo, z_hi) = cfg["scene"]["fruit_x"], cfg["scene"]["fruit_z_band"]
+    sc = cfg["scene"]
+    x, (z_lo, z_hi) = sc["fruit_x"], sc["fruit_z_band"]
     _require(
-        ws.min.x <= x - FRUIT_X_JITTER and x + FRUIT_X_JITTER <= ws.max.x, "scene.fruit_x",
-        f"must lie within [{ws.min.x + FRUIT_X_JITTER:g}, {ws.max.x - FRUIT_X_JITTER:g}] m"
-        " so that ripe fruit stay in the workspace",
+        p.x_minus < x - FRUIT_X_JITTER and x + FRUIT_X_JITTER < p.x_plus, "scene.fruit_x",
+        f"must lie within ({p.x_minus + FRUIT_X_JITTER:g}, {p.x_plus - FRUIT_X_JITTER:g}) m"
+        " so that ripe fruit stay in the crop window",
     )
     _require(
-        ws.min.z <= z_lo and z_hi <= ws.max.z, "scene.fruit_z_band",
-        f"must lie within [{ws.min.z:g}, {ws.max.z:g}] m so that ripe fruit stay in the workspace",
+        p.z_minus < z_lo and z_hi < p.z_plus, "scene.fruit_z_band",
+        f"must lie within ({p.z_minus:g}, {p.z_plus:g}) m so that ripe fruit stay in the crop window",
+    )
+    half = (sc["n_straw"] - 1) * sc["spacing"] / 2 + MAX_STEM_BEND
+    _require(
+        p.y_minus < -half and half < p.y_plus, "scene.n_straw",
+        f"{sc['n_straw']} at spacing {sc['spacing']:g} m hangs fruit out to y = +/-{half:g} m with stem bend;"
+        f" the row must fit the crop window y ({p.y_minus:g}, {p.y_plus:g}) m",
     )
 
 
@@ -411,7 +421,7 @@ def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     params = build_localization(cfg)
     robot = build_robot(cfg)
     scene = build_scene(cfg, run_seed)
-    _require_ripe_in_workspace(cfg, scene, robot.workspace)
+    _require_ripe_in_crop_window(cfg, scene, params)
     cut, derive_duty = build_cut(cfg)
     return BuiltScenario(
         scene=scene,

@@ -12,13 +12,12 @@ inside the robot's workspace (the crop window inflated by
 `robot.workspace_margin`): the `begin` record counts them, and
 ground-truth boxes are drawn from them.
 
-The event log is the authoritative record: every move, tool action and
-per-cycle summary is appended with its simulation timestamp, and rerunning
-with the same scene, configuration and seed reproduces the log byte for
-byte, and the cycle reports are read back from its `cycle` records.
-Wall-clock measurements never enter the log: the optional telemetry dict
-carries only the localization stage counts and its duration, which
-callers keep in a sidecar artifact.
+The event log is a run's only record: every move, tool action and
+per-cycle summary (a `cycle` record) is appended with its simulation
+timestamp, and rerunning with the same scene, configuration and seed
+reproduces the log byte for byte. Wall-clock time never enters the log:
+`run_harvest` returns the duration of its one `localize` call beside it
+(None for ground-truth boxes), which callers keep in a sidecar artifact.
 
 Cycle accounting follows the detachment-to-detachment convention: cycle i
 spans from detachment i-1 (or the first HOME arrival) to detachment i.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import time
 from dataclasses import replace, dataclass
 
 import numpy as np
@@ -74,20 +74,6 @@ _ALLOWED_TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    fruit_id: int
-    cycle_time: float
-    cut_time: float
-    outcome: str  # harvested | missed_trap | not_detected
-
-    def __post_init__(self):
-        if self.outcome not in ("harvested", "missed_trap", "not_detected"):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
-        if not self.cycle_time >= self.cut_time >= 0.0:
-            raise ValueError("require cycle_time >= cut_time >= 0")
-
-
 class HarvestEventLog:
     """Ordered, timestamped event records, written as canonical JSON lines."""
 
@@ -102,8 +88,7 @@ class HarvestEventLog:
         self.records.append(rec)
 
     def events(self, *names: str) -> list[dict]:
-        if not names:
-            return list(self.records)
+        """The records of the named events, in log order."""
         return [r for r in self.records if r["event"] in names]
 
     def to_jsonl(self) -> str:
@@ -170,11 +155,10 @@ def run_harvest(
     seed: int,
     *,
     config_hash: str | None = None,
-    telemetry: dict | None = None,
-) -> tuple[HarvestEventLog, list[CycleReport]]:
-    """Execute one full harvest pass and return its log and cycle reports,
-    the latter read from the log's `cycle` records. The fruit to harvest
-    are the ripe ones inside the robot's workspace."""
+) -> tuple[HarvestEventLog, float | None]:
+    """Execute one full harvest pass and return its log and the wall-clock
+    milliseconds of its `localize` call (None for ground-truth boxes). The
+    fruit to harvest are the ripe ones inside the robot's workspace."""
     scene, robot, offset = built.scene, built.robot, built.box_offset
     dt, laser_timeout = built.dt, built.laser_timeout
     log = HarvestEventLog()
@@ -200,18 +184,17 @@ def run_harvest(
     cycle_start = t
 
     log_counts: dict = {}
+    localization_ms = None
     if built.box_source == "truth":
         boxes = truth_boxes(ripe, built.params)
-        if telemetry is not None:
-            telemetry.update(duration_ms=0.0, n_boxes=len(boxes))
     else:
         rig = built.rig
         c1, c2 = capture_rig(scene, rig, seed)
-        loc_tel: dict = {}
-        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, loc_tel)
-        log_counts = {k: loc_tel[k] for k in ("n_merged", "n_cropped", "n_red") if k in loc_tel}
-        if telemetry is not None:
-            telemetry.update(loc_tel)
+        counts: dict = {}
+        start = time.perf_counter()
+        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, counts)
+        localization_ms = (time.perf_counter() - start) * 1e3
+        log_counts = {k: counts[k] for k in ("n_merged", "n_cropped", "n_red")}
     boxes = inject_localization_error(boxes, offset)
     log.append(
         t,
@@ -301,8 +284,7 @@ def run_harvest(
         ctl.advance(ControllerPhase.HOME)
     ctl.advance(ControllerPhase.DONE)
     log.append(t, "end")
-    cycles = log.events("cycle")
-    return log, [CycleReport(c["fruit"], c["cycle_time"], c["cut_time"], c["outcome"]) for c in cycles]
+    return log, localization_ms
 
 
 def _log_move(log: HarvestEventLog, rec, event: str, fruit_id, **extra) -> None:

@@ -104,7 +104,7 @@ class RigidTransform:
         rot.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if err > ROTATION_TOL:
+        if not err <= ROTATION_TOL:  # a NaN entry fails here too
             raise ValueError(f"rotation is not orthonormal (max deviation {err:.2e})")
         det = float(np.linalg.det(rot))
         if abs(det - 1.0) > ROTATION_TOL:
@@ -187,9 +187,11 @@ def dump_cloud(cloud: ColoredPointCloud, path) -> None:
 def load_cloud(path) -> ColoredPointCloud:
     """Read the plain-text cloud format written by `dump_cloud`.
 
-    A malformed file raises `CloudFormatError` naming `path:line`.
+    A malformed file raises `CloudFormatError` naming `path:line`. Bytes
+    that are not UTF-8 are read as lone surrogates, which no field parses,
+    so they are reported on their own line.
     """
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         try:
             fields = dict(part.split("=", 1) for part in header.split())

@@ -6,12 +6,15 @@ cluster by Euclidean proximity and box each cluster. Crop bounds are
 strict inequalities; cluster adjacency is inclusive (distance <= tol).
 Clusters are returned sorted by ascending centroid y (ties broken by
 centroid x, then z) and each cluster keeps its points in input order.
+
+`localize` and `cluster_indices` fill an optional `telemetry` dict with
+deterministic counts only: points per stage, and clusters found and
+dropped as too small or too large. Nothing here reads the clock.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,27 +245,20 @@ def localize(
 ) -> list[StrawberryBox]:
     """Full pipeline: transform, merge, crop, threshold, cluster, box.
 
-    When a `telemetry` dict is supplied it receives stage point counts and
-    the measured wall-clock duration in milliseconds; callers that need
-    reproducible artifacts keep the duration out of their deterministic
-    outputs.
+    When a `telemetry` dict is supplied it receives the point count of each
+    stage (`n_merged`, `n_cropped`, `n_red`) and the cluster counts of
+    `cluster_indices`. Every count is deterministic; wall-clock time is the
+    caller's to measure.
     """
     if c1.frame != "cam1":
         raise FrameMismatchError(f"first cloud must be in frame 'cam1', got {c1.frame!r}")
     if c2.frame != "cam2":
         raise FrameMismatchError(f"second cloud must be in frame 'cam2', got {c2.frame!r}")
-    start = time.perf_counter()
     merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
     cropped = crop_window(merged, p)
     red = threshold_red(cropped, p)
     groups = cluster_indices(red.xyz, p.tol, p.s_min, p.s_max, telemetry)
     boxes = boxes_of([ColoredPointCloud(red.frame, red.xyz[g], red.rgb[g]) for g in groups])
     if telemetry is not None:
-        telemetry.update(
-            duration_ms=(time.perf_counter() - start) * 1e3,
-            n_merged=len(merged),
-            n_cropped=len(cropped),
-            n_red=len(red),
-            n_boxes=len(boxes),
-        )
+        telemetry.update(n_merged=len(merged), n_cropped=len(cropped), n_red=len(red))
     return boxes

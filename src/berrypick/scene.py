@@ -7,10 +7,10 @@ straight thin cylinders whose fruit end may be laterally offset to mimic
 natural stem bending, and the trough is a box. Heights are expressed in
 the arm base frame; the trough lip sits at `trough_height - base_height`.
 
-The scene holds no workspace. Which fruit a run can reach is the
-robot's workspace, which only `config` builds: it checks `scene.fruit_x`
-and `scene.fruit_z_band` against it, and the controller harvests the
-ripe fruit inside it.
+The scene holds no workspace and no crop window. `config` builds both:
+it checks that `scene.fruit_x`, `scene.fruit_z_band` and the row's y
+extent hang ripe fruit inside the crop window, and the controller
+harvests the ripe fruit inside the robot's workspace.
 
 Randomness uses numpy's counter-based Philox generator so scenes are
 reproducible across platforms; every log records the seed.
@@ -39,6 +39,9 @@ MAX_STEM_BEND = 0.015
 # a fruit hangs within this distance in x of the layout's fruit_x
 FRUIT_X_JITTER = 0.005
 
+# the smallest fruit radius a StrawberryTruth accepts
+MIN_RADIUS = 0.005
+
 # owner kinds for sampled surface points
 KIND_FRUIT = 0
 KIND_STEM = 1
@@ -58,8 +61,8 @@ class StrawberryTruth:
     detached: bool = False
 
     def __post_init__(self):
-        if not 0.005 <= self.radius <= 0.0175:
-            raise ValueError(f"radius must lie within [0.005, 0.0175] m, got {self.radius}")
+        if not MIN_RADIUS <= self.radius <= 0.0175:
+            raise ValueError(f"radius must lie within [{MIN_RADIUS}, 0.0175] m, got {self.radius}")
         if self.stem_top.z <= self.center.z:
             raise ValueError("fruit must hang below its stem attachment")
         if not 0.001 <= self.stem_diameter <= 0.005:
@@ -133,14 +136,16 @@ def generate_scene(
     lip_z = trough_height - base_height
     if fruit_z_band[1] >= lip_z:
         raise ConfigError(f"fruit_z_band must lie below the trough lip at z = {lip_z:g} m")
-    if n_straw > 0:
-        half_span = (n_straw - 1) * spacing / 2.0
-        if half_span > 0.28:
-            raise ConfigError(
-                f"n_straw {n_straw} at spacing {spacing} m exceeds the workspace y-span"
-            )
-    rng = _scene_rng(seed, 0)
     trough = Aabb(Vec3(0.50, -0.60, lip_z - 0.30), Vec3(0.70, 0.60, lip_z))
+    # every stem hangs from the trough lip; a spacing below two of the
+    # smallest radii counts as that floor, so at most 121 stems are laid
+    # out (compared as int > float, which cannot overflow)
+    if n_straw - 1 > 2 * trough.max.y / max(spacing, 2 * MIN_RADIUS):
+        raise ConfigError(
+            f"n_straw {n_straw} at spacing {spacing:g} m does not fit the trough: stems hang within"
+            f" y +/-{trough.max.y:g} m, counted at least {2 * MIN_RADIUS:g} m apart"
+        )
+    rng = _scene_rng(seed, 0)
 
     n_ripe = int(round(n_straw * ripe_fraction))
     ripe_ids = set(rng.choice(n_straw, size=n_ripe, replace=False).tolist()) if n_straw else set()

@@ -41,7 +41,7 @@ def report(cid: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def robustness_sweep():
-    """All offset-sweep runs: {offset_mm: [(log, reports), ...]}. Shared by C1 and C8."""
+    """All offset-sweep runs: {offset_mm: [log, ...]}. Shared by C1 and C8."""
     cfg = resolve_config_arg("robustness")
     start = time.perf_counter()
     results = {}
@@ -50,7 +50,8 @@ def robustness_sweep():
         runs = []
         for seed in cfg["seeds"]:
             built = build_scenario(point, seed)
-            runs.append(run_harvest(built, seed))
+            log, _ = run_harvest(built, seed)
+            runs.append(log)
         results[offset_mm] = runs
     elapsed = time.perf_counter() - start
     return results, elapsed, cfg
@@ -62,8 +63,8 @@ def paper9_run():
     cfg = resolve_config_arg("paper9")
     seed = cfg["seeds"][0]
     built = build_scenario(cfg, seed)
-    log, reports = run_harvest(built, seed)
-    return cfg, seed, log, reports
+    log, _ = run_harvest(built, seed)
+    return cfg, seed, log
 
 
 def test_c1_trap_tolerance_step_function(robustness_sweep):
@@ -71,8 +72,9 @@ def test_c1_trap_tolerance_step_function(robustness_sweep):
     n_seeds = len(cfg["seeds"])
     failures = []
     for offset_mm, runs in results.items():
-        harvested = sum(sum(r.outcome == "harvested" for r in reports) for _, reports in runs)
-        total = sum(len(reports) for _, reports in runs)
+        cycles = [c for log in runs for c in log.events("cycle")]
+        harvested = sum(c["outcome"] == "harvested" for c in cycles)
+        total = len(cycles)
         rate = harvested / total
         expected = 1.0 if abs(offset_mm) <= TRAP_LIMIT_MM else 0.0
         if rate != expected:
@@ -194,14 +196,14 @@ def test_c5_cut_time_anchor_and_scaling():
     dt = cfg["cut"]["dt"]
 
     built = build_scenario(cfg, 1)
-    _, reports = run_harvest(built, 1)
-    t50 = reports[0].cut_time
+    log, _ = run_harvest(built, 1)
+    t50 = log.events("cycle")[0]["cut_time"]
 
     boosted = json.loads(json.dumps(cfg))
     boosted["cut"]["laser_power"] = 100.0
     built100 = build_scenario(boosted, 1)
-    _, reports100 = run_harvest(built100, 1)
-    t100 = reports100[0].cut_time
+    log100, _ = run_harvest(built100, 1)
+    t100 = log100.events("cycle")[0]["cut_time"]
 
     ok = abs(t50 - CUT_TIME_TARGET) <= dt and abs(t100 - CUT_TIME_100W_TARGET) <= dt
     report(
@@ -213,7 +215,7 @@ def test_c5_cut_time_anchor_and_scaling():
 
 
 def test_c6_cycle_time_reproduction(paper9_run):
-    cfg, seed, log, reports = paper9_run
+    cfg, seed, log = paper9_run
     metrics = cycle_metrics(log)
     mean_cycle = metrics["mean_cycle_time"]
     lo, hi = CYCLE_TIME_TARGET * (1 - TIMING_BAND), CYCLE_TIME_TARGET * (1 + TIMING_BAND)
@@ -299,10 +301,10 @@ def test_c8_state_machine_safety(robustness_sweep, paper9_run):
     violations = []
     n_logs = 0
     for runs in results.values():
-        for log, _ in runs:
+        for log in runs:
             violations.extend(_scan_safety(log))
             n_logs += 1
-    _, _, paper_log, _ = paper9_run
+    _, _, paper_log = paper9_run
     violations.extend(_scan_safety(paper_log))
     n_logs += 1
 
@@ -310,10 +312,10 @@ def test_c8_state_machine_safety(robustness_sweep, paper9_run):
     cfg = resolve_config_arg("robustness")
     built = build_scenario(cfg, 1)
     weak = CutModel(laser_power=0.001)
-    timeout_log, timeout_reports = run_harvest(replace(built, cut=weak, laser_timeout=2.0), 1)
+    timeout_log, _ = run_harvest(replace(built, cut=weak, laser_timeout=2.0), 1)
     violations.extend(_scan_safety(timeout_log))
     n_logs += 1
-    if not all(r.outcome == "not_detected" for r in timeout_reports):
+    if not all(c["outcome"] == "not_detected" for c in timeout_log.events("cycle")):
         violations.append("timeout run did not report not_detected")
 
     ok = not violations

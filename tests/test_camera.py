@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from berrypick import camera
-from berrypick.camera import CameraModel, CameraRig, capture, capture_rig, default_rig, look_at_pose
+from berrypick.camera import CameraModel, CameraRig, capture_rig, default_rig, look_at_pose
 from berrypick.cli import resolve_config_arg
 from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, transform_cloud
@@ -51,7 +51,7 @@ class TestCaptureGeometry:
         scene = generate_scene(2, 1, surface_density=15000.0)
         fruit = scene.strawberries[0]
         rig = noiseless_rig()
-        cloud = capture(scene, rig.cam1, 5)
+        cloud, _ = capture_rig(scene, rig, 5)
         assert len(cloud) > 0
         base = transform_cloud(rig.cam1.pose, cloud, "base").xyz
         trough = scene.trough
@@ -71,26 +71,26 @@ class TestCaptureGeometry:
         scene = generate_scene(2, 1)
         fruit = scene.strawberries[0]
         rig = noiseless_rig()
-        cloud = capture(scene, rig.cam1, 5)
+        cloud, _ = capture_rig(scene, rig, 5)
         pts = fruit_points_in_base(cloud, rig.cam1, fruit, slack=1e-9)
         assert len(pts) >= 20
 
     def test_range_band_respected(self):
         scene = generate_scene(2, 3)
-        cam = noiseless_rig().cam1
-        cloud = capture(scene, cam, 1)
-        z = cloud.xyz[:, 2]
-        assert z.min() >= cam.min_range
-        assert z.max() <= cam.max_range
+        rig = noiseless_rig()
+        for cloud, cam in zip(capture_rig(scene, rig, 1), (rig.cam1, rig.cam2)):
+            z = cloud.xyz[:, 2]
+            assert z.min() >= cam.min_range
+            assert z.max() <= cam.max_range
 
     def test_frustum_respected(self):
         scene = generate_scene(2, 9)
-        cam = noiseless_rig().cam1
-        cloud = capture(scene, cam, 1)
-        az = np.arctan2(cloud.xyz[:, 0], cloud.xyz[:, 2])
-        el = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 2])
-        assert np.abs(az).max() <= cam.h_fov / 2 + 1e-12
-        assert np.abs(el).max() <= cam.v_fov / 2 + 1e-12
+        rig = noiseless_rig()
+        for cloud, cam in zip(capture_rig(scene, rig, 1), (rig.cam1, rig.cam2)):
+            az = np.arctan2(cloud.xyz[:, 0], cloud.xyz[:, 2])
+            el = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 2])
+            assert np.abs(az).max() <= cam.h_fov / 2 + 1e-12
+            assert np.abs(el).max() <= cam.v_fov / 2 + 1e-12
 
     def test_occluder_blocks_cam1_but_not_cam2(self):
         occluder = Aabb(Vec3(0.20, -0.05, 0.30), Vec3(0.22, 0.05, 0.55))
@@ -111,8 +111,7 @@ class TestCaptureGeometry:
             assert ray_hits_box(eye1, s - eye1, 1.0, lo, hi)
             assert not ray_hits_box(eye2, s - eye2, 1.0, lo, hi)
 
-        c1 = capture(scene, rig.cam1, 3)
-        c2 = capture(scene, rig.cam2, 3)
+        c1, c2 = capture_rig(scene, rig, 3)
         assert len(fruit_points_in_base(c1, rig.cam1, fruit)) == 0
         assert len(fruit_points_in_base(c2, rig.cam2, fruit)) > 0
 
@@ -120,8 +119,8 @@ class TestCaptureGeometry:
         scene = generate_scene(2, 3)
         rig = noiseless_rig()
         target = scene.strawberries[1]
-        before = capture(scene, rig.cam1, 9)
-        after = capture(detach_fruit(scene, 1), rig.cam1, 9)
+        before, _ = capture_rig(scene, rig, 9)
+        after, _ = capture_rig(detach_fruit(scene, 1), rig, 9)
         assert len(fruit_points_in_base(before, rig.cam1, target)) > 0
         assert len(fruit_points_in_base(after, rig.cam1, target)) == 0
 
@@ -129,22 +128,26 @@ class TestCaptureGeometry:
 class TestCaptureNoise:
     def test_same_seed_identical(self):
         scene = generate_scene(2, 5)
-        cam = default_rig().cam1
-        assert capture(scene, cam, 7) == capture(scene, cam, 7)
+        rig = default_rig()
+        a1, a2 = capture_rig(scene, rig, 7)
+        b1, b2 = capture_rig(scene, rig, 7)
+        assert a1 == b1 and a2 == b2
 
     def test_different_seed_differs(self):
         scene = generate_scene(2, 5)
-        cam = default_rig().cam1
-        assert capture(scene, cam, 7) != capture(scene, cam, 8)
+        rig = default_rig()
+        a1, a2 = capture_rig(scene, rig, 7)
+        b1, b2 = capture_rig(scene, rig, 8)
+        assert a1 != b1 and a2 != b2
 
     def test_noise_perturbs_along_ray(self):
         scene = generate_scene(2, 1)
-        cam0 = noiseless_rig().cam1
+        rig0 = noiseless_rig()
         cam = CameraModel(
-            pose=cam0.pose, frame="cam1", depth_noise_sigma=0.002, dropout_rate=0.0
+            pose=rig0.cam1.pose, frame="cam1", depth_noise_sigma=0.002, dropout_rate=0.0
         )
-        clean = capture(scene, cam0, 11)
-        noisy = capture(scene, cam, 11)
+        clean, _ = capture_rig(scene, rig0, 11)
+        noisy, _ = capture_rig(scene, replace(rig0, cam1=cam), 11)
         assert len(clean) == len(noisy)
         # direction unchanged, range changed
         r_clean = np.linalg.norm(clean.xyz, axis=1, keepdims=True)
@@ -156,11 +159,12 @@ class TestCaptureNoise:
 
     def test_dropout_monotone(self):
         scene = generate_scene(2, 5)
-        base = noiseless_rig().cam1
+        rig = noiseless_rig()
         counts = []
         for rate in (0.0, 0.02, 0.3, 0.7, 1.0):
-            cam = CameraModel(pose=base.pose, frame="cam1", depth_noise_sigma=0.0, dropout_rate=rate)
-            counts.append(len(capture(scene, cam, 13)))
+            cam = CameraModel(pose=rig.cam1.pose, frame="cam1", depth_noise_sigma=0.0, dropout_rate=rate)
+            c1, _ = capture_rig(scene, replace(rig, cam1=cam), 13)
+            counts.append(len(c1))
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] == 0
 
@@ -244,8 +248,6 @@ class TestCullingEquivalence:
             ref1 = reference_capture(scene, rig.cam1, s1)
             ref2 = reference_capture(scene, rig.cam2, s2)
             assert len(ref1) + len(ref2) > 0
-            assert _same_bytes(capture(scene, rig.cam1, s1), ref1)
-            assert _same_bytes(capture(scene, rig.cam2, s2), ref2)
             c1, c2 = capture_rig(scene, rig, seed)
             assert _same_bytes(c1, ref1) and _same_bytes(c2, ref2)
 

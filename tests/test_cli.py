@@ -13,7 +13,7 @@ from berrypick.cli import (
     resolve_config_arg,
     run_one,
 )
-from berrypick.controller import CycleReport
+from berrypick.controller import HarvestEventLog
 from berrypick.geometry import dump_cloud
 from berrypick.localization import LocalizationParams, localize
 from berrypick.scene import generate_scene
@@ -31,11 +31,13 @@ FAST_SCENE = {"seed": 3, "n_straw": 2, "ripe_fraction": 1.0, "bend_sigma": 0.0,
 
 class TestRoundTrips:
     def test_cycles_csv_identity(self):
-        reports = [
-            CycleReport(0, 8.125, 2.3000000000000003, "harvested"),
-            CycleReport(1, 3.5, 0.0, "missed_trap"),
-        ]
-        assert cycles_to_csv(reports) == (
+        log = HarvestEventLog()
+        log.append(0.0, "begin", n_ripe=2)
+        log.append(8.125, "cycle", fruit=0, cycle_time=8.125, cut_time=2.3000000000000003, outcome="harvested")
+        log.append(8.125, "release", fruit=1)
+        log.append(11.625, "cycle", fruit=1, cycle_time=3.5, cut_time=0.0, outcome="missed_trap")
+        log.append(11.625, "end")
+        assert cycles_to_csv(log) == (
             "fruit_id,cycle_time,cut_time,outcome\n"
             "0,8.125,2.3000000000000003,harvested\n"
             "1,3.5,0.0,missed_trap\n"
@@ -75,6 +77,13 @@ class TestRunCommand:
         assert metrics["localization_ms"] is None  # wall data only in the sidecar
         wall = json.loads((run_dir / "wallclock.json").read_text())
         assert wall["localization_ms"] > 0
+
+    def test_truth_boxes_have_no_localization_time(self, tmp_path):
+        payload = {"name": "mini", "scene": FAST_SCENE, "boxes": {"source": "truth"}, "seeds": [5]}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+        wall = json.loads((out / "seed5" / "wallclock.json").read_text())
+        assert wall["localization_ms"] is None and wall["wall_s"] > 0
 
     def test_rerun_byte_identical_excluding_sidecar(self, tmp_path):
         cfg_path = write_cfg(tmp_path, {"name": "mini", "scene": FAST_SCENE, "seeds": [5]})
@@ -143,6 +152,11 @@ class TestRunCommand:
          "scene.fruit_x"),
         # ... and can leave the robot's HOME outside it
         ({"localization": {"x_minus": 0.35, "x_plus": 0.55}}, "robot.home"),
+        # ripe fruit hung inside the workspace but beyond the crop window, in x ...
+        ({"scene": {"seed": 7, "fruit_x": 0.62}}, "scene.fruit_x"),
+        # ... and in y, where the row is wider than a narrowed window
+        ({"localization": {"y_minus": -0.1, "y_plus": 0.1}, "robot": {"home": [0.2, -0.15, 0.44]}, "scene": {"seed": 7}},
+         "scene.n_straw"),
     ])
     def test_component_rule_is_config_error(self, tmp_path, capsys, payload, key):
         # rules only the components hold: the config is rejected when they are built
@@ -254,6 +268,56 @@ class TestSweepCommand:
         par = tmp_path / "par"
         assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(par)]) == 0
         assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+
+    @staticmethod
+    def _record_chunks(monkeypatch) -> list:
+        """Stand in for ProcessPoolExecutor with two workers; the returned
+        list fills with the chunks `map` would hand them."""
+        chunks = []
+
+        class ChunkRecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                jobs = list(jobs)
+                chunks.extend(jobs[i:i + chunksize] for i in range(0, len(jobs), chunksize))
+                return map(fn, jobs)
+
+        monkeypatch.setattr("berrypick.cli.ProcessPoolExecutor", ChunkRecordingPool)
+        monkeypatch.setenv("BERRYPICK_THREADS", "2")
+        return chunks
+
+    def test_each_worker_chunk_is_one_seed(self, tmp_path, monkeypatch):
+        chunks = self._record_chunks(monkeypatch)
+        powers = [50.0, 75.0, 100.0]
+        # a scene per seed, boxes from the cameras, as many seeds as workers
+        payload = {"name": "mini", "scene": {**FAST_SCENE, "seed": None},
+                   "sweep": {"powers": powers}, "seeds": [1, 2]}
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_cfg(tmp_path, payload), "--axis", "power", "--out", str(out)]) == 0
+        # every chunk holds exactly one seed's points, all of them
+        assert [sorted({job[3] for job in chunk}) for chunk in chunks] == [[1], [2]]
+        assert all(sorted(job[2] for job in chunk) == powers for chunk in chunks)
+
+    @pytest.mark.parametrize("scene_seed, boxes, seeds", [
+        (3, "cameras", [1, 2]),      # one scene for every seed
+        (None, "truth", [1, 2]),     # no camera runs
+        (None, "cameras", [1]),      # fewer seeds than workers
+    ])
+    def test_points_go_one_per_chunk_where_no_view_is_shared(self, tmp_path, monkeypatch, scene_seed, boxes, seeds):
+        chunks = self._record_chunks(monkeypatch)
+        payload = {"name": "mini", "scene": {**FAST_SCENE, "seed": scene_seed}, "boxes": {"source": boxes},
+                   "sweep": {"powers": [50.0, 100.0]}, "seeds": seeds}
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", write_cfg(tmp_path, payload), "--axis", "power", "--out", str(out)]) == 0
+        assert [len(chunk) for chunk in chunks] == [1] * 2 * len(seeds)
 
     def test_noise_sweep_views_each_scene_once(self, tmp_path, monkeypatch, sample_calls):
         monkeypatch.delenv("BERRYPICK_THREADS", raising=False)

@@ -4,12 +4,12 @@ from dataclasses import replace
 import pytest
 
 from berrypick.camera import default_rig
-from berrypick.config import build_robot, resolve_config
+from berrypick.cli import resolve_config_arg
+from berrypick.config import apply_sweep_value, build_robot, build_scenario, resolve_config
 from berrypick.controller import (
     _ALLOWED_TRANSITIONS,
     BuiltScenario,
     ControllerPhase,
-    CycleReport,
     HarvestEventLog,
     cycle_metrics,
     inject_localization_error,
@@ -43,14 +43,19 @@ def built_for(scene, rig=None, robot=ROBOT, cut=CUT, box_source="cameras",
 
 
 def run(scene, seed=1, **kwargs):
-    return run_harvest(built_for(scene, **kwargs), seed)
+    log, _ = run_harvest(built_for(scene, **kwargs), seed)
+    return log
+
+
+def outcomes(log):
+    return [c["outcome"] for c in log.events("cycle")]
 
 
 class TestEventOrder:
     def test_single_fruit_sequence(self):
         scene = generate_scene(2, 1)
-        log, reports = run(scene)
-        assert [r.outcome for r in reports] == ["harvested"]
+        log = run(scene)
+        assert outcomes(log) == ["harvested"]
         names = [r["event"] for r in log.records if r["event"] in NAMED]
         assert names == [
             "home", "move", "move", "move",
@@ -60,25 +65,25 @@ class TestEventOrder:
 
     def test_timestamps_non_decreasing(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
-        log, _ = run(scene)
+        log = run(scene)
         ts = [r["t"] for r in log.records]
         assert all(a <= b for a, b in zip(ts, ts[1:]))
 
     def test_localization_runs_exactly_once(self):
         scene = generate_scene(7, 9)
-        log, _ = run(scene)
+        log = run(scene)
         assert len(log.events("localize")) == 1
 
     def test_fruits_processed_in_ascending_y(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
-        log, _ = run(scene)
+        log = run(scene)
         by_id = {s.id: s for s in scene.strawberries}
         ys = [by_id[r["fruit"]].center.y for r in log.events("trap")]
         assert ys == sorted(ys)
 
     def test_three_moves_between_home_and_trap(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
-        log, _ = run(scene)
+        log = run(scene)
         legs = [r["leg"] for r in log.events("move")]
         assert legs == ["descend", "align", "ascend"] * 9
 
@@ -86,67 +91,67 @@ class TestEventOrder:
 class TestTrapMiss:
     def test_injected_20mm_offset_misses_all(self):
         scene = generate_scene(5, 3, 1.0, 0.0)
-        log, reports = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.020, 0.0))
-        assert all(r.outcome == "missed_trap" for r in reports)
+        log = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.020, 0.0))
+        assert outcomes(log) == ["missed_trap"] * 3
         assert log.events("laser_on") == []
         # release still happens on a miss (hardware-order parity)
         assert len(log.events("release")) == 3
 
     def test_boundary_15mm_offset_traps_all(self):
         scene = generate_scene(5, 3, 1.0, 0.0)
-        _, reports = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.015, 0.0))
-        assert all(r.outcome == "harvested" for r in reports)
+        log = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.015, 0.0))
+        assert outcomes(log) == ["harvested"] * 3
 
     def test_mixed_bend_outcomes_reported_per_fruit(self):
         scene = generate_scene(5, 3, 1.0, 0.0)
-        log, reports = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.016, 0.0))
-        assert all(r.outcome == "missed_trap" for r in reports)
-        assert [r.cut_time for r in reports] == [0.0, 0.0, 0.0]
+        log = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.016, 0.0))
+        assert outcomes(log) == ["missed_trap"] * 3
+        assert [c["cut_time"] for c in log.events("cycle")] == [0.0, 0.0, 0.0]
 
 
 class TestDeterminism:
     def test_rerun_byte_identical(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
         rig = default_rig()
-        texts = [run(scene, 3, rig=rig)[0].to_jsonl() for _ in ("a", "b")]
+        texts = [run(scene, 3, rig=rig).to_jsonl() for _ in ("a", "b")]
         assert texts[0] == texts[1]
 
     def test_different_seed_changes_log(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
         rig = default_rig()
-        log_a, _ = run(scene, 3, rig=rig)
-        log_b, _ = run(scene, 4, rig=rig)
+        log_a = run(scene, 3, rig=rig)
+        log_b = run(scene, 4, rig=rig)
         assert log_a.to_jsonl() != log_b.to_jsonl()
 
 
 class TestAccounting:
     def test_durations_sum_to_final_clock(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
-        log, reports = run(scene)
-        assert all(r.outcome == "harvested" for r in reports)
+        log = run(scene)
+        assert outcomes(log) == ["harvested"] * 9
         home_durs = sum(r["dur"] for r in log.events("home"))
-        total = sum(r.cycle_time for r in reports) + home_durs
+        total = sum(c["cycle_time"] for c in log.events("cycle")) + home_durs
         end_t = log.events("end")[0]["t"]
         assert total == pytest.approx(end_t, abs=1e-6)
 
     def test_cycle_boundaries_are_detachments(self):
         scene = generate_scene(7, 4, 1.0, 0.001)
-        log, reports = run(scene)
+        log = run(scene)
         detaches = [r["t"] for r in log.events("detach_detect")]
         start = log.events("home")[0]["t"]
         bounds = [start] + detaches
-        for rep, t0, t1 in zip(reports, bounds, bounds[1:]):
-            assert rep.cycle_time == pytest.approx(t1 - t0, abs=1e-9)
+        for c, t0, t1 in zip(log.events("cycle"), bounds, bounds[1:]):
+            assert c["cycle_time"] == pytest.approx(t1 - t0, abs=1e-9)
 
     def test_halving_velocity_increases_cycle_not_cut(self):
         scene = generate_scene(7, 4, 1.0, 0.001)
         slow_robot = replace(ROBOT, velocity_scale=0.25)
         fast_robot = replace(ROBOT, velocity_scale=0.5)
-        _, slow = run(scene, robot=slow_robot)
-        _, fast = run(scene, robot=fast_robot)
+        slow = run(scene, robot=slow_robot).events("cycle")
+        fast = run(scene, robot=fast_robot).events("cycle")
         for s, f in zip(slow, fast):
-            assert s.cycle_time > f.cycle_time
-            assert s.cut_time == f.cut_time
+            assert s["cycle_time"] > f["cycle_time"]
+            assert s["cut_time"] == f["cut_time"]
 
 
 class TestSafety:
@@ -169,12 +174,12 @@ class TestSafety:
 
     def test_nominal_run_safe(self):
         scene = generate_scene(7, 9, 1.0, 0.001)
-        log, _ = run(scene)
+        log = run(scene)
         self.check_log_safety(log)
 
     def test_missed_run_safe(self):
         scene = generate_scene(5, 3, 1.0, 0.0)
-        log, _ = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.018, 0.0))
+        log = run(scene, box_source="truth", box_offset=Vec3(0.0, 0.018, 0.0))
         self.check_log_safety(log)
         assert log.events("laser_on") == []
 
@@ -183,8 +188,8 @@ class TestNotDetected:
     def test_uncuttable_stem_times_out(self):
         scene = generate_scene(5, 1, 1.0, 0.0)
         tough = CutModel(laser_power=0.001)
-        log, reports = run(scene, cut=tough, box_source="truth", laser_timeout=2.0)
-        assert [r.outcome for r in reports] == ["not_detected"]
+        log = run(scene, cut=tough, box_source="truth", laser_timeout=2.0)
+        assert outcomes(log) == ["not_detected"]
         assert len(log.events("laser_timeout")) == 1
         assert log.events("detach_detect") == []
         # laser off precedes release at the timeout
@@ -196,9 +201,15 @@ class TestBoxOverAir:
     def test_second_box_closes_on_air(self, monkeypatch):
         scene = generate_scene(5, 1, 1.0, 0.0)
         (box,) = truth_boxes(scene.strawberries, PARAMS)
-        monkeypatch.setattr("berrypick.controller.localize", lambda *args, **kwargs: [box, box])
-        log, reports = run(scene)
-        assert [r.outcome for r in reports] == ["harvested", "missed_trap"]
+
+        def two_boxes(c1, c2, t1, t2, params, telemetry):
+            # a stand-in that keeps localize's contract: it fills the stage counts
+            telemetry.update(n_merged=len(c1) + len(c2), n_cropped=0, n_red=0)
+            return [box, box]
+
+        monkeypatch.setattr("berrypick.controller.localize", two_boxes)
+        log = run(scene)
+        assert outcomes(log) == ["harvested", "missed_trap"]
         detach_t = log.events("detach_detect")[0]["t"]
         air = [r for r in log.records if r.get("fruit") == -1 and r["event"] != "move"]
         t = air[0]["t"]
@@ -209,14 +220,13 @@ class TestBoxOverAir:
              "outcome": "missed_trap"},
         ]
         assert [r["event"] for r in log.records[-2:]] == ["home", "end"]
-        assert reports[1] == CycleReport(-1, t - detach_t, 0.0, "missed_trap")
 
 
 class TestNoFruit:
     def test_all_unripe_scene(self):
         scene = generate_scene(9, 4, ripe_fraction=0.0)
-        log, reports = run(scene)
-        assert reports == []
+        log = run(scene)
+        assert log.events("cycle") == []
         assert len(log.events("no_fruit")) == 1
         assert log.events("laser_on") == []
 
@@ -253,16 +263,28 @@ class TestPhases:
 
 
 class TestCycleReports:
+    """The `cycle` records of the event log, the run's only cycle reports."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CycleReport(0, 1.0, 2.0, "harvested")
-        with pytest.raises(ValueError):
-            CycleReport(0, 5.0, 1.0, "vanished")
+        # every cycle record has a known outcome and cycle_time >= cut_time >= 0,
+        # over all-harvested, all-missed and all-timed-out runs
+        paper9, robustness = resolve_config_arg("paper9"), resolve_config_arg("robustness")
+        timeout2 = resolve_config({**paper9, "cut": {**paper9["cut"], "laser_timeout": 2.0}})
+        seen = set()
+        for cfg in (paper9, apply_sweep_value(robustness, "offset", 20), timeout2):
+            log, _ = run_harvest(build_scenario(cfg, 1), 1)
+            cycles = log.events("cycle")
+            assert cycles
+            for c in cycles:
+                assert c["outcome"] in ("harvested", "missed_trap", "not_detected")
+                assert c["cycle_time"] >= c["cut_time"] >= 0.0
+            seen.update(c["outcome"] for c in cycles)
+        assert seen == {"harvested", "missed_trap", "not_detected"}
 
     def test_cut_time_anchor_through_controller(self):
         scene = generate_scene(5, 1, 1.0, 0.0)
-        _, reports = run(scene, box_source="truth")
-        assert abs(reports[0].cut_time - 2.3) <= 0.01
+        (cycle,) = run(scene, box_source="truth").events("cycle")
+        assert abs(cycle["cut_time"] - 2.3) <= 0.01
 
 
 class TestMetrics:
@@ -289,7 +311,7 @@ class TestMetrics:
 
     def test_metrics_round_trip_through_jsonl(self):
         scene = generate_scene(7, 5, 1.0, 0.001)
-        log, _ = run(scene)
+        log = run(scene)
         direct = cycle_metrics(log)
         reloaded = HarvestEventLog()
         for line in log.to_jsonl().splitlines():

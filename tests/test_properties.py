@@ -1,0 +1,192 @@
+"""Property tests of the error contract on the input surfaces.
+
+Each test mutates a valid input (a config, a cloud file) and checks that
+the program either accepts it or rejects it with its own error type:
+`ConfigError` for configs, `CloudFormatError` for cloud files, and exit
+code 2 or 3 with no traceback from the CLI. Runs are derandomized and
+keep no example database, so every run tries the same inputs.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from berrypick.cli import main
+from berrypick.config import DEFAULTS, resolve_config
+from berrypick.errors import CloudFormatError, ConfigError
+from berrypick.geometry import VALID_FRAMES, dump_cloud, load_cloud
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON tree: object keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# a config that names every key, with one sweep entry per axis
+BASE_CONFIG = copy.deepcopy(DEFAULTS)
+BASE_CONFIG["sweep"] = {"offsets_mm": [5], "velocity_scales": [0.5], "powers": [50.0], "noise_sigmas": [0.002]}
+BASE_PATHS = list(_paths(BASE_CONFIG))
+
+
+@st.composite
+def mutated_configs(draw):
+    """BASE_CONFIG with one to three values replaced, scaled or deleted,
+    or an unknown key added."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(BASE_PATHS))
+        parent = cfg
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if not isinstance(parent, (dict, list)):
+                raise TypeError
+            old = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation replaced this branch
+        op = draw(st.sampled_from(["replace", "scale", "delete", "unknown"]))
+        if op == "scale" and type(old) is int:
+            parent[path[-1]] = old * draw(st.sampled_from([-1, 0, 2, 10, 10**6, 10**30]))
+        elif op == "scale" and type(old) is float:
+            parent[path[-1]] = old * draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 10.0, 1e6, 1e300]))
+        elif op == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == "unknown" and isinstance(old, dict):
+            old[draw(st.text(min_size=1, max_size=6))] = draw(JSON_SCALARS)
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return cfg
+
+
+def _base_with(section: str, key: str, value, **more) -> dict:
+    """BASE_CONFIG with `section.key` (and any `section.<more>`) set."""
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg[section].update({key: value, **more})
+    return cfg
+
+
+class TestConfigContract:
+    def test_base_config_resolves(self):
+        resolve_config(copy.deepcopy(BASE_CONFIG))
+
+    @PROPERTY_SETTINGS
+    @given(mutated_configs())
+    # a row too long for the trough is rejected before any fruit is laid
+    # out, ripe or not
+    @example(_base_with("scene", "n_straw", 10**20))
+    @example(_base_with("scene", "n_straw", 10**20, ripe_fraction=0.0))
+    # a radius band and spacing near zero do not lift that bound
+    @example(_base_with("scene", "radius_band", [0, 0], spacing=1e-9, n_straw=10**9))
+    # a camera far enough out that |target - eye| overflows: once a NaN pose
+    @example(_base_with("rig", "cam2", {**BASE_CONFIG["rig"]["cam2"], "eye": [1.5e299, 0.0, 0.05]}))
+    def test_mutated_config_resolves_or_raises_config_error(self, cfg):
+        try:
+            resolve_config(cfg)
+        except ConfigError:
+            pass
+
+
+def _cloud_text(frame, points) -> bytes:
+    lines = [f"frame={frame} count={len(points)}\n"]
+    lines += [f"{x!r} {y!r} {z!r} {r} {g} {b}\n" for (x, y, z), (r, g, b) in points]
+    return "".join(lines).encode()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-10.0, max_value=10.0)
+POINTS = st.lists(st.tuples(st.tuples(FINITE, FINITE, FINITE), st.tuples(*[st.integers(0, 255)] * 3)), max_size=5)
+TOKENS = st.sampled_from(["", " ", "\n", "\r", "=", "nan", "inf", "-0", "1e999", "256", "-1", "1_0", "0x10", "count=9",
+                          "frame=tool", "\x00", "\xe9"])
+CHUNKS = st.one_of(TOKENS.map(str.encode), st.text(max_size=4).map(str.encode), st.binary(max_size=4))
+
+
+@st.composite
+def cloud_files(draw, frame=st.sampled_from(VALID_FRAMES)):
+    """The bytes of a valid cloud file with up to three edits: a chunk
+    inserted, a span deleted or the file cut short."""
+    data = bytearray(_cloud_text(draw(frame), draw(POINTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if op == "insert":
+            data[at:at] = draw(CHUNKS)
+        elif op == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def _same_cloud(a, b) -> bool:
+    return a.frame == b.frame and a.xyz.tobytes() == b.xyz.tobytes() and a.rgb.tobytes() == b.rgb.tobytes()
+
+
+class TestCloudContract:
+    @PROPERTY_SETTINGS
+    @given(data=cloud_files())
+    @example(data=b"\x80")  # not UTF-8: once a bare UnicodeDecodeError
+    @example(data=b"frame=cam1 count=2\n0.4 0.0 0.4 200 10 10\n0.4 \xff 0.4 200 10 10\n")
+    def test_mutated_cloud_loads_or_raises_cloud_format_error(self, work_dir, data):
+        path = work_dir / "cloud.txt"
+        path.write_bytes(data)
+        try:
+            cloud = load_cloud(path)
+        except CloudFormatError:
+            return
+        # an accepted cloud round-trips
+        again = work_dir / "again.txt"
+        dump_cloud(cloud, again)
+        assert _same_cloud(load_cloud(again), cloud)
+
+    @PROPERTY_SETTINGS
+    @given(data1=cloud_files(frame=st.just("cam1")), data2=cloud_files(frame=st.just("cam2")))
+    @example(data1=b"frame=cam1 count=0\n", data2=b"\x80frame=cam2 count=0\n")
+    def test_localize_command_exits_0_2_or_3(self, work_dir, data1, data2):
+        p1, p2 = work_dir / "cam1.txt", work_dir / "cam2.txt"
+        p1.write_bytes(data1)
+        p2.write_bytes(data2)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["localize", "--cloud1", str(p1), "--cloud2", str(p2), "--params", "paper9"])
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert "boxes" in json.loads(out.getvalue())

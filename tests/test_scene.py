@@ -55,8 +55,26 @@ class TestGenerateScene:
         assert generate_scene(1, 5) != generate_scene(2, 5)
 
     def test_capacity_error(self):
-        with pytest.raises(ConfigError):
-            generate_scene(1, 12, spacing=0.06)
+        # twelve fruit 6 cm apart, stem bend included, overrun the default crop window's y extent
+        with pytest.raises(ConfigError, match=r"^scene\.n_straw "):
+            resolve_config({"scene": {"n_straw": 12, "spacing": 0.06}})
+        # no ripe fruit: nothing needs to lie in the crop window
+        resolve_config({"scene": {"n_straw": 12, "spacing": 0.06, "ripe_fraction": 0.0}})
+
+    def test_row_fits_trough(self):
+        # the stems hang from the 1.2 m trough lip, whatever the ripeness
+        generate_scene(1, 21, ripe_fraction=0.0)
+        with pytest.raises(ConfigError, match=r"^n_straw 22 .* does not fit the trough"):
+            generate_scene(1, 22, ripe_fraction=0.0)
+        with pytest.raises(ConfigError, match=r"^n_straw "):
+            generate_scene(1, 10**20, ripe_fraction=0.0)
+        # a spacing below two of the smallest radii counts as that floor,
+        # so no radius_band or spacing lets the row grow past 121 stems
+        generate_scene(1, 121, spacing=1e-9, ripe_fraction=0.0)
+        with pytest.raises(ConfigError, match=r"^n_straw 122 "):
+            generate_scene(1, 122, spacing=1e-9, radius_band=(0.0, 0.0), ripe_fraction=0.0)
+        # neighbours may sit closer than two radii, as they always could
+        generate_scene(1, 2, spacing=0.03)
 
     def test_ripe_fraction(self):
         scene = generate_scene(3, 8, ripe_fraction=0.5)
