@@ -20,6 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .bench import run_bench
 from .camera import capture_rig
 from .config import (
@@ -33,8 +35,8 @@ from .config import (
     resolve_config,
 )
 from .controller import HarvestEventLog, cycle_metrics, run_harvest
-from .errors import BerrypickError, ConfigError
-from .geometry import dump_cloud, load_cloud, merge_clouds, transform_cloud
+from .errors import BerrypickError, CloudFormatError, ConfigError
+from .geometry import ColoredPointCloud, RigidTransform, dump_cloud, load_cloud, merge_clouds, transform_cloud
 from .localization import localize
 
 CYCLES_HEADER = ["fruit_id", "cycle_time", "cut_time", "outcome"]
@@ -249,12 +251,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _load_camera_cloud(path: str, pose: RigidTransform) -> ColoredPointCloud:
+    """`load_cloud`, plus the rule that every point stays finite once
+    `localize` moves it to the base frame; a point that overflows there is
+    named by its line, as a malformed one is."""
+    cloud = load_cloud(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(pose.apply_to(cloud.xyz)).all(axis=1)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2
+        raise CloudFormatError(f"{path}:{line}: coordinates overflow the float range in the base frame")
+    return cloud
+
+
 def cmd_localize(args) -> int:
     cfg = resolve_config_arg(args.params)
     params = build_localization(cfg)
     rig = build_rig(cfg)
-    c1 = load_cloud(args.cloud1)
-    c2 = load_cloud(args.cloud2)
+    c1 = _load_camera_cloud(args.cloud1, rig.cam1.pose)
+    c2 = _load_camera_cloud(args.cloud2, rig.cam2.pose)
     boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params)
     payload = {
         "units": "m",
@@ -276,15 +291,19 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo (1 for counts, 0 for seeds)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write its artifacts")
     p_run.add_argument("--config", required=True, help="config path or packaged scenario name")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed list")
+    p_run.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed list")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--dump-clouds", default=None, help="also dump cam1/cam2/base clouds here")
     p_run.set_defaults(func=cmd_run)
@@ -308,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="time the localization pipeline on synthetic clouds")
-    p_bench.add_argument("--size", type=_positive_int, required=True, help="total merged cloud size")
-    p_bench.add_argument("--reps", type=_positive_int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--size", type=_int_at_least(1), required=True, help="total merged cloud size")
+    p_bench.add_argument("--reps", type=_int_at_least(1), default=20)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--config", default=None)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)

@@ -166,6 +166,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_seed(v) -> bool:
+    """numpy seeds its generators from integers >= 0 only."""
+    return _is_int(v) and v >= 0
+
+
 def _is_finite(v) -> bool:
     try:
         return _is_number(v) and math.isfinite(v)
@@ -215,7 +220,7 @@ def _validate(cfg: dict) -> None:
             _check_types(cfg[section], defaults, section)
 
     sc = cfg["scene"]
-    _require(sc["seed"] is None or _is_int(sc["seed"]), "scene.seed", "must be an integer or null")
+    _require(sc["seed"] is None or _is_seed(sc["seed"]), "scene.seed", "must be an integer >= 0 or null")
     _require(isinstance(sc["occluders"], list), "scene.occluders", "must be a list of [min, max] corner pairs")
     for i, occ in enumerate(sc["occluders"]):
         key = f"scene.occluders[{i}]"
@@ -238,7 +243,7 @@ def _validate(cfg: dict) -> None:
         _require(all(_is_finite(v) for v in values), f"sweep.{key}", "entries must be finite numbers")
 
     _require(isinstance(cfg["seeds"], list) and len(cfg["seeds"]) > 0, "seeds", "must be a non-empty list")
-    _require(all(_is_int(s) for s in cfg["seeds"]), "seeds", "entries must be integers")
+    _require(all(_is_seed(s) for s in cfg["seeds"]), "seeds", "entries must be integers >= 0")
     _require(cfg["out"] is None or isinstance(cfg["out"], str), "out", "must be a string path")
 
 

@@ -7,6 +7,11 @@ strict inequalities; cluster adjacency is inclusive (distance <= tol).
 Clusters are returned sorted by ascending centroid y (ties broken by
 centroid x, then z) and each cluster keeps its points in input order.
 
+Clustering is exact. A grid of cells no wider than tol/sqrt(3), with an
+empty margin of two cells on every face, finds the candidate cell pairs
+for all 62 neighbour offsets in one batched `searchsorted`; a cell pair
+joins when any pair of its points is within tol.
+
 `localize` and `cluster_indices` fill an optional `telemetry` dict with
 deterministic counts only: points per stage, and clusters found and
 dropped as too small or too large. Nothing here reads the clock.
@@ -21,6 +26,11 @@ import numpy as np
 
 from .errors import FrameMismatchError
 from .geometry import Aabb, ColoredPointCloud, RigidTransform, Vec3, merge_clouds, transform_cloud
+
+
+def _cell_edge(tol: float) -> float:
+    """The clustering grid's cell edge: two points in one cell are within tol."""
+    return tol / math.sqrt(3.0) * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,12 @@ class LocalizationParams:
             raise ValueError(f"s_min must be <= s_max, got s_min={self.s_min} s_max={self.s_max}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        # cluster_indices keys each cell of its grid, which spans the crop
+        # window plus two cells a side, by one int64
+        spans = (self.x_plus - self.x_minus, self.y_plus - self.y_minus, self.z_plus - self.z_minus)
+        cells = math.prod(s / _cell_edge(self.tol) + 6 for s in spans)
+        if not cells < 2.0**62:
+            raise ValueError(f"tol must be large enough for the crop window: {self.tol} m makes {cells:.3g} grid cells")
         for name in ("r_th", "g_th", "b_th"):
             v = getattr(self, name)
             if not 0 <= v <= 255:
@@ -92,32 +108,44 @@ def cluster_indices(
 
     Two points are adjacent iff their distance is <= tol; clusters are the
     connected components of that graph, size-filtered to [s_min, s_max].
-    A uniform grid accelerates the neighbor search: the cell edge is
-    tol/sqrt(3) (shrunk by 1e-12 against rounding) so that any two points
-    sharing a cell are within tol by construction, and candidate cell
-    pairs farther than two cells apart cannot hold an edge. The index only
-    changes speed; the resulting partition equals the brute-force one.
+    Grid cells have edge `_cell_edge(tol)`, tol/sqrt(3) shrunk by 1e-12
+    against rounding, so points sharing a cell are adjacent and cells more
+    than two apart on an axis hold no edge. An empty margin of two cells on
+    every face keeps each cell's 62 half-space neighbour keys, `key +
+    offset . strides`, on the grid, so one `searchsorted` finds them all.
+    Every candidate cell pair is then point-tested: the grid only changes
+    speed, and the partition equals the brute-force one.
     """
     n = len(xyz)
     if n == 0:
         if telemetry is not None:
             telemetry.update(n_clusters_raw=0, discarded_small=0, discarded_large=0)
         return []
-    cell = tol / math.sqrt(3.0) * (1.0 - 1e-12)
-    ij = np.floor(xyz / cell).astype(np.int64)
-    ij -= ij.min(axis=0)
-    dims = ij.max(axis=0) + 1
-    keys = (ij[:, 0] * dims[1] + ij[:, 1]) * dims[2] + ij[:, 2]
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.ravel()
+    ij = np.floor(xyz / _cell_edge(tol)).astype(np.int64)
+    ij -= ij.min(axis=0) - 2
+    dims = ij.max(axis=0) + 3
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    uniq, inverse, counts = np.unique(ij @ strides, return_inverse=True, return_counts=True)
     m = len(uniq)
     order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=m)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cell_coords = ij[order[starts]]
+    ends = np.cumsum(counts)
+    starts = ends - counts
     sorted_xyz = xyz[order]
     cmin = np.minimum.reduceat(sorted_xyz, starts, axis=0)
     cmax = np.maximum.reduceat(sorted_xyz, starts, axis=0)
+
+    # the half-space of cell offsets within reach of tol, in lexicographic
+    # order; candidates go offset by offset, ascending cell within each
+    offsets = np.array([o for o in np.ndindex(5, 5, 5) if o > (2, 2, 2)]) - 2
+    nk = uniq[:, None] + offsets @ strides
+    pos = np.minimum(np.searchsorted(uniq, nk), m - 1)
+    hit = uniq[pos] == nk
+    o, us = np.nonzero(hit.T)
+    vs = pos[us, o]
+    tol2 = tol * tol
+    # cells whose point extents are more than tol apart hold no edge
+    gap = np.maximum(np.maximum(cmin[us] - cmax[vs], cmin[vs] - cmax[us]), 0.0)
+    near = (gap * gap).sum(axis=1) <= tol2
 
     parent = list(range(m))
 
@@ -127,78 +155,24 @@ def cluster_indices(
             a = parent[a]
         return a
 
-    tol2 = tol * tol
-    # half-space of cell offsets within reach of tol (<= 2 cells per axis)
-    offsets = [
-        (dx, dy, dz)
-        for dx in range(-2, 3)
-        for dy in range(-2, 3)
-        for dz in range(-2, 3)
-        if (dx, dy, dz) > (0, 0, 0)
-    ]
-    cands_u: list[np.ndarray] = []
-    cands_v: list[np.ndarray] = []
-    for dx, dy, dz in offsets:
-        nc0 = cell_coords[:, 0] + dx
-        nc1 = cell_coords[:, 1] + dy
-        nc2 = cell_coords[:, 2] + dz
-        ok = (
-            (nc0 >= 0) & (nc0 < dims[0])
-            & (nc1 >= 0) & (nc1 < dims[1])
-            & (nc2 >= 0) & (nc2 < dims[2])
-        )
-        if not ok.any():
+    pts = sorted_xyz.tolist()
+    starts_l, ends_l = starts.tolist(), ends.tolist()
+    for u, v in zip(us[near].tolist(), vs[near].tolist()):
+        ru, rv = find(u), find(v)
+        if ru == rv:
             continue
-        nk = (nc0[ok] * dims[1] + nc1[ok]) * dims[2] + nc2[ok]
-        pos = np.searchsorted(uniq, nk)
-        np.clip(pos, 0, m - 1, out=pos)
-        hit = uniq[pos] == nk
-        if not hit.any():
-            continue
-        cands_u.append(np.nonzero(ok)[0][hit])
-        cands_v.append(pos[hit])
-
-    if cands_u:
-        us = np.concatenate(cands_u)
-        vs = np.concatenate(cands_v)
-        # cells whose point extents are more than tol apart hold no edge
-        gap = np.maximum(cmin[us] - cmax[vs], cmin[vs] - cmax[us])
-        np.maximum(gap, 0.0, out=gap)
-        near = (gap * gap).sum(axis=1) <= tol2
-        us = us[near]
-        vs = vs[near]
-
-        order_l = order.tolist()
-        starts_l = starts.tolist()
-        counts_l = counts.tolist()
-        xyz_l = xyz.tolist()
-        pts_cache: dict[int, list] = {}
-
-        def pts_of(u: int) -> list:
-            p = pts_cache.get(u)
-            if p is None:
-                s = starts_l[u]
-                p = [xyz_l[i] for i in order_l[s : s + counts_l[u]]]
-                pts_cache[u] = p
-            return p
-
-        for u, v in zip(us.tolist(), vs.tolist()):
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            linked = False
-            for ax, ay, az in pts_of(u):
-                for bx, by, bz in pts_of(v):
-                    ddx = ax - bx
-                    ddy = ay - by
-                    ddz = az - bz
-                    if ddx * ddx + ddy * ddy + ddz * ddz <= tol2:
-                        linked = True
-                        break
-                if linked:
+        pts_v = pts[starts_l[v] : ends_l[v]]
+        for ax, ay, az in pts[starts_l[u] : ends_l[u]]:
+            for bx, by, bz in pts_v:
+                dx = ax - bx
+                dy = ay - by
+                dz = az - bz
+                if dx * dx + dy * dy + dz * dz <= tol2:
                     break
-            if linked:
-                parent[rv] = ru
+            else:
+                continue
+            parent[rv] = ru
+            break
 
     roots = np.array([find(i) for i in range(m)])
     point_roots = roots[inverse]

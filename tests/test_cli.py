@@ -359,6 +359,7 @@ class TestBenchCommand:
         (["--size", "abc"], "--size"),
         (["--size", "10", "--reps", "0"], "--reps"),
         (["--size", "10", "--reps", "-1"], "--reps"),
+        (["--size", "10", "--seed", "-1"], "--seed"),
     ])
     def test_bad_count_flag_exits_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -432,7 +433,12 @@ class TestLocalizeCommand:
         ("hello world\n0.4 0.0 0.4 200 10 10\n", 1),
         ("frame=cam1 count=x\n", 1),
         ("frame=cam1 count=1\n0.4 abc 0.4 200 10 10\n", 2),
-    ], ids=["color_300", "color_negative", "short", "nan", "no_key_value", "count_x", "non_numeric"])
+        # finite in the file, past the float range in the base frame; pytest
+        # turns warnings into errors, so a numpy overflow warning fails here
+        ("frame=cam1 count=1\n1.7e308 1.7e308 1.7e308 200 10 10\n", 2),
+        ("frame=cam1 count=2\n0.4 0.0 0.4 200 10 10\n-1.7e308 -1.7e308 -1.7e308 200 10 10\n", 3),
+    ], ids=["color_300", "color_negative", "short", "nan", "no_key_value", "count_x", "non_numeric",
+            "overflow_in_base_frame", "overflow_second_point"])
     def test_malformed_cloud_names_line(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)

@@ -52,6 +52,22 @@ class TestResolve:
         with pytest.raises(ConfigError, match="seeds"):
             resolve_config({"seeds": [1.5]})
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"seeds": [-1]}, "seeds"),
+        ({"scene": {"seed": 3}, "seeds": [2, -1]}, "seeds"),
+        ({"scene": {"seed": -1}}, "scene.seed"),
+    ], ids=["run_seed", "run_seed_fixed_scene", "scene_seed"])
+    def test_negative_seed_named(self, payload, key):
+        # numpy seeds only from integers >= 0
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            resolve_config(payload)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-300])
+    def test_tol_too_small_for_window_named(self, tol):
+        # once a silent int64 wrap of the clustering grid's cell keys
+        with pytest.raises(ConfigError, match="^localization.tol "):
+            resolve_config({"localization": {"tol": tol}})
+
     def test_velocity_scale_range(self):
         with pytest.raises(ConfigError, match="robot.velocity_scale"):
             resolve_config({"robot": {"velocity_scale": 1.5}})

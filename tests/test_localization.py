@@ -53,6 +53,11 @@ class TestParams:
             LocalizationParams(x_minus=0.6, x_plus=0.5)
         with pytest.raises(ValueError):
             LocalizationParams(tol=0.0)
+        # the clustering grid over the crop window would pass 2^62 cells
+        with pytest.raises(ValueError, match="^tol "):
+            LocalizationParams(tol=1e-7)
+        with pytest.raises(ValueError, match="^tol "):
+            LocalizationParams(x_minus=-1e4, x_plus=1e4, y_minus=-1e4, y_plus=1e4, z_minus=-1e4, z_plus=1e4)
 
 
 class TestCropWindow:
@@ -202,6 +207,46 @@ class TestClustering:
         clusters = cluster_indices(xyz, 0.02, 1, 1000)
         ys = [xyz[c][:, 1].mean() for c in clusters]
         assert ys == sorted(ys)
+
+    def test_every_cell_offset_matches_oracle(self):
+        # For each of the 62 half-space offsets d between grid cells, put a
+        # pair of points in cells k and k + d: once as close as the cells
+        # allow (within tol for every d, by ~1e-12 for |d| = 2 on all axes)
+        # and once just beyond tol. A third point far above or below puts
+        # the pair at the grid's lowest or highest cell coordinates.
+        tol = 0.02
+        cell = tol / np.sqrt(3.0) * (1.0 - 1e-12)  # the grid's cell edge
+        e = 1e-13 * cell
+        k = np.array([5, 5, 5])
+
+        def place(d, r):
+            """p in cell k, q = p + r in cell k + d, both mid-way in their
+            feasible span on each axis."""
+            lo = np.maximum(0.0, d * cell - r)
+            hi = np.minimum(cell, (d + 1) * cell - r)
+            p = k * cell + (lo + hi) / 2
+            return p, p + r
+
+        offsets = [d for d in np.ndindex(5, 5, 5) if d > (2, 2, 2)]
+        assert len(offsets) == 62
+        checked = 0
+        for d in np.array(offsets) - 2:
+            near = np.sign(d) * (np.maximum(np.abs(d) - 1, 0) * cell + 2 * e)
+            far = near.copy()
+            a = np.argmax(np.abs(d))  # stretch the longest axis to just past tol
+            rest = (near * near).sum() - near[a] ** 2
+            far[a] = np.sign(d[a]) * np.sqrt((tol * (1 + 1e-9)) ** 2 - rest)
+            for r, joined in ((near, True), (far, False)):
+                p, q = place(d, r)
+                assert np.array_equal(np.floor(p / cell), k)
+                assert np.array_equal(np.floor(q / cell), k + d)
+                for anchor in (+8, -8):
+                    xyz = np.array([p, q, (k + anchor + 0.5) * cell])
+                    oracle = brute_force_clusters(xyz, tol, 1, 10)
+                    assert (sorted(map(len, oracle)) == [1, 2]) == joined, (d, joined)
+                    assert partitions_equal(cluster_indices(xyz, tol, 1, 10), oracle), (d, joined, anchor)
+                    checked += 1
+        assert checked == 62 * 2 * 2
 
     def test_telemetry_counts_discards(self):
         rng = np.random.default_rng(22)

@@ -62,6 +62,18 @@ PAPER9_TIMEOUT2_SEED1_MANIFEST = {
     "seed": 1,
 }
 
+# `berrypick sweep --config noise --axis noise`, point noise_0.03_seed1:
+# clustering finds 27 clusters and drops 18 of them as too small
+NOISE_003_SEED1_MANIFEST = {
+    "config_hash": "02e286fa31ae26b88aea0198e18f0a321eaa732e60b9d0fa8ee114352eee2bfe",
+    "files": {
+        "cycles.csv": "1586de2d6f4a880ba8c6daa2738a3ac7ce746af1808232c6e9dcddc283110c03",
+        "events.jsonl": "232143453cffe5a4d93206c7e3d8cb0d7a88030287447061c95f4f0b1c1b2198",
+        "metrics.json": "5a623531d6368766fd514ba266c8d8d5f9e78a4e7e4701ca9d043848a37154d1",
+    },
+    "seed": 1,
+}
+
 # `berrypick run --config paper9 --seed 1 --dump-clouds DIR`
 PAPER9_SEED1_CLOUDS = {
     "cam1.txt": "2ce43b2965a2cbad3bce3caf91c7f461bfe82ff24e4a6fd96904be10f0b8f1f1",
@@ -95,8 +107,10 @@ def test_packaged_config_hash(name):
      "7df8ce4b5f2b94815a2b388e56569cbb74a29a42bcc700d72990175b764c608c", None),
     (lambda: resolve_config_arg("paper9"), PAPER9_SEED1_MANIFEST,
      "0afe93966e87fcacd8e2c3b006d3eb607daf954f4dc8e68d4468af233aabd58e", PAPER9_SEED1_CLOUDS),
+    (lambda: apply_sweep_value(resolve_config_arg("noise"), "noise", 0.03), NOISE_003_SEED1_MANIFEST,
+     "0d0074c5fe6d7f470acca83ff6eb1f6eb04acd624b29c5b85050cfdc1d0659c4", None),
 ], ids=["paper9_seed1", "robustness_offset5_seed1", "robustness_offset20_seed1",
-        "paper9_timeout2_seed1", "paper9_seed1_dump_clouds"])
+        "paper9_timeout2_seed1", "paper9_seed1_dump_clouds", "noise_003_seed1"])
 def test_manifest(tmp_path, cfg_point, expected, manifest_sha, clouds):
     run_one(cfg_point(), 1, tmp_path / "run", tmp_path / "clouds" if clouds else None)
     data = (tmp_path / "run" / "manifest.json").read_bytes()

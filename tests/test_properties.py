@@ -1,9 +1,10 @@
 """Property tests of the error contract on the input surfaces.
 
-Each test mutates a valid input (a config, a cloud file) and checks that
-the program either accepts it or rejects it with its own error type:
-`ConfigError` for configs, `CloudFormatError` for cloud files, and exit
-code 2 or 3 with no traceback from the CLI. Runs are derandomized and
+Each test mutates a valid input (a config, a cloud file, a command line
+and the `BERRYPICK_THREADS` variable) and checks that the program either
+accepts it or rejects it with its own error type: `ConfigError` for
+configs, `CloudFormatError` for cloud files, and exit code 0, 2 or 3
+with no traceback from the CLI. Runs are derandomized and
 keep no example database, so every run tries the same inputs.
 """
 
@@ -126,8 +127,12 @@ def _cloud_text(frame, points) -> bytes:
     return "".join(lines).encode()
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-10.0, max_value=10.0)
-POINTS = st.lists(st.tuples(st.tuples(FINITE, FINITE, FINITE), st.tuples(*[st.integers(0, 255)] * 3)), max_size=5)
+# coordinates near the workspace or any finite float; or a point at the
+# float limit on every axis, which a rigid transform can carry past it
+FINITE = st.floats(min_value=-10.0, max_value=10.0) | st.floats(allow_nan=False, allow_infinity=False)
+HUGE = st.sampled_from([1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308])
+XYZ = st.tuples(FINITE, FINITE, FINITE) | st.tuples(HUGE, HUGE, HUGE)
+POINTS = st.lists(st.tuples(XYZ, st.tuples(*[st.integers(0, 255)] * 3)), max_size=5)
 TOKENS = st.sampled_from(["", " ", "\n", "\r", "=", "nan", "inf", "-0", "1e999", "256", "-1", "1_0", "0x10", "count=9",
                           "frame=tool", "\x00", "\xe9"])
 CHUNKS = st.one_of(TOKENS.map(str.encode), st.text(max_size=4).map(str.encode), st.binary(max_size=4))
@@ -190,3 +195,93 @@ class TestCloudContract:
         assert "Traceback" not in err.getvalue()
         if rc == 0:
             assert "boxes" in json.loads(out.getvalue())
+
+
+# one valid command line per subcommand; {name} is a file in the work dir
+VALID_ARGV = {
+    "run": ["run", "--seed", "2", "--config", "{cfg}", "--out", "{dir}", "--dump-clouds", "{dump}"],
+    "sweep": ["sweep", "--config", "{cfg}", "--axis", "offset", "--out", "{dir}"],
+    "bench": ["bench", "--seed", "1", "--size", "300", "--reps", "1", "--config", "{cfg}", "--out", "{json}"],
+    "localize": ["localize", "--cloud1", "{cam1}", "--cloud2", "{cam2}", "--params", "{cfg}", "--out", "{json}"],
+}
+# a scene drawn from the run seed, truth boxes and one sweep point: each
+# run reads its seed and takes a few ms, and with one sweep job no worker
+# process starts whatever BERRYPICK_THREADS says
+CLI_CONFIG = {
+    "scene": {"seed": None, "n_straw": 2, "ripe_fraction": 1.0, "bend_sigma": 0.0},
+    "boxes": {"source": "truth"},
+    "sweep": {"offsets_mm": [5]},
+    "seeds": [1],
+}
+BAD_VALUES = st.sampled_from(["", "abc", "1.5", "-1", "0", "--seed"])
+# (what, k, value): the k-th flag of the command line (counted round)
+# dropped with or without its value, repeated or given a bad value, or an
+# unknown flag added
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["missing", "no_value", "duplicated", "value", "unknown"]), st.integers(0, 4), BAD_VALUES),
+    min_size=1, max_size=2,
+)
+THREADS = st.none() | st.sampled_from(["", " ", "0", "-1", "1", "2", "99", "abc", "1.5", "2x"])
+
+
+def _edited(argv: list, edits) -> list:
+    argv = list(argv)
+    for what, k, value in edits:
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("--")]
+        if what == "unknown" or not flags:
+            argv += ["--bogus", value]
+            continue
+        i = flags[k % len(flags)]
+        if what == "missing":
+            argv[i:i + 2] = []
+        elif what == "no_value":
+            argv[i + 1:i + 2] = []
+        elif what == "duplicated":
+            argv += argv[i:i + 2]
+        else:
+            argv[i + 1:i + 2] = [value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(work_dir):
+    files = {name: work_dir / file for name, file in [
+        ("cfg", "cfg.json"), ("cam1", "cam1.txt"), ("cam2", "cam2.txt"),
+        ("dir", "out"), ("json", "out.json"), ("dump", "clouds"),
+    ]}
+    files["cfg"].write_text(json.dumps({**CLI_CONFIG, "out": str(work_dir / "default_out")}))
+    files["cam1"].write_text("frame=cam1 count=2\n0.0 0.0 0.4 200 10 10\n0.0 0.01 0.4 200 10 10\n")
+    files["cam2"].write_text("frame=cam2 count=1\n0.0 0.0 0.4 200 10 10\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+class TestCliContract:
+    def test_valid_argv_exits_0(self, work_dir, cli_files, monkeypatch):
+        monkeypatch.chdir(work_dir)
+        monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
+        for argv in VALID_ARGV.values():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([tok.format(**cli_files) for tok in argv]) == 0
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    @PROPERTY_SETTINGS
+    @given(edits=EDITS, threads=THREADS)
+    # a negative --seed once reached numpy's seeding: a traceback from
+    # `bench`, and from `run` where the cameras read the run seed
+    @example(edits=[("value", 0, "-1")], threads=None)
+    def test_mutated_argv_exits_0_2_or_3(self, work_dir, cli_files, command, edits, threads):
+        argv = [tok.format(**cli_files) for tok in _edited(VALID_ARGV[command], edits)]
+        out, err = io.StringIO(), io.StringIO()
+        # a mutated --out or --dump-clouds may name a relative path
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            mp.chdir(work_dir)
+            if threads is None:
+                mp.delenv("BERRYPICK_THREADS", raising=False)
+            else:
+                mp.setenv("BERRYPICK_THREADS", threads)
+            try:
+                rc = main(argv)
+            except SystemExit as e:  # argparse rejects the command line
+                rc = e.code
+        assert rc in (0, 2, 3), (argv, threads, err.getvalue())
+        assert "Traceback" not in err.getvalue()
