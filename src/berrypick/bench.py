@@ -41,8 +41,8 @@ def make_bench_clouds(
 
     Composition: dense red fruit blobs inside the crop window, sparse red
     noise, non-red in-window clutter, and a broad non-red background. The
-    clustering stage therefore sees the worst realistic load while crop
-    and threshold scan the full merged cloud.
+    clustering stage therefore sees the worst realistic load while the
+    colour threshold scans both whole camera clouds.
     """
     if size < 1:
         raise ValueError("size must be >= 1")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from berrypick import localization
 from berrypick.errors import FrameMismatchError
 from berrypick.geometry import ColoredPointCloud, RigidTransform, Vec3, merge_clouds, transform_cloud
 from berrypick.localization import (
@@ -124,6 +125,42 @@ def partitions_equal(a: list[np.ndarray], b: list[list[int]]) -> bool:
     if len(a) != len(b):
         return False
     return all(np.array_equal(x, np.asarray(y)) for x, y in zip(a, b))
+
+
+ROUND_TOL = 0.02
+ROUND_CELL = ROUND_TOL / np.sqrt(3.0) * (1.0 - 1e-12)  # the grid's cell edge at ROUND_TOL
+
+
+def cells_cloud(*groups):
+    """Points given in cell edges from the low corner of cell u = (5, 5, 5);
+    every point lies in u, u + (1,0,0) or u + (2,0,0)."""
+    k = np.array([5, 5, 5])
+    xyz = (k + np.concatenate([np.asarray(g, dtype=float).reshape(-1, 3) for g in groups])) * ROUND_CELL
+    ij = np.floor(xyz / ROUND_CELL) - k
+    assert np.isin(ij[:, 0], [0, 1, 2]).all() and (ij[:, 1:] == 0).all()
+    return xyz
+
+
+def oracle_checked_clusters(xyz):
+    mine = cluster_indices(xyz, ROUND_TOL, 1, 10**6)
+    assert partitions_equal(mine, brute_force_clusters(xyz, ROUND_TOL, 1, 10**6))
+    return mine
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Count the calls to the clustering's second and last rounds."""
+    calls = {"representatives": 0, "point_links": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(localization, f"_{name}", counted(name, getattr(localization, f"_{name}")))
+    return calls
 
 
 class TestClustering:
@@ -262,6 +299,68 @@ class TestClustering:
         assert tel["discarded_small"] == 1
         assert tel["discarded_large"] == 1
 
+    # One case per round, each against the oracle, with the rounds that
+    # ran counted; coordinates are in cell edges (`cells_cloud`).
+
+    def test_round_sure_link(self, rounds):
+        # every point of one cell within tol of every point of the other
+        u = [[0.8, 0.4, 0.4], [0.95, 0.6, 0.6], [0.9, 0.5, 0.45]]
+        v = [[1.05, 0.4, 0.6], [1.2, 0.6, 0.4]]
+        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 1
+        assert rounds == {"representatives": 0, "point_links": 0}
+
+    def test_round_representative_probe(self, rounds):
+        # cell corners keep the extents' far corners beyond tol; the centre
+        # points, one cell apart, are each cell's representative
+        corners = [[x, y, z] for x in (0.05, 0.95) for y in (0.05, 0.95) for z in (0.05, 0.95)]
+        u = corners + [[0.5, 0.5, 0.5]]
+        v = np.array(u) + [1.0, 0.0, 0.0]
+        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 1
+        assert rounds == {"representatives": 1, "point_links": 0}
+
+    def test_round_pruned_point_test(self, rounds):
+        # the representatives sit two cells apart, beyond tol; only the
+        # face points, 1.02 cells apart, join the cells
+        u = [[0.5, 0.5, 0.5]] * 3 + [[0.99, 0.5, 0.5]]
+        v = [[2.5, 0.5, 0.5]] * 3 + [[2.01, 0.5, 0.5]]
+        xyz = cells_cloud(u, v)
+        assert np.linalg.norm(xyz[0] - xyz[4]) > ROUND_TOL
+        assert len(oracle_checked_clusters(xyz)) == 1
+        assert rounds == {"representatives": 1, "point_links": 1}
+
+    def test_round_near_pair_without_edge(self, rounds):
+        # the extents lie within tol of each other, no point pair does:
+        # the closest pair is 1.04, 0.996 and 0.996 cells apart
+        u = [[0.98, 0.002, 0.002], [0.02, 0.998, 0.998]]
+        v = [[2.02, 0.998, 0.998], [2.98, 0.002, 0.002]]
+        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 2
+        assert rounds == {"representatives": 1, "point_links": 1}
+
+    @pytest.mark.parametrize("linked", [False, True])
+    def test_pair_budget_bounds_each_chunk(self, monkeypatch, linked):
+        # Two clumps of 1,000 points, two cells apart, each just beyond tol
+        # of the other and within tol of the other cell's extent (stretched
+        # by one far point a side), so the last round sees 10^6 pairs.
+        # With a budget of one pair each chunk is one point against the
+        # other cell, so no distance test sees more rows than the cloud has.
+        rng = np.random.default_rng(28)
+        a = [0.98, 0.002, 0.002] + rng.uniform(0, 1e-3, size=(1000, 3))
+        b = [2.02, 0.998, 0.998] - rng.uniform(0, 1e-3, size=(1000, 3))
+        stretch = [[0.02, 0.998, 0.998], [2.98, 0.002, 0.002]]
+        link = [[0.99, 0.5, 0.5], [2.01, 0.5, 0.5]] if linked else np.empty((0, 3))
+        xyz = cells_cloud(a, b, stretch, link)
+        tested = []
+
+        def sq(d):
+            tested.append(len(d))
+            return (d * d).sum(axis=1)
+
+        monkeypatch.setattr(localization, "PAIR_BUDGET", 1)
+        monkeypatch.setattr(localization, "_sq", sq)
+        assert len(oracle_checked_clusters(xyz)) == (1 if linked else 2)
+        assert max(tested) <= len(xyz)
+
+
 
 class TestBoxesOf:
     def test_two_point_cluster(self):
@@ -299,7 +398,8 @@ class TestBoxesOf:
 
 
 def make_scene_clouds(rng, n_blobs=3):
-    """Red blobs inside the window plus clutter, split across two cameras."""
+    """Red blobs inside the window, grey clutter in and around it and red
+    points outside it, shuffled and split across two cameras."""
     parts_xyz = []
     parts_rgb = []
     for k in range(n_blobs):
@@ -314,8 +414,12 @@ def make_scene_clouds(rng, n_blobs=3):
     grey = rng.integers(80, 200, size=500).astype(np.uint8)
     parts_xyz.append(clutter)
     parts_rgb.append(np.stack([grey, grey, grey], axis=1))
-    xyz = np.concatenate(parts_xyz)
-    rgb = np.concatenate(parts_rgb)
+    # red points beyond the window's x_plus face
+    parts_xyz.append(rng.uniform([0.6, -0.3, 0.3], [1.0, 0.3, 0.5], size=(100, 3)))
+    parts_rgb.append(np.tile(np.array([[200, 30, 30]], dtype=np.uint8), (100, 1)))
+    perm = rng.permutation(sum(map(len, parts_xyz)))
+    xyz = np.concatenate(parts_xyz)[perm]
+    rgb = np.concatenate(parts_rgb)[perm]
 
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
@@ -329,16 +433,56 @@ def make_scene_clouds(rng, n_blobs=3):
 
 
 class TestLocalize:
-    def test_staged_equals_composed(self):
+    def test_staged_equals_composed(self, monkeypatch):
         rng = np.random.default_rng(25)
         c1, c2, t1, t2 = make_scene_clouds(rng)
         p = LocalizationParams()
-        boxes = localize(c1, c2, t1, t2, p)
+        seen = []
+
+        def recording(xyz, *args):
+            seen.append(xyz)
+            return cluster_indices(xyz, *args)
+
+        monkeypatch.setattr(localization, "cluster_indices", recording)
+        tel = {}
+        boxes = localize(c1, c2, t1, t2, p, tel)
+        assert localize(c1, c2, t1, t2, p) == boxes
 
         merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
-        staged = boxes_of(clusters_of(threshold_red(crop_window(merged, p), p), p))
+        cropped = crop_window(merged, p)
+        red = threshold_red(cropped, p)
+        staged = boxes_of(clusters_of(red, p))
         assert boxes == staged
         assert len(boxes) == 3
+        # the filter-first path clusters the staged path's red points, bit for bit
+        assert [x.tobytes() for x in seen] == [red.xyz.tobytes()] * 2
+        assert (tel["n_merged"], tel["n_cropped"], tel["n_red"]) == (len(merged), len(cropped), len(red))
+        assert len(merged) > len(cropped) > len(red)
+        assert len(threshold_red(merged, p)) > len(red)  # some red points lie outside the window
+
+    def test_lone_red_point_moves_as_in_whole_cloud(self, monkeypatch):
+        # numpy moves a one-row array by another BLAS routine than a whole
+        # cloud, and the two round apart on some rows
+        rng = np.random.default_rng(29)
+        _, c2, t1, t2 = make_scene_clouds(rng)
+        p = LocalizationParams(s_min=1)
+        seen = []
+
+        def recording(xyz, *args):
+            seen.append(xyz)
+            return cluster_indices(xyz, *args)
+
+        monkeypatch.setattr(localization, "cluster_indices", recording)
+        rgb = np.full((5, 3), 90, dtype=np.uint8)
+        rgb[2] = (200, 30, 30)
+        for _ in range(20):
+            base = rng.uniform([0.3, -0.2, 0.35], [0.5, 0.2, 0.45], size=(5, 3))
+            c1 = ColoredPointCloud("cam1", t1.inverse().apply_to(base), rgb)
+            merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
+            red = threshold_red(crop_window(merged, p), p)
+            seen.clear()
+            assert localize(c1, c2, t1, t2, p) == boxes_of(clusters_of(red, p))
+            assert seen[0].tobytes() == red.xyz.tobytes()
 
     def test_all_non_red_gives_empty(self):
         rng = np.random.default_rng(26)
@@ -366,7 +510,7 @@ class TestLocalize:
         boxes = localize(c1, c2, t1, t2, LocalizationParams(), tel)
         assert len(boxes) == 3
         assert tel["n_merged"] == len(c1) + len(c2)
-        assert tel["n_merged"] >= tel["n_cropped"] >= tel["n_red"]
+        assert tel["n_merged"] > tel["n_cropped"] > tel["n_red"]
         assert tel["n_clusters_raw"] - tel["discarded_small"] - tel["discarded_large"] == 3
         # deterministic counts only: no wall-clock entry
         assert sorted(tel) == [

@@ -1,11 +1,14 @@
-"""Property tests of the error contract on the input surfaces.
+"""Property tests of the error contract on the input surfaces, and of
+clustering against its oracle.
 
-Each test mutates a valid input (a config, a cloud file, a command line
-and the `BERRYPICK_THREADS` variable) and checks that the program either
-accepts it or rejects it with its own error type: `ConfigError` for
-configs, `CloudFormatError` for cloud files, and exit code 0, 2 or 3
-with no traceback from the CLI. Runs are derandomized and
-keep no example database, so every run tries the same inputs.
+Each contract test mutates a valid input (a config, a cloud file, a
+command line and the `BERRYPICK_THREADS` variable) and checks that the
+program either accepts it or rejects it with its own error type:
+`ConfigError` for configs, `CloudFormatError` for cloud files, and exit
+code 0, 2 or 3 with no traceback from the CLI. The clustering test draws
+small clouds full of ties and checks `cluster_indices` against
+`oracles.brute_force_clusters`. Runs are derandomized and keep no
+example database, so every run tries the same inputs.
 """
 
 import contextlib
@@ -13,14 +16,19 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from berrypick.cli import main
 from berrypick.config import DEFAULTS, resolve_config
 from berrypick.errors import CloudFormatError, ConfigError
 from berrypick.geometry import VALID_FRAMES, dump_cloud, load_cloud
+from berrypick.localization import cluster_indices
+
+from oracles import brute_force_clusters
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -285,3 +293,44 @@ class TestCliContract:
                 rc = e.code
         assert rc in (0, 2, 3), (argv, threads, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def clustering_inputs(draw):
+    """(xyz, tol, s_min, s_max) with at most 400 points: points on a
+    lattice of tol/4 steps, where many pairs lie exactly tol apart, points
+    anywhere in the lattice's box, clumps round random centres, and
+    repeats of earlier points, shuffled."""
+    tol = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))  # powers of two: lattice distances are exact
+    span = draw(st.integers(1, 16))
+    parts = [
+        draw(hnp.arrays(np.int64, (draw(st.integers(0, 150)), 3), elements=st.integers(0, span))) * (tol / 4),
+        draw(hnp.arrays(np.float64, (draw(st.integers(0, 150)), 3), elements=st.floats(0.0, span * tol / 4))),
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        centre = draw(hnp.arrays(np.float64, 3, elements=st.floats(0.0, span * tol / 4)))
+        spread = draw(st.sampled_from([0.0, tol / 8, tol / 2, tol]))
+        parts.append(centre + draw(hnp.arrays(np.float64, (draw(st.integers(1, 20)), 3), elements=st.floats(-1.0, 1.0))) * spread)
+    xyz = np.concatenate(parts)
+    if len(xyz):
+        xyz = np.concatenate([xyz, xyz[draw(st.lists(st.integers(0, len(xyz) - 1), max_size=20))]])
+    xyz = xyz[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(xyz))]
+    s_min = draw(st.integers(1, 30))
+    return xyz, tol, s_min, draw(st.integers(s_min, 400))
+
+
+class TestClusteringOracle:
+    @PROPERTY_SETTINGS
+    @given(clustering_inputs())
+    def test_cluster_indices_matches_brute_force(self, case):
+        xyz, tol, s_min, s_max = case
+        tel = {}
+        mine = cluster_indices(xyz, tol, s_min, s_max, tel)
+        oracle = brute_force_clusters(xyz, tol, s_min, s_max)
+        assert [c.tolist() for c in mine] == oracle
+        sizes = [len(c) for c in brute_force_clusters(xyz, tol, 1, len(xyz))]
+        assert tel == {
+            "n_clusters_raw": len(sizes),
+            "discarded_small": sum(1 for k in sizes if k < s_min),
+            "discarded_large": sum(1 for k in sizes if k > s_max),
+        }
