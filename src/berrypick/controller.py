@@ -50,6 +50,9 @@ from .scene import Scene, StrawberryTruth, detach_fruit
 
 LOG_SCHEMA_VERSION = 1
 
+# encodes every event record; one encoder spares building one per record
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class ControllerPhase(enum.Enum):
     HOME = "HOME"
@@ -93,7 +96,7 @@ class HarvestEventLog:
 
     def to_jsonl(self) -> str:
         """The log as canonical JSON lines, one record per line."""
-        return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in self.records)
+        return "".join(_CANONICAL_JSON.encode(rec) + "\n" for rec in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -246,13 +249,7 @@ def run_harvest(
                 cut = replace(cut, duty=duty_for_stem(fruit.stem_diameter, built.geom))
             tool.set_laser(True)
             log.append(t, "laser_on", fruit=fid, energy=0.0)
-            max_steps = int(round(laser_timeout / dt))
-            acc = 0.0
-            done = False
-            steps = 0
-            while steps < max_steps and not done:
-                acc, done = laser_step(cut, fruit, dt, acc)
-                steps += 1
+            steps, acc, done = laser_step(cut, fruit, dt, int(round(laser_timeout / dt)))
             burn = steps * dt
             fall_t = free_fall_detect(fruit, built.geom, dt) if done else 0.0
             if done and burn + fall_t <= laser_timeout:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import StateError
 from .geometry import Vec3
 from .scene import StrawberryTruth
@@ -103,14 +105,38 @@ def required_cut_energy(cut: CutModel, stem: StrawberryTruth) -> float:
     return cut.cut_energy_per_area * math.pi * (stem.stem_diameter / 2.0) ** 2
 
 
+# timesteps one accumulate of `laser_step` sums at most; a longer burn
+# runs in chunks of this many until the stem severs
+BURN_CHUNK = 4096
+
+
 def laser_step(
-    cut: CutModel, stem: StrawberryTruth, dt: float, accumulated: float
-) -> tuple[float, bool]:
-    """Advance the cut by one timestep; returns (new energy, cut complete)."""
+    cut: CutModel, stem: StrawberryTruth, dt: float, max_steps: int
+) -> tuple[int, float, bool]:
+    """Burn the stem for at most `max_steps` timesteps of `dt`, stopping at
+    the first step whose accumulated energy reaches `required_cut_energy`;
+    returns (steps burned, energy, severed).
+
+    The energy is, bit for bit, that of adding power * duty * dt once per
+    step from zero: `np.add.accumulate` sums in order, and each chunk
+    starts from the last one's total.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    acc = accumulated + cut.laser_power * cut.duty * dt
-    return acc, acc >= required_cut_energy(cut, stem)
+    need = required_cut_energy(cut, stem)
+    inc = cut.laser_power * cut.duty * dt
+    steps, acc = 0, 0.0
+    while steps < max_steps:
+        burn = np.full(min(max_steps - steps, BURN_CHUNK), inc)
+        burn[0] += acc
+        burn = np.add.accumulate(burn)
+        # the sums never decrease, so this is the first step at or above need
+        k = int(np.searchsorted(burn, need))
+        if k < len(burn):
+            return steps + k + 1, float(burn[k]), True
+        steps += len(burn)
+        acc = float(burn[-1])
+    return steps, acc, False
 
 
 def free_fall_detect(fruit: StrawberryTruth, geom: ToolGeometry, dt: float) -> float:

@@ -8,8 +8,11 @@ from berrypick.camera import CameraModel, CameraRig, capture_rig, default_rig, l
 from berrypick.cli import resolve_config_arg
 from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, transform_cloud
-from berrypick.scene import KIND_FRUIT, KIND_OCCLUDER, generate_scene, detach_fruit, sample_surface_arrays
+from berrypick.scene import (
+    KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, detach_fruit, sample_surface_arrays,
+)
 
+import oracles
 from oracles import ray_hits_box, point_to_segment_distance, reference_capture
 
 
@@ -236,6 +239,45 @@ def _same_bytes(a, b):
     return a.frame == b.frame and a.xyz.tobytes() == b.xyz.tobytes() and a.rgb.tobytes() == b.rgb.tobytes()
 
 
+def _lone_sample_scene(seed, occluded):
+    """A scene of one thin box, 0.1 mm deep in x, whose two x faces get one
+    sample each, or two when `occluded`; the samples on the far face are
+    culled from cam1. When `occluded`, a box too small to be sampled hides
+    one near-face sample from cam1, so cam1's frustum stage moves two
+    samples and the reference only one."""
+    box = Aabb(Vec3(0.40, -0.01, 0.39), Vec3(0.4001, 0.01, 0.41))
+    scene = Scene((), seed, box, (), 5000.0 if occluded else 2500.0)
+    if occluded:
+        xyz = sample_surface_arrays(scene, scene.surface_density).xyz
+        near = xyz[xyz[:, 0] == 0.40]
+        assert len(near) == 2
+        eye = default_rig().cam1.pose.translation.to_array()
+        mid = (eye + near[0]) / 2
+        scene = replace(scene, occluders=(Aabb(Vec3(*(mid - 1e-4)), Vec3(*(mid + 1e-4))),))
+    assert len(sample_surface_arrays(scene, scene.surface_density).xyz) == (4 if occluded else 2)
+    return scene
+
+
+# a box on top of the paper9 trough, and points on the edge the two boxes
+# share: the occluder's front bottom edge, the trough's front top edge
+EDGE_OCCLUDER = Aabb(Vec3(0.50, -0.05, 0.48), Vec3(0.52, 0.05, 0.55))
+EDGE_SAMPLES = np.array([[0.50, y, 0.48] for y in (-0.04, -0.013, 0.0, 0.021, 0.05)])
+
+
+def _with_edge_samples(scene, density):
+    """The scene's samples, then each of EDGE_SAMPLES twice: once as a
+    trough sample and once as an occluder sample."""
+    batch = sample_surface_arrays(scene, density)
+    n = len(EDGE_SAMPLES)
+    grey = np.full((2 * n, 3), 150, dtype=np.uint8)
+    return SurfaceBatch(
+        np.concatenate([batch.xyz, EDGE_SAMPLES, EDGE_SAMPLES]),
+        np.concatenate([batch.rgb, grey]),
+        np.concatenate([batch.kind, np.full(n, KIND_TROUGH, np.int8), np.full(n, KIND_OCCLUDER, np.int8)]),
+        np.concatenate([batch.owner, np.full(n, -1, np.int32), np.zeros(n, np.int32)]),
+    )
+
+
 class TestCullingEquivalence:
     """The culling renderer must match the plain renderer bit for bit."""
 
@@ -287,6 +329,57 @@ class TestCullingEquivalence:
         for cam in (default_rig().cam1, default_rig().cam2):
             culled = camera._back_faces(surf.bounds, cam.pose.translation.to_array())[surf.face]
             assert occ.any() and not culled[occ].any()
+
+
+    @pytest.mark.parametrize("occluded", [False, True])
+    @pytest.mark.parametrize("target", [[0.45, 0.0, 0.40], [0.45, 0.013, 0.417], [0.45, -0.021, 0.39]])
+    def test_view_left_with_one_sample(self, monkeypatch, occluded, target):
+        # turned cameras give rotations without zero entries
+        for scene_seed in range(6):
+            scene = _lone_sample_scene(scene_seed, occluded)
+            for noise in ({"depth_noise_sigma": 0.0, "dropout_rate": 0.0}, {}):
+                monkeypatch.setattr(camera, "_last_views", None)
+                cam1 = camera.make_camera("cam1", **{**camera.DEFAULT_RIG["cam1"], "target": target, **noise})
+                rig = CameraRig(cam1, camera.make_camera("cam2", **{**camera.DEFAULT_RIG["cam2"], **noise}))
+                for seed in (0, 7):
+                    s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+                    c1, c2 = capture_rig(scene, rig, seed)
+                    assert _same_bytes(c1, reference_capture(scene, rig.cam1, s1))
+                    assert _same_bytes(c2, reference_capture(scene, rig.cam2, s2))
+                    if noise:
+                        assert len(c1) <= 1
+                    else:
+                        assert len(c1) == 1
+                        surf = camera._surfaces(scene)
+                        moved = ~camera._back_faces(surf.bounds, cam1.pose.translation.to_array())[surf.face]
+                        assert moved.sum() == (2 if occluded else 1)
+
+    def test_sample_on_an_edge_shared_by_two_boxes(self, monkeypatch):
+        scene = replace(_paper9(), occluders=(EDGE_OCCLUDER,))
+        monkeypatch.setattr(camera, "sample_surface_arrays", _with_edge_samples)
+        monkeypatch.setattr(oracles, "sample_surface_arrays", _with_edge_samples)
+        monkeypatch.setattr(camera, "_last_views", None)
+
+        surf = camera._surfaces(scene)
+        for cam in (default_rig().cam1, default_rig().cam2):
+            eye = cam.pose.translation.to_array()
+            edge = slice(len(surf.xyz) - 2 * len(EDGE_SAMPLES), None)
+            # on an edge of both boxes: neither culled nor blocked by either
+            assert (surf.face[edge] == -1).all()
+            assert not camera._back_faces(surf.bounds, eye)[surf.face[edge]].any()
+            for lo, hi in surf.bounds:
+                assert not camera._occluded_by_box(eye, surf.xyz[edge], lo, hi).any()
+
+        for rig in (noiseless_rig(), default_rig()):
+            for seed in (0, 7, 123456):
+                s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+                c1, c2 = capture_rig(scene, rig, seed)
+                assert _same_bytes(c1, reference_capture(scene, rig.cam1, s1))
+                assert _same_bytes(c2, reference_capture(scene, rig.cam2, s2))
+        # some edge sample wins its bin in cam1's noiseless view
+        q = rig.cam1.pose.inverse().apply_to(EDGE_SAMPLES)
+        view = camera._last_views[1][0][0]
+        assert (view[:, None, :] == q[None]).all(axis=2).any()
 
 
 def _cam1_at(rig, eye, target):

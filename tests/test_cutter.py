@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from berrypick import cutter
 from berrypick.cutter import (
     DEFAULT_CUT_ENERGY_PER_AREA,
     CutModel,
@@ -41,14 +43,25 @@ def fruit_with_lateral(offset_y, stem_diameter=0.003, detached=False):
 
 
 def run_cut_loop(cut, fruit, dt=0.01, cap=100.0):
-    acc = 0.0
-    steps = 0
-    done = False
-    while not done:
-        acc, done = laser_step(cut, fruit, dt, acc)
-        steps += 1
-        assert steps * dt < cap
+    steps, acc, done = laser_step(cut, fruit, dt, int(cap / dt) - 1)
+    assert done and steps * dt < cap
     return steps * dt, acc
+
+
+def sequential_burn(cut, fruit, dt, max_steps, need=None):
+    """The burn one timestep at a time: (steps, energy, severed)."""
+    need = required_cut_energy(cut, fruit) if need is None else need
+    acc, steps, done = 0.0, 0, False
+    while steps < max_steps and not done:
+        acc = acc + cut.laser_power * cut.duty * dt
+        done = acc >= need
+        steps += 1
+    return steps, acc, done
+
+
+def same_bits(got, want):
+    """(steps, energy, severed) equal, the energy bit for bit."""
+    return (got[0], got[1].hex(), got[2]) == (want[0], want[1].hex(), want[2])
 
 
 class TestToolGeometry:
@@ -134,16 +147,18 @@ class TestLaserCut:
                 assert 0.0 <= t - exact <= dt + 1e-12
 
     def test_accumulation_monotone(self):
-        acc = 0.0
         prev = 0.0
-        for _ in range(100):
-            acc, _ = laser_step(CUT, fruit_with_lateral(0.0), 0.01, acc)
+        for k in range(1, 101):
+            steps, acc, done = laser_step(CUT, fruit_with_lateral(0.0), 0.01, k)
+            assert (steps, done) == (k, False)
             assert acc > prev
             prev = acc
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            laser_step(CUT, fruit_with_lateral(0.0), 0.0, 0.0)
+        for dt in (0.0, -0.01):
+            for max_steps in (0, 10):
+                with pytest.raises(ValueError):
+                    laser_step(CUT, fruit_with_lateral(0.0), dt, max_steps)
 
     def test_duty_for_stem(self):
         assert duty_for_stem(0.003, GEOM) == pytest.approx(0.5)
@@ -157,6 +172,54 @@ class TestLaserCut:
         assert DEFAULT_CUT_ENERGY_PER_AREA == pytest.approx(
             57.5 / (math.pi * 0.0015**2), rel=1e-12
         )
+
+
+class TestBurnEqualsStepLoop:
+    """One `laser_step` call gives the steps and the bits of the energy of
+    adding power * duty * dt once per timestep."""
+
+    @pytest.mark.parametrize("chunk", [cutter.BURN_CHUNK, 7])
+    def test_random_cuts(self, monkeypatch, chunk):
+        monkeypatch.setattr(cutter, "BURN_CHUNK", chunk)
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for _ in range(300):
+            cut = CutModel(laser_power=float(rng.uniform(1.0, 200.0)), duty=float(rng.uniform(0.01, 1.0)))
+            fruit = fruit_with_lateral(0.0, stem_diameter=float(rng.uniform(0.001, 0.005)))
+            dt = float(10.0 ** rng.uniform(-3.5, -1.0))
+            need_steps = required_cut_energy(cut, fruit) / (cut.laser_power * cut.duty * dt)
+            max_steps = int(rng.integers(0, int(2 * need_steps) + 2))
+            got = laser_step(cut, fruit, dt, max_steps)
+            assert same_bits(got, sequential_burn(cut, fruit, dt, max_steps))
+            outcomes.add(got[2])
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("chunk", [cutter.BURN_CHUNK, 7])
+    def test_cut_exactly_on_the_threshold(self, monkeypatch, chunk):
+        # the threshold is the energy after k steps itself, then one ulp
+        # either side of it
+        monkeypatch.setattr(cutter, "BURN_CHUNK", chunk)
+        fruit = fruit_with_lateral(0.0)
+        dt = 0.0037
+        for k in (1, 2, 7, 8, 230, 4096, 4097):
+            energy = sequential_burn(CUT, fruit, dt, k, need=math.inf)[1]
+            for need, steps in ((energy, k), (math.nextafter(energy, 0.0), k), (math.nextafter(energy, math.inf), k + 1)):
+                monkeypatch.setattr(cutter, "required_cut_energy", lambda _cut, _stem: need)
+                got = laser_step(CUT, fruit, dt, 5000)
+                assert got[0] == steps and got[2]
+                assert same_bits(got, sequential_burn(CUT, fruit, dt, 5000, need=need))
+
+    def test_timeout(self):
+        fruit = fruit_with_lateral(0.0)
+        got = laser_step(CUT, fruit, 0.01, 229)
+        assert got[0] == 229 and not got[2]
+        assert got[1] < required_cut_energy(CUT, fruit)
+        assert same_bits(got, sequential_burn(CUT, fruit, 0.01, 229))
+        assert laser_step(CUT, fruit, 0.01, 230)[2]
+
+    def test_zero_steps(self):
+        got = laser_step(CUT, fruit_with_lateral(0.0), 0.01, 0)
+        assert same_bits(got, (0, 0.0, False))
 
 
 class TestFreeFall:

@@ -12,6 +12,7 @@ from berrypick.geometry import (
     dump_cloud,
     load_cloud,
     merge_clouds,
+    sq_lengths,
     transform_cloud,
 )
 
@@ -65,6 +66,48 @@ class TestRgb:
     def test_out_of_range(self, tmp_path, bad):
         with pytest.raises(CloudFormatError, match=r"one\.txt:2: color"):
             load_cloud(self.one_point_file(tmp_path, bad))
+
+
+def extreme_rows():
+    """Rows of subnormals, signed zeros, huge values whose squares overflow
+    to inf, and mixes of them with ordinary values."""
+    tiny = 5e-324
+    values = [0.0, -0.0, tiny, -tiny, 1e-160, 2.2250738585072014e-308, 1.0, -3.5, 1e154, 1.4e154, -1e200, 1.7976931348623157e308]
+    rng = np.random.default_rng(41)
+    rows = rng.choice(values, size=(4000, 3))
+    return np.concatenate([rows, [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [1e200, -1e200, 1e200], [tiny, tiny, tiny]]])
+
+
+class TestSqLengths:
+    """`sq_lengths` sums x, y, z in that order: the bits of the row sum,
+    and of the row norm once square-rooted."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "spread", "extreme"])
+    def test_equals_row_sum_and_norm_bit_for_bit(self, kind):
+        rng = np.random.default_rng(40)
+        d = {
+            "uniform": lambda: rng.uniform(-1.0, 1.0, size=(20000, 3)),
+            "spread": lambda: rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-150, 150, size=(20000, 3)),
+            "extreme": extreme_rows,
+        }[kind]()
+        with np.errstate(over="ignore", under="ignore"):
+            got = sq_lengths(d)
+            assert got.tobytes() == (d * d).sum(axis=1).tobytes()
+            assert np.sqrt(got).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+        if kind == "extreme":
+            assert np.isinf(got).any() and (got == 0).any() and ((got > 0) & (got < 1e-300)).any()
+
+    def test_order_is_x_then_y_then_z(self):
+        # (x*x + y*y) + z*z rounds apart from x*x + (y*y + z*z) here
+        d = np.array([[1.0, 9e-9, 9e-9]])
+        assert sq_lengths(d)[0] == 1.0
+        assert sq_lengths(d[:, ::-1])[0] > 1.0
+
+    def test_strided_and_empty_rows(self):
+        rng = np.random.default_rng(42)
+        d = rng.normal(size=(300, 6))[::3, 1:4]
+        assert sq_lengths(d).tobytes() == (d * d).sum(axis=1).tobytes()
+        assert sq_lengths(np.empty((0, 3))).shape == (0,)
 
 
 class TestRigidTransform:

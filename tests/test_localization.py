@@ -3,7 +3,7 @@ import pytest
 
 from berrypick import localization
 from berrypick.errors import FrameMismatchError
-from berrypick.geometry import ColoredPointCloud, RigidTransform, Vec3, merge_clouds, transform_cloud
+from berrypick.geometry import ColoredPointCloud, RigidTransform, Vec3, merge_clouds, sq_lengths, transform_cloud
 from berrypick.localization import (
     LocalizationParams,
     boxes_of,
@@ -353,10 +353,10 @@ class TestClustering:
 
         def sq(d):
             tested.append(len(d))
-            return (d * d).sum(axis=1)
+            return sq_lengths(d)
 
         monkeypatch.setattr(localization, "PAIR_BUDGET", 1)
-        monkeypatch.setattr(localization, "_sq", sq)
+        monkeypatch.setattr(localization, "sq_lengths", sq)
         assert len(oracle_checked_clusters(xyz)) == (1 if linked else 2)
         assert max(tested) <= len(xyz)
 
