@@ -60,6 +60,15 @@ class TestParams:
         with pytest.raises(ValueError, match="^tol "):
             LocalizationParams(x_minus=-1e4, x_plus=1e4, y_minus=-1e4, y_plus=1e4, z_minus=-1e4, z_plus=1e4)
 
+    def test_grid_limit_shared_with_clustering(self, monkeypatch):
+        # the crop window's grid at tol 0.02 m has ~40k cells
+        monkeypatch.setattr(localization, "MAX_GRID_CELLS", 1000.0)
+        with pytest.raises(ValueError, match="^tol "):
+            LocalizationParams()
+        corners = np.array([[0.26, -0.29, 0.31], [0.54, 0.29, 0.49]])
+        with pytest.raises(ValueError, match="grid cells"):
+            cluster_indices(corners, 0.02, 1, 10)
+
 
 class TestCropWindow:
     def test_interior_point_kept(self):
@@ -250,7 +259,9 @@ class TestClustering:
         # pair of points in cells k and k + d: once as close as the cells
         # allow (within tol for every d, by ~1e-12 for |d| = 2 on all axes)
         # and once just beyond tol. A third point far above or below puts
-        # the pair at the grid's lowest or highest cell coordinates.
+        # the pair at the grid's lowest or highest cell coordinates; with
+        # the pair alone the grid is as small as the pair allows, so the
+        # runs searched in neighbouring rows abut.
         tol = 0.02
         cell = tol / np.sqrt(3.0) * (1.0 - 1e-12)  # the grid's cell edge
         e = 1e-13 * cell
@@ -277,13 +288,62 @@ class TestClustering:
                 p, q = place(d, r)
                 assert np.array_equal(np.floor(p / cell), k)
                 assert np.array_equal(np.floor(q / cell), k + d)
-                for anchor in (+8, -8):
-                    xyz = np.array([p, q, (k + anchor + 0.5) * cell])
+                for anchor in (+8, -8, None):
+                    xyz = np.array([p, q] if anchor is None else [p, q, (k + anchor + 0.5) * cell])
                     oracle = brute_force_clusters(xyz, tol, 1, 10)
-                    assert (sorted(map(len, oracle)) == [1, 2]) == joined, (d, joined)
+                    assert (max(map(len, oracle)) == 2) == joined, (d, joined)
                     assert partitions_equal(cluster_indices(xyz, tol, 1, 10), oracle), (d, joined, anchor)
                     checked += 1
-        assert checked == 62 * 2 * 2
+        assert checked == 62 * 2 * 3
+
+    def test_grid_of_2_64_cells_rejected(self):
+        # 2^32 + 5 by 65,536 by 65,536 cells: int64 keys would wrap and join
+        # the first two points, 49,594 km apart
+        edge = localization._cell_edge(0.02)
+        xyz = np.array([[0, 0, 0], [2**32, 0, 0], [0, 65531, 65531]]) * edge + edge / 2
+        with pytest.raises(ValueError, match=r"1\.84e\+19 grid cells"):
+            cluster_indices(xyz, 0.02, 1, 10)
+
+    def test_points_too_far_from_the_origin_rejected(self):
+        # two points 16,384 m apart, 8.7e21 cells out: past the int64 range
+        # a cast cell index is undefined (numpy gives both -2^63, one cell)
+        xyz = np.array([[1e20, 0.0, 0.0], [np.nextafter(1e20, 2e20), 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"8\.66e\+21 grid cells from the origin"):
+            cluster_indices(xyz, 0.02, 1, 10)
+
+    def test_grid_just_under_the_limit(self):
+        # 2^30 by 2^29 by 6 cells, 3/4 of 2^62: the keys do not wrap, and
+        # the last two points, one cell apart, are joined
+        edge = localization._cell_edge(0.02)
+        far = [2**30 - 5, 2**29 - 5, 0]
+        xyz = (np.array([[0, 0, 0], far, far]) + [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]) * edge
+        assert partitions_equal(cluster_indices(xyz, 0.02, 1, 10), [[0], [1, 2]])
+
+    def test_one_cell_cloud(self):
+        # a grid of one occupied cell: points anywhere in it, repeats too
+        assert partitions_equal(oracle_checked_clusters(cells_cloud([[0.5, 0.5, 0.5]])), [[0]])
+        xyz = cells_cloud([[0.01, 0.02, 0.99], [0.99, 0.98, 0.01], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+        assert partitions_equal(oracle_checked_clusters(xyz), [[0, 1, 2, 3]])
+
+    def test_within_cell_order_changes_nothing(self, rounds):
+        # Many repeated points per cell, shuffled: the key sort is not
+        # stable, so each shuffle orders a cell's points anew, which may
+        # move its representative and the rounding of its centroid but
+        # never the partition. Each output maps through its permutation
+        # onto the unshuffled one.
+        rng = np.random.default_rng(29)
+        tol = 0.25  # a power of two: lattice distances are exact
+        for _ in range(4):
+            sites = rng.integers(0, 16, size=(50, 3)) * (tol / 4)
+            xyz = np.concatenate([sites[rng.integers(0, len(sites), 250)], rng.uniform(0, 4 * tol, (50, 3))])
+            base = cluster_indices(xyz, tol, 1, 10**6)
+            assert partitions_equal(base, brute_force_clusters(xyz, tol, 1, 10**6))
+            for _ in range(5):
+                perm = rng.permutation(len(xyz))
+                shuffled = cluster_indices(xyz[perm], tol, 1, 10**6)
+                assert partitions_equal(shuffled, brute_force_clusters(xyz[perm], tol, 1, 10**6))
+                assert sorted(np.sort(perm[c]).tolist() for c in shuffled) == sorted(c.tolist() for c in base)
+        assert rounds["representatives"] > 0 and rounds["point_links"] > 0
 
     def test_telemetry_counts_discards(self):
         rng = np.random.default_rng(22)
