@@ -20,6 +20,8 @@ N_BLOBS = 9
 RED_FRACTION = 0.08
 RED_NOISE_FRACTION = 0.01
 IN_WINDOW_FRACTION = 0.25
+# untimed `localize` calls before the timed reps
+WARMUP = 2
 
 
 def blob_centers(params: LocalizationParams) -> list[Vec3]:
@@ -34,8 +36,8 @@ def blob_centers(params: LocalizationParams) -> list[Vec3]:
 def make_bench_clouds(
     size: int,
     seed: int,
-    params: LocalizationParams | None = None,
-    rig: CameraRig | None = None,
+    params: LocalizationParams,
+    rig: CameraRig,
 ) -> tuple[ColoredPointCloud, ColoredPointCloud]:
     """Two camera-frame clouds totalling `size` points.
 
@@ -46,8 +48,6 @@ def make_bench_clouds(
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    params = params or LocalizationParams()
-    rig = rig or default_rig()
     rng = np.random.Generator(np.random.Philox(seed))
 
     n_blob_pts = max(0, int(size * RED_FRACTION / N_BLOBS))
@@ -112,7 +112,6 @@ def run_bench(
     seed: int = 0,
     params: LocalizationParams | None = None,
     rig: CameraRig | None = None,
-    warmup: int = 2,
 ) -> dict:
     """Time `localize` over `reps` repetitions; returns a latency report (ms).
 
@@ -125,7 +124,7 @@ def run_bench(
     rig = rig or default_rig()
     c1, c2 = make_bench_clouds(size, seed, params, rig)
     t1, t2 = rig.cam1.pose, rig.cam2.pose
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         localize(c1, c2, t1, t2, params)
     samples = []
     n_boxes = 0
@@ -140,7 +139,7 @@ def run_bench(
         "size": size,
         "reps": reps,
         "seed": seed,
-        "warmup": warmup,
+        "warmup": WARMUP,
         "n_boxes": n_boxes,
         "blob_recall": recall,
         "p50_ms": float(np.percentile(arr, 50)),

@@ -17,17 +17,16 @@ face, and sorted by key once. The 62 neighbour offsets on one side of a
 cell are 12 rows of five cells along z and two cells of its own row; z
 has stride 1, so the occupied cells of each row are one run of the
 sorted keys, found by two `searchsorted` queries. The cell pairs whose
-extents lie within tol are then joined in rounds, each followed by
-min-label propagation with pointer jumping: pairs whose farthest extent
-corners lie within tol; pairs whose representative points (nearest each
-cell's centroid) lie within tol; and last, in chunks of at most
-PAIR_BUDGET point pairs, the points of each still-separate pair that lie
-within tol of the other cell's extent. Components are size-filtered by
-count before any is split out. The key sort is not stable: the order of
-a cell's points changes only which of them `_representatives` picks and
-how its centroid rounds, so which round links a cell pair, never whether
-the pair is linked. Every round is exact, so the partition, and the
-output, which lists points in input order, do not depend on that order.
+extents lie within tol are then joined in two rounds, each followed by
+min-label propagation with pointer jumping: pairs whose first points in
+key order lie within tol; then, in chunks of at most PAIR_BUDGET point
+pairs, the points of each still-separate pair that lie within tol of
+the other cell's extent. Components are size-filtered by count before
+any is split out. The key sort is not stable: the order of a cell's
+points decides only which of them is its first, so which round links a
+cell pair, never whether the pair is linked. Both rounds are exact, so
+the partition, and the output, which lists points in input order, do
+not depend on that order.
 
 `localize` and `cluster_indices` fill an optional `telemetry` dict with
 deterministic counts only: points per stage, and clusters found and
@@ -160,18 +159,6 @@ def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _representatives(sorted_xyz: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each cell's point nearest its centroid, ties to the first in sort order."""
-    cell_of = np.repeat(np.arange(len(starts)), counts)
-    centroid = np.add.reduceat(sorted_xyz, starts, axis=0) / counts[:, None]
-    d2 = sq_lengths(sorted_xyz - centroid.take(cell_of, axis=0))
-    nearest = np.flatnonzero(d2 == np.minimum.reduceat(d2, starts).take(cell_of))
-    cell = cell_of.take(nearest)
-    first = np.ones(len(nearest), dtype=bool)
-    first[1:] = cell[1:] != cell[:-1]
-    return nearest.compress(first)
-
-
 # the 62 cell offsets within reach of tol on one side of a cell, as rows
 # (dx, dy) of offsets dz = -2..2, key order: the cell's own row first
 # (only dz = 1, 2 lie on that side), then 12 full rows
@@ -244,18 +231,18 @@ def cluster_indices(
     points span MAX_GRID_CELLS cells or more, or lie that many cells from
     the origin: their int64 keys or cell indices would wrap.
 
-    Candidate cell pairs whose extents lie within tol are joined in
-    rounds, each followed by label propagation (`_join`): pairs whose
-    farthest extent corners lie within tol (every point pair is within
-    tol); then pairs whose representatives (`_representatives`) lie within
+    Candidate cell pairs whose extents lie within tol are joined in two
+    rounds, each followed by label propagation (`_join`): the probe, which
+    links a pair when the two cells' first points in key order lie within
     tol; then, for the pairs still crossing components, the points of each
-    cell within tol of the other cell's extent (`_point_links`). A cell
-    pair's farthest corners are no nearer, and a point's gap to a cell's
-    extent no farther, than any point pair they bound, also as rounded by
-    `sq_lengths`, so the partition equals the brute-force one. The order
-    of a cell's points, which the unstable sort leaves open, moves only a
-    representative or the rounding of a centroid, so only which round
-    links a pair; the partition, and with it the output, stay the same.
+    cell within tol of the other cell's extent (`_point_links`). The probe
+    tests a real point pair, and the gap between two extents, or between a
+    point and an extent, is no farther than any point pair it bounds, also
+    as rounded by `sq_lengths`, so the partition equals the brute-force
+    one. The order of a cell's points, which the unstable sort leaves
+    open, decides only which point is the cell's first, so only which
+    round links a pair; the partition, and with it the output, stay the
+    same.
     """
     n = len(xyz)
     if n == 0:
@@ -303,23 +290,16 @@ def cluster_indices(
     us = np.repeat(np.tile(np.arange(m), len(_ROWS)), width.ravel())
     vs = _ranges(first.ravel(), width.ravel())
     tol2 = tol * tol
-    lo_u, hi_u = cmin.take(us, axis=0), cmax.take(us, axis=0)
-    lo_v, hi_v = cmin.take(vs, axis=0), cmax.take(vs, axis=0)
     # cells whose point extents are more than tol apart hold no edge
-    near = sq_lengths(np.maximum(np.maximum(lo_u - hi_v, lo_v - hi_u), 0.0)) <= tol2
-    sure = sq_lengths(np.maximum(hi_u - lo_v, hi_v - lo_u)) <= tol2
-    label = _join(np.arange(m), us.compress(sure), vs.compress(sure))
-    rest = np.flatnonzero(near & ~sure)
-    us, vs = us.take(rest), vs.take(rest)
+    gap = np.maximum(cmin.take(us, axis=0) - cmax.take(vs, axis=0), cmin.take(vs, axis=0) - cmax.take(us, axis=0))
+    near = np.flatnonzero(sq_lengths(np.maximum(gap, 0.0)) <= tol2)
+    us, vs = us.take(near), vs.take(near)
+    # the probe: each cell's first point in key order against the other's
+    d = sorted_xyz.take(starts.take(us), axis=0) - sorted_xyz.take(starts.take(vs), axis=0)
+    linked = sq_lengths(d) <= tol2
+    label = _join(np.arange(m), us.compress(linked), vs.compress(linked))
     cross = label.take(us) != label.take(vs)
     us, vs = us.compress(cross), vs.compress(cross)
-    if len(us):
-        rep = _representatives(sorted_xyz, starts, counts)
-        d = sorted_xyz.take(rep.take(us), axis=0) - sorted_xyz.take(rep.take(vs), axis=0)
-        linked = sq_lengths(d) <= tol2
-        label = _join(label, us.compress(linked), vs.compress(linked))
-        cross = label.take(us) != label.take(vs)
-        us, vs = us.compress(cross), vs.compress(cross)
     if len(us):
         label = _point_links(label, sorted_xyz, starts, counts, cmin, cmax, us, vs, tol2)
 

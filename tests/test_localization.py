@@ -158,18 +158,33 @@ def oracle_checked_clusters(xyz):
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """Count the calls to the clustering's second and last rounds."""
-    calls = {"representatives": 0, "point_links": 0}
+    """Count the calls to the clustering's last round, the point test."""
+    calls = {"point_links": 0}
+    point_links = localization._point_links
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls["point_links"] += 1
+        return point_links(*args)
 
-    for name in calls:
-        monkeypatch.setattr(localization, f"_{name}", counted(name, getattr(localization, f"_{name}")))
+    monkeypatch.setattr(localization, "_point_links", counted)
     return calls
+
+
+ORDERS = 6
+
+
+def in_each_order(xyz, rounds):
+    """(clusters, point-round calls) of `xyz` as given and in ORDERS - 1
+    shuffles, each checked against the oracle. The key sort is unstable,
+    so each order may put another of a cell's points first, where the
+    probe reads it."""
+    rng = np.random.default_rng(30)
+    out = []
+    for perm in [np.arange(len(xyz))] + [rng.permutation(len(xyz)) for _ in range(ORDERS - 1)]:
+        calls = rounds["point_links"]
+        n_clusters = len(oracle_checked_clusters(xyz[perm]))
+        out.append((n_clusters, rounds["point_links"] - calls))
+    return out
 
 
 class TestClustering:
@@ -328,9 +343,9 @@ class TestClustering:
     def test_within_cell_order_changes_nothing(self, rounds):
         # Many repeated points per cell, shuffled: the key sort is not
         # stable, so each shuffle orders a cell's points anew, which may
-        # move its representative and the rounding of its centroid but
-        # never the partition. Each output maps through its permutation
-        # onto the unshuffled one.
+        # change which point comes first, and so which round links a cell
+        # pair, but never the partition. Each output maps through its
+        # permutation onto the unshuffled one.
         rng = np.random.default_rng(29)
         tol = 0.25  # a power of two: lattice distances are exact
         for _ in range(4):
@@ -343,7 +358,7 @@ class TestClustering:
                 shuffled = cluster_indices(xyz[perm], tol, 1, 10**6)
                 assert partitions_equal(shuffled, brute_force_clusters(xyz[perm], tol, 1, 10**6))
                 assert sorted(np.sort(perm[c]).tolist() for c in shuffled) == sorted(c.tolist() for c in base)
-        assert rounds["representatives"] > 0 and rounds["point_links"] > 0
+        assert rounds["point_links"] > 0
 
     def test_telemetry_counts_discards(self):
         rng = np.random.default_rng(22)
@@ -359,42 +374,43 @@ class TestClustering:
         assert tel["discarded_small"] == 1
         assert tel["discarded_large"] == 1
 
-    # One case per round, each against the oracle, with the rounds that
-    # ran counted; coordinates are in cell edges (`cells_cloud`).
+    # One case per round, each in several row orders against the oracle,
+    # with the point-round calls counted where the order cannot change
+    # them; coordinates are in cell edges (`cells_cloud`).
 
     def test_round_sure_link(self, rounds):
-        # every point of one cell within tol of every point of the other
+        # every point of one cell within tol of every point of the other:
+        # the probe links the cells whichever points come first
         u = [[0.8, 0.4, 0.4], [0.95, 0.6, 0.6], [0.9, 0.5, 0.45]]
         v = [[1.05, 0.4, 0.6], [1.2, 0.6, 0.4]]
-        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 1
-        assert rounds == {"representatives": 0, "point_links": 0}
+        assert in_each_order(cells_cloud(u, v), rounds) == [(1, 0)] * ORDERS
 
     def test_round_representative_probe(self, rounds):
-        # cell corners keep the extents' far corners beyond tol; the centre
-        # points, one cell apart, are each cell's representative
+        # cell corners and centres, the cells one apart: the corners of one
+        # cell lie beyond tol of the far corners of the other, so the
+        # points that come first decide which round links the cells
         corners = [[x, y, z] for x in (0.05, 0.95) for y in (0.05, 0.95) for z in (0.05, 0.95)]
         u = corners + [[0.5, 0.5, 0.5]]
         v = np.array(u) + [1.0, 0.0, 0.0]
-        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 1
-        assert rounds == {"representatives": 1, "point_links": 0}
+        assert [k for k, _ in in_each_order(cells_cloud(u, v), rounds)] == [1] * ORDERS
 
     def test_round_pruned_point_test(self, rounds):
-        # the representatives sit two cells apart, beyond tol; only the
-        # face points, 1.02 cells apart, join the cells
+        # the centre points sit two cells apart, beyond tol; only the face
+        # points, 1.02 cells apart, join the cells, in the probe or the
+        # point round as the order falls
         u = [[0.5, 0.5, 0.5]] * 3 + [[0.99, 0.5, 0.5]]
         v = [[2.5, 0.5, 0.5]] * 3 + [[2.01, 0.5, 0.5]]
         xyz = cells_cloud(u, v)
         assert np.linalg.norm(xyz[0] - xyz[4]) > ROUND_TOL
-        assert len(oracle_checked_clusters(xyz)) == 1
-        assert rounds == {"representatives": 1, "point_links": 1}
+        assert [k for k, _ in in_each_order(xyz, rounds)] == [1] * ORDERS
 
     def test_round_near_pair_without_edge(self, rounds):
         # the extents lie within tol of each other, no point pair does:
-        # the closest pair is 1.04, 0.996 and 0.996 cells apart
+        # the closest pair is 1.04, 0.996 and 0.996 cells apart, so the
+        # probe never links and the point round runs in every order
         u = [[0.98, 0.002, 0.002], [0.02, 0.998, 0.998]]
         v = [[2.02, 0.998, 0.998], [2.98, 0.002, 0.002]]
-        assert len(oracle_checked_clusters(cells_cloud(u, v))) == 2
-        assert rounds == {"representatives": 1, "point_links": 1}
+        assert in_each_order(cells_cloud(u, v), rounds) == [(2, 1)] * ORDERS
 
     @pytest.mark.parametrize("linked", [False, True])
     def test_pair_budget_bounds_each_chunk(self, monkeypatch, linked):
