@@ -19,8 +19,10 @@ reproduces the log byte for byte. Wall-clock time never enters the log:
 `run_harvest` returns the duration of its one `localize` call beside it
 (None for ground-truth boxes), which callers keep in a sidecar artifact.
 
-Cycle accounting follows the detachment-to-detachment convention: cycle i
-spans from detachment i-1 (or the first HOME arrival) to detachment i.
+Each box is one cycle, closed by its `release` record: cycle i spans from
+the close of cycle i-1 (or the first HOME arrival) to its own close, so a
+harvested cycle ends at its detachment, and the cycle times plus the
+`home` moves add up to the run's final clock.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .localization import LocalizationParams, StrawberryBox, localize
 from .motion import RobotState, compute_z_min, plan_cycle_waypoints, robot_move
 from .scene import Scene, StrawberryTruth, detach_fruit
 
-LOG_SCHEMA_VERSION = 1
+LOG_SCHEMA_VERSION = 2
 
 # encodes every event record; one encoder spares building one per record
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -186,18 +188,16 @@ def run_harvest(
     _log_move(log, rec, "home", None)
     cycle_start = t
 
-    log_counts: dict = {}
+    counts: dict = {}
     localization_ms = None
     if built.box_source == "truth":
         boxes = truth_boxes(ripe, built.params)
     else:
         rig = built.rig
         c1, c2 = capture_rig(scene, rig, seed)
-        counts: dict = {}
         start = time.perf_counter()
         boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, counts)
         localization_ms = (time.perf_counter() - start) * 1e3
-        log_counts = {k: counts[k] for k in ("n_merged", "n_cropped", "n_red")}
     boxes = inject_localization_error(boxes, offset)
     log.append(
         t,
@@ -205,7 +205,7 @@ def run_harvest(
         n_boxes=len(boxes),
         source=built.box_source,
         offset=_v(offset),
-        **log_counts,
+        **counts,
     )
 
     if boxes:
@@ -267,12 +267,11 @@ def run_harvest(
             log.append(t, "laser_off", fruit=fid, energy=acc)
             ctl.advance(ControllerPhase.RELEASE)
 
-        # every cycle ends here; cycle i spans detachment i-1 to detachment i
+        # every cycle ends here, and the next one starts
         tool.release_stem()
         log.append(t, "release", fruit=fid)
         log.append(t, "cycle", fruit=fid, cycle_time=t - cycle_start, cut_time=cut_time, outcome=outcome)
-        if outcome == "harvested":
-            cycle_start = t
+        cycle_start = t
 
     state, rec = robot_move(state, robot.home, t)
     t = rec.t_end
@@ -335,6 +334,4 @@ def cycle_metrics(log: HarvestEventLog) -> dict:
             float(np.mean([c["cut_time"] for c in harvested])) if harvested else None
         ),
         "success_rate": (len(harvested) / n_ripe) if n_ripe else None,
-        # always null: latency lives in wallclock.json; the key stays until the manifests are re-pinned
-        "localization_ms": None,
     }

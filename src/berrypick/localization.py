@@ -29,10 +29,9 @@ the partition, and the output, which lists points in input order, do
 not depend on that order.
 
 `localize` and `cluster_indices` fill an optional `telemetry` dict with
-deterministic counts only: points per stage, and clusters found and
-dropped as too small or too large. The `n_cropped` count takes in-window
-points of every colour, so only a call with a telemetry dict moves the
-whole clouds to the base frame. Nothing here reads the clock.
+deterministic counts only: the points merged and clustered, the occupied
+grid cells and near cell pairs, and the clusters found and dropped as
+too small or too large. Nothing here reads the clock.
 
 Rows are gathered with `take` and filtered with `compress` along axis 0
 (or `flatnonzero` and then `take`, when one mask filters several arrays),
@@ -107,20 +106,17 @@ class StrawberryBox:
     point_count: int
 
 
-def _in_window(xyz: np.ndarray, p: LocalizationParams) -> np.ndarray:
-    return (
-        (xyz[:, 0] > p.x_minus) & (xyz[:, 0] < p.x_plus)
-        & (xyz[:, 1] > p.y_minus) & (xyz[:, 1] < p.y_plus)
-        & (xyz[:, 2] > p.z_minus) & (xyz[:, 2] < p.z_plus)
-    )
-
-
 def crop_window(cloud: ColoredPointCloud, p: LocalizationParams) -> ColoredPointCloud:
     """Keep points strictly inside the reachable window (base frame only)."""
     if cloud.frame != "base":
         raise FrameMismatchError(f"crop_window expects a base-frame cloud, got {cloud.frame!r}")
-    kept = np.flatnonzero(_in_window(cloud.xyz, p))
-    return ColoredPointCloud(cloud.frame, cloud.xyz.take(kept, axis=0), cloud.rgb.take(kept, axis=0))
+    xyz = cloud.xyz
+    kept = np.flatnonzero(
+        (xyz[:, 0] > p.x_minus) & (xyz[:, 0] < p.x_plus)
+        & (xyz[:, 1] > p.y_minus) & (xyz[:, 1] < p.y_plus)
+        & (xyz[:, 2] > p.z_minus) & (xyz[:, 2] < p.z_plus)
+    )
+    return ColoredPointCloud(cloud.frame, xyz.take(kept, axis=0), cloud.rgb.take(kept, axis=0))
 
 
 def threshold_red(cloud: ColoredPointCloud, p: LocalizationParams) -> ColoredPointCloud:
@@ -243,11 +239,15 @@ def cluster_indices(
     open, decides only which point is the cell's first, so only which
     round links a pair; the partition, and with it the output, stay the
     same.
+
+    A `telemetry` dict receives `n_cells`, the occupied cells; `n_cell_pairs`,
+    the near cell pairs the probe tests; `n_clusters_raw`, the components;
+    and `discarded_small` and `discarded_large`, those outside the size band.
     """
     n = len(xyz)
     if n == 0:
         if telemetry is not None:
-            telemetry.update(n_clusters_raw=0, discarded_small=0, discarded_large=0)
+            telemetry.update(n_cells=0, n_cell_pairs=0, n_clusters_raw=0, discarded_small=0, discarded_large=0)
         return []
     # the grid's bounds one column at a time, as `sq_lengths` sums its
     # squares: at 9k rows 0.03 ms where `.min(axis=0)` alone takes 0.15 ms
@@ -312,6 +312,8 @@ def cluster_indices(
     clusters = np.split(kept, np.flatnonzero(np.diff(kept_label)) + 1) if len(kept) else []
     if telemetry is not None:
         telemetry.update(
+            n_cells=m,
+            n_cell_pairs=len(near),
             n_clusters_raw=len(comp_sizes),
             discarded_small=int((comp_sizes < s_min).sum()),
             discarded_large=int((comp_sizes > s_max).sum()),
@@ -363,12 +365,10 @@ def localize(
 
     The points that reach `cluster_indices` are those of merge, crop and
     threshold over both whole clouds, in the same order and with the same
-    coordinates. When a `telemetry` dict is supplied it receives the point
-    counts of that staged order (`n_merged`, `n_cropped`, `n_red`) and the
-    cluster counts of `cluster_indices`. `n_cropped` counts in-window
-    points of every colour, so only a telemetry call moves whole clouds.
-    Every count is deterministic; wall-clock time is the caller's to
-    measure.
+    coordinates. When a `telemetry` dict is supplied it receives
+    `n_merged`, the points of both clouds, `n_red`, the in-window red
+    points that are clustered, and the counts of `cluster_indices`. Every
+    count is deterministic; wall-clock time is the caller's to measure.
     """
     if c1.frame != "cam1":
         raise FrameMismatchError(f"first cloud must be in frame 'cam1', got {c1.frame!r}")
@@ -378,6 +378,5 @@ def localize(
     groups = cluster_indices(red.xyz, p.tol, p.s_min, p.s_max, telemetry)
     boxes = boxes_of([ColoredPointCloud(red.frame, red.xyz.take(g, axis=0), red.rgb.take(g, axis=0)) for g in groups])
     if telemetry is not None:
-        n_cropped = sum(int(_in_window(t.apply_to(c.xyz), p).sum()) for c, t in ((c1, t1), (c2, t2)))
-        telemetry.update(n_merged=len(c1) + len(c2), n_cropped=n_cropped, n_red=len(red))
+        telemetry.update(n_merged=len(c1) + len(c2), n_red=len(red))
     return boxes

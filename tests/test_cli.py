@@ -74,7 +74,7 @@ class TestRunCommand:
         assert metrics["n_ripe"] == 2
         assert metrics["seed"] == 5
         assert len(metrics["config_hash"]) == 64
-        assert metrics["localization_ms"] is None  # wall data only in the sidecar
+        assert "localization_ms" not in metrics  # wall data only in the sidecar
         wall = json.loads((run_dir / "wallclock.json").read_text())
         assert wall["localization_ms"] > 0
 

@@ -124,24 +124,42 @@ class TestDeterminism:
         assert log_a.to_jsonl() != log_b.to_jsonl()
 
 
+def mixed_log():
+    """Truth boxes 14 mm off on bent stems: missed, harvested, missed,
+    harvested, harvested."""
+    return run(generate_scene(3, 5, 1.0, 0.005), box_source="truth", box_offset=Vec3(0.0, 0.014, 0.0))
+
+
 class TestAccounting:
     def test_durations_sum_to_final_clock(self):
-        scene = generate_scene(7, 9, 1.0, 0.001)
-        log = run(scene)
-        assert outcomes(log) == ["harvested"] * 9
-        home_durs = sum(r["dur"] for r in log.events("home"))
-        total = sum(c["cycle_time"] for c in log.events("cycle")) + home_durs
-        end_t = log.events("end")[0]["t"]
-        assert total == pytest.approx(end_t, abs=1e-6)
+        harvested = run(generate_scene(7, 9, 1.0, 0.001))
+        assert outcomes(harvested) == ["harvested"] * 9
+        mixed = mixed_log()
+        assert outcomes(mixed) == ["missed_trap", "harvested", "missed_trap", "harvested", "harvested"]
+        # robustness offset_20_seed1: every trap misses
+        missed, _ = run_harvest(build_scenario(apply_sweep_value(resolve_config_arg("robustness"), "offset", 20), 1), 1)
+        assert outcomes(missed) == ["missed_trap"] * 5
+        timed_out = run(generate_scene(5, 3, 1.0, 0.0), cut=CutModel(laser_power=0.001), box_source="truth",
+                        laser_timeout=2.0)
+        assert outcomes(timed_out) == ["not_detected"] * 3
+        for log in (harvested, mixed, missed, timed_out):
+            home_durs = sum(r["dur"] for r in log.events("home"))
+            total = sum(c["cycle_time"] for c in log.events("cycle")) + home_durs
+            end_t = log.events("end")[0]["t"]
+            assert total == pytest.approx(end_t, abs=1e-6)
 
     def test_cycle_boundaries_are_detachments(self):
-        scene = generate_scene(7, 4, 1.0, 0.001)
-        log = run(scene)
-        detaches = [r["t"] for r in log.events("detach_detect")]
-        start = log.events("home")[0]["t"]
-        bounds = [start] + detaches
-        for c, t0, t1 in zip(log.events("cycle"), bounds, bounds[1:]):
-            assert c["cycle_time"] == pytest.approx(t1 - t0, abs=1e-9)
+        # each cycle runs from the last release (or the first HOME arrival)
+        # to its own release, which a harvest logs at its detachment
+        for log in (run(generate_scene(7, 4, 1.0, 0.001)), mixed_log()):
+            releases = [r["t"] for r in log.events("release")]
+            bounds = [log.events("home")[0]["t"]] + releases
+            cycles = log.events("cycle")
+            assert len(cycles) == len(releases)
+            for c, t0, t1 in zip(cycles, bounds, bounds[1:]):
+                assert c["cycle_time"] == pytest.approx(t1 - t0, abs=1e-9)
+            detaches = [r["t"] for r in log.events("detach_detect")]
+            assert detaches == [t for c, t in zip(cycles, releases) if c["outcome"] == "harvested"]
 
     def test_halving_velocity_increases_cycle_not_cut(self):
         scene = generate_scene(7, 4, 1.0, 0.001)
@@ -203,8 +221,9 @@ class TestBoxOverAir:
         (box,) = truth_boxes(scene.strawberries, PARAMS)
 
         def two_boxes(c1, c2, t1, t2, params, telemetry):
-            # a stand-in that keeps localize's contract: it fills the stage counts
-            telemetry.update(n_merged=len(c1) + len(c2), n_cropped=0, n_red=0)
+            # a stand-in that keeps localize's contract: it fills the counts
+            telemetry.update(n_merged=len(c1) + len(c2), n_red=0, n_cells=0, n_cell_pairs=0,
+                             n_clusters_raw=0, discarded_small=0, discarded_large=0)
             return [box, box]
 
         monkeypatch.setattr("berrypick.controller.localize", two_boxes)

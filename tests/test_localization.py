@@ -150,6 +150,21 @@ def cells_cloud(*groups):
     return xyz
 
 
+def brute_force_cell_counts(xyz, tol):
+    """(n_cells, n_cell_pairs) of `cluster_indices` by an O(m^2) count: the
+    distinct floor keys of its grid, and the pairs of those cells whose
+    point extents lie within tol, each pair compared."""
+    if len(xyz) == 0:
+        return 0, 0
+    keys, cell = np.unique(np.floor(xyz / (tol / np.sqrt(3.0) * (1.0 - 1e-12))), axis=0, return_inverse=True)
+    cell = cell.ravel()
+    lo = np.array([xyz[cell == c].min(axis=0) for c in range(len(keys))])
+    hi = np.array([xyz[cell == c].max(axis=0) for c in range(len(keys))])
+    gap = np.maximum(np.maximum(lo[:, None] - hi[None, :], lo[None, :] - hi[:, None]), 0.0)
+    near = (sq_lengths(gap.reshape(-1, 3)) <= tol * tol).reshape(len(keys), len(keys))
+    return len(keys), int(np.triu(near, 1).sum())
+
+
 def oracle_checked_clusters(xyz):
     mine = cluster_indices(xyz, ROUND_TOL, 1, 10**6)
     assert partitions_equal(mine, brute_force_clusters(xyz, ROUND_TOL, 1, 10**6))
@@ -374,6 +389,21 @@ class TestClustering:
         assert tel["discarded_small"] == 1
         assert tel["discarded_large"] == 1
 
+    def test_telemetry_counts_cells_and_near_pairs(self):
+        rng = np.random.default_rng(31)
+        clouds = [
+            (rng.uniform(0, 0.1, (300, 3)), 0.02),
+            (np.concatenate([blob(rng, c, 40) for c in ([0, 0, 0], [0, 0.03, 0], [0.1, 0, 0])]), 0.02),
+            (rng.integers(0, 12, size=(200, 3)) * (0.25 / 4), 0.25),  # ties on cell faces, repeats
+            (np.tile(rng.uniform(0, 0.05, (20, 3)), (5, 1)), 0.02),  # each point five times
+            (np.array([[0.3, 0.1, 0.4]]), 0.02),
+            (np.empty((0, 3)), 0.02),
+        ]
+        for xyz, tol in clouds:
+            tel = {}
+            cluster_indices(xyz, tol, 1, 10**6, tel)
+            assert (tel["n_cells"], tel["n_cell_pairs"]) == brute_force_cell_counts(xyz, tol)
+
     # One case per round, each in several row orders against the oracle,
     # with the point-round calls counted where the order cannot change
     # them; coordinates are in cell edges (`cells_cloud`).
@@ -532,7 +562,7 @@ class TestLocalize:
         assert len(boxes) == 3
         # the filter-first path clusters the staged path's red points, bit for bit
         assert [x.tobytes() for x in seen] == [red.xyz.tobytes()] * 2
-        assert (tel["n_merged"], tel["n_cropped"], tel["n_red"]) == (len(merged), len(cropped), len(red))
+        assert (tel["n_merged"], tel["n_red"]) == (len(merged), len(red))
         assert len(merged) > len(cropped) > len(red)
         assert len(threshold_red(merged, p)) > len(red)  # some red points lie outside the window
 
@@ -586,9 +616,10 @@ class TestLocalize:
         boxes = localize(c1, c2, t1, t2, LocalizationParams(), tel)
         assert len(boxes) == 3
         assert tel["n_merged"] == len(c1) + len(c2)
-        assert tel["n_merged"] > tel["n_cropped"] > tel["n_red"]
+        assert tel["n_merged"] > tel["n_red"] >= tel["n_cells"] > 0
+        assert tel["n_cell_pairs"] > 0
         assert tel["n_clusters_raw"] - tel["discarded_small"] - tel["discarded_large"] == 3
         # deterministic counts only: no wall-clock entry
         assert sorted(tel) == [
-            "discarded_large", "discarded_small", "n_clusters_raw", "n_cropped", "n_merged", "n_red",
+            "discarded_large", "discarded_small", "n_cell_pairs", "n_cells", "n_clusters_raw", "n_merged", "n_red",
         ]

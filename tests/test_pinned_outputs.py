@@ -1,7 +1,10 @@
 """Pinned outputs: a change that keeps the answers keeps these bytes.
 
-The values were recorded from the packaged scenarios. A change that
-alters them on purpose must say why and record the new values here.
+The values were recorded from the packaged scenarios, last with event
+log schema 2: the `localize` record carries the cell and cluster counts,
+`metrics.json` has no `localization_ms` key, and each cycle starts where
+the one before it closed. A change that alters them on purpose must say
+why and record the new values here.
 """
 
 import hashlib
@@ -22,8 +25,8 @@ PAPER9_SEED1_MANIFEST = {
     "config_hash": CONFIG_HASHES["paper9"],
     "files": {
         "cycles.csv": "2ccc20bb72f2500898012207e39220072693478560bac031a84846dd9d79c65f",
-        "events.jsonl": "f8b398816c53354a0cebefe9cff972b7bf6be58fa7b0b41ac5cc5f15e597bfa4",
-        "metrics.json": "49e67991d4485a6df8d828a2c30d4118b29408f9d0e15b3be5d9c606913ee0ff",
+        "events.jsonl": "c97ce5249f8e130ddd8089fc442a2bfe731c6635a36e9eca7fad107cd2c6a8c2",
+        "metrics.json": "3b1c9d7ef099a97291cc3c98d946933a9a25d3f8d8c6c520114d17ef2f5f2f7c",
     },
     "seed": 1,
 }
@@ -33,8 +36,8 @@ ROBUSTNESS_OFFSET5_SEED1_MANIFEST = {
     "config_hash": "9532d1cf793d2609de3a6edbebf4c1e9616add45976331a52cc82a5cf0390ca7",
     "files": {
         "cycles.csv": "6d2af2a3af08208eb6f19d324ce999cd76232e0e7e5a2077d015057df0cce792",
-        "events.jsonl": "847f6729ecacbc47b81519c1760c5e1facae9e28ea380b527eecd2f059232e30",
-        "metrics.json": "c6281502cc4daeae8517965a487f8dc15a52c8581c642c948f556de1707c677e",
+        "events.jsonl": "4e74c29132224b61b064baf90080572a28c35578dd21ae371cf9b05812999626",
+        "metrics.json": "7abcdcbe98721a66b7af6707634ed1e6d50a5272839a3c87ede87450b0541516",
     },
     "seed": 1,
 }
@@ -44,9 +47,9 @@ ROBUSTNESS_OFFSET5_SEED1_MANIFEST = {
 ROBUSTNESS_OFFSET20_SEED1_MANIFEST = {
     "config_hash": "4abd167a3ebc48fe9e6d99dc2eacc743699f1c046957acfc6ec3019b10d9a058",
     "files": {
-        "cycles.csv": "2d67848d6d2c92f25c392b2681031d9390edf4768a9305552bf30f969b5de0a1",
-        "events.jsonl": "d746fb0d9556b38158d914c8803e7ac433531bc2566609846cc635cfdc1cfc1e",
-        "metrics.json": "6467624f6a918da7382473500f47c419868472561b3a80ffb73d78a20858db95",
+        "cycles.csv": "a0df31b11c15ca126a0e6e5c1d0a5a1d1ad0d0441f65c9064d76665240cdb817",
+        "events.jsonl": "cde027822250711e1aa1bf0fca2a29a40caf965b48b6efa5cebf6f87918955ea",
+        "metrics.json": "b059863848dfa75505e0e4701afa7e9430afea6bba53c0cf2f21e4ea4bcf69f5",
     },
     "seed": 1,
 }
@@ -55,9 +58,9 @@ ROBUSTNESS_OFFSET20_SEED1_MANIFEST = {
 PAPER9_TIMEOUT2_SEED1_MANIFEST = {
     "config_hash": "3a5a83f5f561756373c1d6ca297444abb5e5f37870aad8b86492d3e191b1b27f",
     "files": {
-        "cycles.csv": "0e65cbb28b70ced6a85fde13f44a2e177b302191cfe756aa67ce4e0ee6568307",
-        "events.jsonl": "e1532dc06588a7c5f20a492411bc25e6a1a617e46971d44934a86fe3a61bcb91",
-        "metrics.json": "08d9e06fe90f1b9e857d6a1b15812d6b136e7e0585e23844a6ec83cbbfc98d21",
+        "cycles.csv": "c67619d336fba2be3f2914669d75855d90de342a19e63aa9f5054c82960e197e",
+        "events.jsonl": "2ad9e54be55e16176f1a808a8bb396ddb7c5b672eb75b3ebeca8194643ae69d9",
+        "metrics.json": "868d6c8a9346b49dba042f5d562593778815236d28c84eeb83cf4fb97f9a9718",
     },
     "seed": 1,
 }
@@ -68,8 +71,8 @@ NOISE_003_SEED1_MANIFEST = {
     "config_hash": "02e286fa31ae26b88aea0198e18f0a321eaa732e60b9d0fa8ee114352eee2bfe",
     "files": {
         "cycles.csv": "1586de2d6f4a880ba8c6daa2738a3ac7ce746af1808232c6e9dcddc283110c03",
-        "events.jsonl": "232143453cffe5a4d93206c7e3d8cb0d7a88030287447061c95f4f0b1c1b2198",
-        "metrics.json": "5a623531d6368766fd514ba266c8d8d5f9e78a4e7e4701ca9d043848a37154d1",
+        "events.jsonl": "ae1a39ffad2f5b211257bf8875d5bc6b057d5da0ad1adede7d73d45b32f23cd2",
+        "metrics.json": "615041ef0545e330ffbad284b60f68166d43f75a708f6d95828740a20b88503e",
     },
     "seed": 1,
 }
@@ -98,17 +101,17 @@ def test_packaged_config_hash(name):
 
 @pytest.mark.parametrize("cfg_point, expected, manifest_sha, clouds", [
     (lambda: resolve_config_arg("paper9"), PAPER9_SEED1_MANIFEST,
-     "0afe93966e87fcacd8e2c3b006d3eb607daf954f4dc8e68d4468af233aabd58e", None),
+     "f1d3a66409fd57b0e527310e999a6be221710af8f048a95c8c7ce8273e4166c6", None),
     (lambda: apply_sweep_value(resolve_config_arg("robustness"), "offset", 5), ROBUSTNESS_OFFSET5_SEED1_MANIFEST,
-     "a94a2610ddfbf4c46b36bb21559c34bffc2723e7f4a5645ed2918c0893b5f309", None),
+     "b02eddc4f8317da9676d342efe77e37f8c87cfab6ec4765774be160184598eed", None),
     (lambda: apply_sweep_value(resolve_config_arg("robustness"), "offset", 20), ROBUSTNESS_OFFSET20_SEED1_MANIFEST,
-     "111e80d96d8472a8472fa14d266c16de73b42c43c00503defc711e51f646331d", None),
+     "e1d264d54c5cf5fd8b3334a9bdb3fd6177206c35a8b6b2356e7cefa68b594ccd", None),
     (_paper9_timeout2, PAPER9_TIMEOUT2_SEED1_MANIFEST,
-     "7df8ce4b5f2b94815a2b388e56569cbb74a29a42bcc700d72990175b764c608c", None),
+     "415cc3d38ce0caea2edd9fb4cbe50ebd7e254c8b5b73964f1671a791cb30d5ad", None),
     (lambda: resolve_config_arg("paper9"), PAPER9_SEED1_MANIFEST,
-     "0afe93966e87fcacd8e2c3b006d3eb607daf954f4dc8e68d4468af233aabd58e", PAPER9_SEED1_CLOUDS),
+     "f1d3a66409fd57b0e527310e999a6be221710af8f048a95c8c7ce8273e4166c6", PAPER9_SEED1_CLOUDS),
     (lambda: apply_sweep_value(resolve_config_arg("noise"), "noise", 0.03), NOISE_003_SEED1_MANIFEST,
-     "0d0074c5fe6d7f470acca83ff6eb1f6eb04acd624b29c5b85050cfdc1d0659c4", None),
+     "c1ffd74af4b4eebc981ace1845b10166a323ef80b7370ee3ba035fae7160c597", None),
 ], ids=["paper9_seed1", "robustness_offset5_seed1", "robustness_offset20_seed1",
         "paper9_timeout2_seed1", "paper9_seed1_dump_clouds", "noise_003_seed1"])
 def test_manifest(tmp_path, cfg_point, expected, manifest_sha, clouds):

@@ -7,8 +7,9 @@ program either accepts it or rejects it with its own error type:
 `ConfigError` for configs, `CloudFormatError` for cloud files, and exit
 code 0, 2 or 3 with no traceback from the CLI. The clustering test draws
 small clouds full of ties and checks `cluster_indices` against
-`oracles.brute_force_clusters`. Runs are derandomized and keep no
-example database, so every run tries the same inputs.
+`oracles.brute_force_clusters`, and its cell counts against an O(m^2)
+count. Runs are derandomized and keep no example database, so every run
+tries the same inputs.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from berrypick.geometry import VALID_FRAMES, dump_cloud, load_cloud
 from berrypick.localization import cluster_indices
 
 from oracles import brute_force_clusters
+from test_localization import brute_force_cell_counts
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -329,7 +331,10 @@ class TestClusteringOracle:
         oracle = brute_force_clusters(xyz, tol, s_min, s_max)
         assert [c.tolist() for c in mine] == oracle
         sizes = [len(c) for c in brute_force_clusters(xyz, tol, 1, len(xyz))]
+        n_cells, n_cell_pairs = brute_force_cell_counts(xyz, tol)
         assert tel == {
+            "n_cells": n_cells,
+            "n_cell_pairs": n_cell_pairs,
             "n_clusters_raw": len(sizes),
             "discarded_small": sum(1 for k in sizes if k < s_min),
             "discarded_large": sum(1 for k in sizes if k > s_max),
