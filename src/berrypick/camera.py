@@ -11,9 +11,9 @@ only drop points, so the z-buffer sees the survivors in sampling order:
 
 1. Back-face cull. A box sample (trough, occluder) on a face of its own
    box that is turned away from the eye is provably blocked by that box,
-   so it is dropped before any ray is cast. The face each sample lies on
-   is found once per sampling; each camera only decides which faces are
-   turned away from it.
+   so it is dropped before any ray is cast. The scene sampler tags each
+   box sample with the face it draws it on; each camera only decides
+   which faces are turned away from it.
 2. Frustum. Points outside the range band or the field of view go.
 3. Slab test. Box-shaped geometry blocks rays exactly via a vectorized
    slab test, so anything behind a box is absent regardless of sampling
@@ -54,11 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ColoredPointCloud, RigidTransform, Vec3, sq_lengths
-from .scene import KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, sample_surface_arrays
-
-# A box sample at least this far inside every edge of its face is culled
-# when that face is turned away from the eye (see _back_faces).
-_FACE_MARGIN = 1e-6
+from .scene import KIND_FRUIT, Scene, sample_surface_arrays
 
 
 # The default rig in scenario-config units (degrees for angles): both
@@ -180,32 +176,14 @@ def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.nd
     return (entry <= exit_) & (exit_ > 1e-9) & (entry < 1.0 - 1e-9) & ~(miss[:, 0] | miss[:, 1] | miss[:, 2])
 
 
-def _face_codes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Face of the box [lo, hi] whose interior each surface sample lies in:
-    2*axis for the face at lo[axis], 2*axis + 1 for the face at hi[axis],
-    and -1 for a sample within `_FACE_MARGIN` of a face edge.
-
-    A box no thicker than twice the margin on some axis gets -1 throughout:
-    a zero-thickness box blocks nothing, so none of its samples may be
-    culled.
-    """
-    codes = np.full(len(pts), -1, dtype=np.int16)
-    if not (hi - lo > 2 * _FACE_MARGIN).all():
-        return codes
-    inner = (pts >= lo + _FACE_MARGIN) & (pts <= hi - _FACE_MARGIN)
-    for axis in range(3):
-        face_interior = inner[:, (axis + 1) % 3] & inner[:, (axis + 2) % 3]
-        codes[face_interior & (pts[:, axis] == lo[axis])] = 2 * axis
-        codes[face_interior & (pts[:, axis] == hi[axis])] = 2 * axis + 1
-    return codes
-
-
 def _back_faces(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) -> np.ndarray:
-    """Lookup table over face codes 6*box + face, with a final False entry
-    for code -1: True where the face is turned away from the eye.
+    """Lookup table over face codes 6*box + face (box in `Scene.boxes`
+    order, face as `SurfaceBatch.face` numbers it), with a final False
+    entry for code -1: True where the face is turned away from the eye.
 
-    The slab test of a box blocks every sample in the interior of such a
-    face: the eye->sample segment enters the box at
+    The slab test of a box blocks every sample of such a face that lies at
+    least `scene.FACE_MARGIN` inside each of its edges, as every sample
+    with a face code does: the eye->sample segment enters the box at
     t <= 1 - margin/|eye - p|, below the slab test's 1 - 1e-9 cut-off for
     any sample nearer than 1 km, and leaves it through the face at t = 1.
     Faces of a box that does not hold the eye strictly outside stay False.
@@ -224,24 +202,16 @@ class _Surfaces(NamedTuple):
 
     xyz: np.ndarray      # (n, 3) samples, detached fruit dropped
     rgb: np.ndarray      # (n, 3) uint8
-    face: np.ndarray     # (n,) int16 code 6*box + face, or -1 (see _face_codes)
-    bounds: list         # (lo, hi) of the trough and each occluder, in slab-test order
+    face: np.ndarray     # (n,) code 6*box + face into the _back_faces table, or -1
+    bounds: list         # (lo, hi) of each box in Scene.boxes, in slab-test order
 
 
 def _surfaces(scene: Scene) -> _Surfaces:
-    """Sample the scene and find the face of its own box that each trough
-    and occluder sample lies on; none of this depends on the camera."""
+    """Sample the scene and number each box sample's face across all the
+    boxes; none of this depends on the camera."""
     batch = sample_surface_arrays(scene, scene.surface_density)
-    owned = [(scene.trough, batch.kind == KIND_TROUGH)] if scene.trough is not None else []
-    owned += [(occ, (batch.kind == KIND_OCCLUDER) & (batch.owner == i)) for i, occ in enumerate(scene.occluders)]
-    bounds = []
-    face = np.full(len(batch.xyz), -1, dtype=np.int16)
-    for b, (box, own) in enumerate(owned):
-        lo, hi = box.min.to_array(), box.max.to_array()
-        own = np.flatnonzero(own)
-        codes = _face_codes(batch.xyz.take(own, axis=0), lo, hi)
-        face[own] = np.where(codes < 0, -1, 6 * b + codes)
-        bounds.append((lo, hi))
+    face = np.where(batch.face < 0, -1, 6 * batch.owner + batch.face)
+    bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
 
     detached = np.array([s.id for s in scene.strawberries if s.detached], dtype=np.int32)
     if len(detached):

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -217,6 +216,9 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         results = [_sweep_job(job) for job in jobs]
     else:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs, chunksize=n_values if by_seed else 1))
     results = [results[s * n_values + v] for v in range(n_values) for s in range(n_seeds)]

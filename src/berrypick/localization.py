@@ -323,19 +323,20 @@ def cluster_indices(
     return [clusters[i] for i in by_y]
 
 
-def boxes_of(clusters: list[ColoredPointCloud]) -> list[StrawberryBox]:
-    """Axis-aligned bounds of each cluster, indexed in the given (y-sorted) order."""
+def boxes_of(clusters: list[np.ndarray]) -> list[StrawberryBox]:
+    """Axis-aligned bounds of each cluster's (k, 3) positions, indexed in
+    the given (y-sorted) order."""
     boxes = []
-    for i, c in enumerate(clusters):
-        if len(c) == 0:
+    for i, xyz in enumerate(clusters):
+        if len(xyz) == 0:
             raise ValueError("cannot box an empty cluster")
-        lo = c.xyz.min(axis=0)
-        hi = c.xyz.max(axis=0)
+        lo = xyz.min(axis=0)
+        hi = xyz.max(axis=0)
         boxes.append(
             StrawberryBox(
                 index=i,
                 box=Aabb(Vec3.from_array(lo), Vec3.from_array(hi)),
-                point_count=len(c),
+                point_count=len(xyz),
             )
         )
     return boxes
@@ -376,7 +377,7 @@ def localize(
         raise FrameMismatchError(f"second cloud must be in frame 'cam2', got {c2.frame!r}")
     red = crop_window(merge_clouds(_red_in_base(c1, t1, p), _red_in_base(c2, t2, p)), p)
     groups = cluster_indices(red.xyz, p.tol, p.s_min, p.s_max, telemetry)
-    boxes = boxes_of([ColoredPointCloud(red.frame, red.xyz.take(g, axis=0), red.rgb.take(g, axis=0)) for g in groups])
+    boxes = boxes_of([red.xyz.take(g, axis=0) for g in groups])
     if telemetry is not None:
         telemetry.update(n_merged=len(c1) + len(c2), n_red=len(red))
     return boxes

@@ -48,6 +48,10 @@ KIND_STEM = 1
 KIND_TROUGH = 2
 KIND_OCCLUDER = 3
 
+# a box sample within this distance of an edge of its face is on no face
+# (SurfaceBatch.face -1); the cameras cull only samples on a face
+FACE_MARGIN = 1e-6
+
 
 @dataclass(frozen=True)
 class StrawberryTruth:
@@ -86,6 +90,12 @@ class Scene:
         ids = [s.id for s in self.strawberries]
         if len(ids) != len(set(ids)):
             raise ValueError("strawberry ids must be unique")
+
+    @property
+    def boxes(self) -> tuple[Aabb, ...]:
+        """The trough, if there is one, then each occluder: the order in
+        which boxes are sampled and numbered (`SurfaceBatch.owner`)."""
+        return ((self.trough,) if self.trough is not None else ()) + self.occluders
 
 
 def _scene_rng(seed: int, stream: int) -> np.random.Generator:
@@ -200,7 +210,8 @@ class SurfaceBatch(NamedTuple):
     xyz: np.ndarray    # (n, 3) float64
     rgb: np.ndarray    # (n, 3) uint8
     kind: np.ndarray   # (n,) int8
-    owner: np.ndarray  # (n,) int32; fruit/stem: fruit id, occluder: index, trough: -1
+    owner: np.ndarray  # (n,) int32; fruit/stem: fruit id, trough/occluder: index in Scene.boxes
+    face: np.ndarray   # (n,) int8; box sample: face of its own box (see _box_points), fruit/stem: -1
 
 
 def _sphere_points(rng, center: Vec3, radius: float, n: int) -> np.ndarray:
@@ -226,26 +237,36 @@ def _cylinder_points(rng, a: Vec3, b: Vec3, diameter: float, n: int) -> np.ndarr
     return a.to_array() + t * (length * axis) + radial
 
 
-def _box_points(rng, box: Aabb, density: float) -> np.ndarray:
+def _box_points(rng, box: Aabb, density: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples on the six faces of `box`, drawn face by face, and the face
+    each lies on: 2*axis for the face at the box's min on that axis,
+    2*axis + 1 for the face at its max. A sample within `FACE_MARGIN` of
+    an edge of its face gets -1, and so does every sample of a box no
+    thicker than twice the margin on some axis: a zero-thickness box
+    blocks nothing, so none of its samples may be culled."""
     lo = box.min.to_array()
     hi = box.max.to_array()
     size = hi - lo
-    chunks = []
+    thick = bool((size > 2 * FACE_MARGIN).all())
+    chunks = [np.empty((0, 3))]
+    faces = [np.empty(0, dtype=np.int8)]
     for axis in range(3):
         others = [i for i in range(3) if i != axis]
         area = size[others[0]] * size[others[1]]
         n_face = int(round(density * area))
-        for fixed in (lo[axis], hi[axis]):
+        for side, fixed in enumerate((lo[axis], hi[axis])):
             if n_face == 0:
                 continue
             pts = np.empty((n_face, 3))
             pts[:, axis] = fixed
-            pts[:, others[0]] = rng.uniform(lo[others[0]], hi[others[0]], size=n_face)
-            pts[:, others[1]] = rng.uniform(lo[others[1]], hi[others[1]], size=n_face)
+            inner = np.full(n_face, thick)
+            for i in others:
+                u = rng.uniform(lo[i], hi[i], size=n_face)
+                pts[:, i] = u
+                inner &= (u >= lo[i] + FACE_MARGIN) & (u <= hi[i] - FACE_MARGIN)
             chunks.append(pts)
-    if not chunks:
-        return np.empty((0, 3))
-    return np.concatenate(chunks)
+            faces.append(np.where(inner, np.int8(2 * axis + side), np.int8(-1)))
+    return np.concatenate(chunks), np.concatenate(faces)
 
 
 def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
@@ -258,18 +279,17 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
     if density <= 0:
         raise ValueError("density must be > 0")
     rng = _scene_rng(scene.rng_seed, 1)
-    xyz_parts: list[np.ndarray] = []
-    rgb_parts: list[np.ndarray] = []
-    kind_parts: list[np.ndarray] = []
-    owner_parts: list[np.ndarray] = []
+    # an empty part first, so that a scene with no surfaces concatenates too
+    parts = [(
+        np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8),
+        np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8),
+    )]
 
-    def add(xyz: np.ndarray, rgb: np.ndarray, kind: int, owner: int) -> None:
-        if len(xyz) == 0:
-            return
-        xyz_parts.append(xyz)
-        rgb_parts.append(rgb)
-        kind_parts.append(np.full(len(xyz), kind, dtype=np.int8))
-        owner_parts.append(np.full(len(xyz), owner, dtype=np.int32))
+    def add(xyz: np.ndarray, rgb: np.ndarray, kind: int, owner: int, face: np.ndarray | int = -1) -> None:
+        n = len(xyz)
+        parts.append((
+            xyz, rgb, np.full(n, kind, dtype=np.int8), np.full(n, owner, dtype=np.int32), np.full(n, face, dtype=np.int8),
+        ))
 
     for s in scene.strawberries:
         n = int(round(density * 4.0 * math.pi * s.radius**2))
@@ -298,24 +318,10 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
         rgbv[:, 2] = rng.integers(UNRIPE_RB[0], UNRIPE_RB[1] + 1, size=len(pts))
         add(pts, rgbv, KIND_STEM, s.id)
 
-    if scene.trough is not None:
-        trough_pts = _box_points(rng, scene.trough, density)
-        grey = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=len(trough_pts)).astype(np.uint8)
-        add(trough_pts, np.stack([grey, grey, grey], axis=1), KIND_TROUGH, -1)
-
-    for i, occ in enumerate(scene.occluders):
-        pts = _box_points(rng, occ, density)
+    for b, box in enumerate(scene.boxes):
+        pts, face = _box_points(rng, box, density)
         grey = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=len(pts)).astype(np.uint8)
-        add(pts, np.stack([grey, grey, grey], axis=1), KIND_OCCLUDER, i)
+        kind = KIND_TROUGH if b == 0 and scene.trough is not None else KIND_OCCLUDER
+        add(pts, np.stack([grey, grey, grey], axis=1), kind, b, face)
 
-    if not xyz_parts:
-        return SurfaceBatch(
-            np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8),
-            np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int32),
-        )
-    return SurfaceBatch(
-        np.concatenate(xyz_parts),
-        np.concatenate(rgb_parts),
-        np.concatenate(kind_parts),
-        np.concatenate(owner_parts),
-    )
+    return SurfaceBatch(*(np.concatenate(column) for column in zip(*parts)))

@@ -5,6 +5,8 @@ algorithms: clustering runs a full O(n^2) pairwise union-find, filters are
 plain Python loops, and physics checks use closed forms. The camera
 reference is the straightforward renderer (slab-test every sample, then
 clip to the frustum) that the culling renderer must match bit for bit.
+Box face codes are read off each sample's coordinates, not off the face
+the sampler drew it on.
 """
 
 import math
@@ -103,6 +105,31 @@ def point_to_segment_distance(p, a, b) -> float:
     t = 0.0 if denom == 0 else float(np.clip(ap @ ab / denom, 0.0, 1.0))
     closest = a + t * ab
     return float(np.linalg.norm(p - closest))
+
+
+# kept apart from berrypick.scene.FACE_MARGIN, so that a change to the
+# sampler's margin shows up against this judge
+_FACE_MARGIN = 1e-6
+
+
+def face_codes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Face of the box [lo, hi] whose interior each surface sample lies in:
+    2*axis for the face at lo[axis], 2*axis + 1 for the face at hi[axis],
+    and -1 for a sample within `_FACE_MARGIN` of a face edge.
+
+    A box no thicker than twice the margin on some axis gets -1 throughout:
+    a zero-thickness box blocks nothing, so none of its samples may be
+    culled.
+    """
+    codes = np.full(len(pts), -1, dtype=np.int16)
+    if not (hi - lo > 2 * _FACE_MARGIN).all():
+        return codes
+    inner = (pts >= lo + _FACE_MARGIN) & (pts <= hi - _FACE_MARGIN)
+    for axis in range(3):
+        face_interior = inner[:, (axis + 1) % 3] & inner[:, (axis + 2) % 3]
+        codes[face_interior & (pts[:, axis] == lo[axis])] = 2 * axis
+        codes[face_interior & (pts[:, axis] == hi[axis])] = 2 * axis + 1
+    return codes
 
 
 def _reference_occluded_by_box(eye, pts, lo, hi):

@@ -10,6 +10,7 @@ from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, transform_cloud
 from berrypick.scene import (
     KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, detach_fruit, sample_surface_arrays,
+    _box_points,
 )
 
 import oracles
@@ -266,16 +267,30 @@ EDGE_SAMPLES = np.array([[0.50, y, 0.48] for y in (-0.04, -0.013, 0.0, 0.021, 0.
 
 def _with_edge_samples(scene, density):
     """The scene's samples, then each of EDGE_SAMPLES twice: once as a
-    trough sample and once as an occluder sample."""
+    sample of the trough (box 0) and once as one of the occluder (box 1),
+    each with the face code the oracle gives it on that box."""
     batch = sample_surface_arrays(scene, density)
     n = len(EDGE_SAMPLES)
     grey = np.full((2 * n, 3), 150, dtype=np.uint8)
+    faces = [oracles.face_codes(EDGE_SAMPLES, box.min.to_array(), box.max.to_array()) for box in scene.boxes]
     return SurfaceBatch(
         np.concatenate([batch.xyz, EDGE_SAMPLES, EDGE_SAMPLES]),
         np.concatenate([batch.rgb, grey]),
         np.concatenate([batch.kind, np.full(n, KIND_TROUGH, np.int8), np.full(n, KIND_OCCLUDER, np.int8)]),
-        np.concatenate([batch.owner, np.full(n, -1, np.int32), np.zeros(n, np.int32)]),
+        np.concatenate([batch.owner, np.zeros(n, np.int32), np.ones(n, np.int32)]),
+        np.concatenate([batch.face, *faces]).astype(np.int8),
     )
+
+
+class _Draws:
+    """Stands in for the sampler's generator: `uniform` returns the queued
+    draws in turn, then the low end of each range."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, size):
+        return np.array(self.draws.pop(0), dtype=float) if self.draws else np.full(size, low)
 
 
 class TestCullingEquivalence:
@@ -319,7 +334,13 @@ class TestCullingEquivalence:
         pts = np.array([[0.7, 0.0, 0.48 - 1e-11], [0.7, 0.0, 0.40]])
         blocked = [ray_hits_box(eye, p - eye, 1.0 - 1e-9, lo, hi) for p in pts]
         assert blocked == [False, True]
-        culled = camera._back_faces([(lo, hi)], eye)[camera._face_codes(pts, lo, hi)]
+        # at this density the x faces get two samples each and the far one
+        # is drawn second, y before z; every other face gets samples on edges
+        box = Aabb(Vec3(*lo), Vec3(*hi))
+        drawn, face = _box_points(_Draws([0.0, 0.0], [0.3, 0.3], pts[:, 1], pts[:, 2]), box, 2 / 0.36)
+        assert drawn[2:4].tolist() == pts.tolist()
+        assert face.tolist() == oracles.face_codes(drawn, lo, hi).tolist() == [0, 0, -1, 1, -1, -1]
+        culled = camera._back_faces([(lo, hi)], eye)[face[2:4]]
         assert culled.tolist() == blocked
 
     def test_flat_occluder_samples_are_not_culled(self):

@@ -290,7 +290,8 @@ class TestSweepCommand:
                 chunks.extend(jobs[i:i + chunksize] for i in range(0, len(jobs), chunksize))
                 return map(fn, jobs)
 
-        monkeypatch.setattr("berrypick.cli.ProcessPoolExecutor", ChunkRecordingPool)
+        # cmd_sweep imports the pool where it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkRecordingPool)
         monkeypatch.setenv("BERRYPICK_THREADS", "2")
         return chunks
 

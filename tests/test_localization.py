@@ -26,8 +26,9 @@ def cloud_of(xyz, rgb=None, frame="base"):
 
 
 def clusters_of(cloud, p):
+    """Each cluster's positions, in `cluster_indices` order."""
     groups = cluster_indices(cloud.xyz, p.tol, p.s_min, p.s_max)
-    return [ColoredPointCloud(cloud.frame, cloud.xyz[g], cloud.rgb[g]) for g in groups]
+    return [cloud.xyz[g] for g in groups]
 
 
 def blob(rng, center, n=30, radius=0.008):
@@ -470,8 +471,7 @@ class TestClustering:
 
 class TestBoxesOf:
     def test_two_point_cluster(self):
-        c = cloud_of([[0.0, 0.0, 0.0], [0.01, 0.02, 0.03]])
-        (box,) = boxes_of([c])
+        (box,) = boxes_of([np.array([[0.0, 0.0, 0.0], [0.01, 0.02, 0.03]])])
         assert box.index == 0
         assert box.point_count == 2
         assert box.box.min == Vec3(0.0, 0.0, 0.0)
@@ -482,8 +482,7 @@ class TestBoxesOf:
         r = 0.015
         dirs = rng.normal(size=(2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        c = cloud_of(np.array([0.4, 0.0, 0.4]) + r * dirs)
-        (box,) = boxes_of([c])
+        (box,) = boxes_of([np.array([0.4, 0.0, 0.4]) + r * dirs])
         for lo, hi in ((box.box.min.x, box.box.max.x), (box.box.min.y, box.box.max.y), (box.box.min.z, box.box.max.z)):
             assert 1.6 * r <= hi - lo <= 2.0 * r
 
@@ -500,7 +499,7 @@ class TestBoxesOf:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            boxes_of([ColoredPointCloud.empty("base")])
+            boxes_of([np.empty((0, 3))])
 
 
 def make_scene_clouds(rng, n_blobs=3):

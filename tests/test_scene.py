@@ -3,9 +3,10 @@ import pytest
 
 from berrypick.config import build_scenario, resolve_config
 from berrypick.errors import ConfigError, StateError
-from berrypick.geometry import Vec3
+from berrypick.geometry import Aabb, Vec3
 from berrypick.scene import (
     KIND_FRUIT,
+    KIND_OCCLUDER,
     KIND_STEM,
     KIND_TROUGH,
     MAX_STEM_BEND,
@@ -129,7 +130,7 @@ class TestSampleSurfaces:
     def test_tiny_density_no_error(self):
         scene = generate_scene(2, 1)
         batch = sample_surface_arrays(scene, 0.001)
-        assert len(batch.xyz) == len(batch.rgb) == len(batch.kind) == len(batch.owner)
+        assert len(batch.xyz) == len(batch.rgb) == len(batch.kind) == len(batch.owner) == len(batch.face)
 
     def test_ripe_and_unripe_color_bands(self):
         scene = generate_scene(4, 6, ripe_fraction=0.5)
@@ -163,6 +164,54 @@ class TestSampleSurfaces:
     def test_density_validation(self):
         with pytest.raises(ValueError):
             sample_surface_arrays(generate_scene(1, 1), 0.0)
+
+
+def _random_box(rng, scale, shape):
+    """A box of extents `scale` to within a factor of 2; a thin box is at
+    most 3e-6 m deep on one axis, a flat one not at all."""
+    lo = rng.uniform(-0.5, 0.5, size=3)
+    size = scale * rng.uniform(0.5, 2.0, size=3)
+    if shape == "thin":
+        size[rng.integers(3)] = rng.uniform(0.0, 3e-6)
+    elif shape == "flat":
+        size[rng.integers(3)] = 0.0
+    return Aabb(Vec3(*lo), Vec3(*(lo + size)))
+
+
+class TestFaceCodes:
+    def test_matches_oracle_on_random_boxes(self):
+        from oracles import face_codes
+
+        rng = np.random.default_rng(31)
+        margin = thin = interior = 0
+        for seed in range(300):
+            # boxes of one scale from 10^-6.5 to 0.1 m, a few hundred samples each
+            scale = 10 ** rng.uniform(-6.5, -1.0)
+            boxes = [_random_box(rng, scale, rng.choice(["box", "thin", "flat"])) for _ in range(1 + seed % 3)]
+            scene = Scene((), seed, boxes[0] if seed % 2 else None, tuple(boxes[seed % 2:]), 1.0)
+            batch = sample_surface_arrays(scene, 100 / scale**2)
+            assert len(scene.boxes) == len(boxes)
+            for b, box in enumerate(scene.boxes):
+                own = batch.owner == b
+                lo, hi = box.min.to_array(), box.max.to_array()
+                want = face_codes(batch.xyz[own], lo, hi)
+                assert batch.face[own].tolist() == want.tolist()
+                assert (batch.kind[own] == (KIND_TROUGH if b == 0 and seed % 2 else KIND_OCCLUDER)).all()
+                if (hi - lo > 2e-6).all():
+                    margin += int((want < 0).sum())
+                    interior += int((want >= 0).sum())
+                elif (hi - lo > 0).all():
+                    thin += int(own.sum())
+        # samples fall inside the margin, on faces and on boxes thin but not flat
+        assert margin > 1000 and interior > 1000 and thin > 1000
+
+    def test_fruit_and_stem_samples_are_on_no_face(self):
+        scene = generate_scene(3, 4)
+        batch = sample_surface_arrays(scene, scene.surface_density)
+        fruit_or_stem = (batch.kind == KIND_FRUIT) | (batch.kind == KIND_STEM)
+        assert fruit_or_stem.any() and (batch.face[fruit_or_stem] == -1).all()
+        assert (batch.owner[batch.kind == KIND_TROUGH] == 0).all()
+        assert (batch.face[batch.kind == KIND_TROUGH] >= 0).mean() > 0.99
 
 
 class TestDetach:
