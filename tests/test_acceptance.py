@@ -181,13 +181,18 @@ def test_c4_latency_budget():
     start = time.perf_counter()
     result = run_bench(BENCH_SIZE, reps=20, seed=0)
     elapsed = time.perf_counter() - start
-    ok = result["max_ms"] <= LATENCY_BUDGET_MS and elapsed < 120.0
+    # the timed run must also give seed 0's answer: 7 boxes, each holding a
+    # blob centre (red noise bridges the other two into one cluster above
+    # s_max, which is dropped)
+    answer = (result["n_boxes"], result["blob_recall"])
+    ok = result["max_ms"] <= LATENCY_BUDGET_MS and elapsed < 120.0 and answer == (7, 7)
     report(
         "C4 (latency budget)",
         ok,
         f"{BENCH_SIZE} merged points x 20 reps: p50={result['p50_ms']:.1f}ms "
         f"p95={result['p95_ms']:.1f}ms max={result['max_ms']:.1f}ms "
-        f"(budget {LATENCY_BUDGET_MS}ms); bench runtime {elapsed:.1f}s (<120s)",
+        f"(budget {LATENCY_BUDGET_MS}ms); bench runtime {elapsed:.1f}s (<120s); "
+        f"n_boxes={answer[0]} blob_recall={answer[1]} (want 7 and 7)",
     )
 
 

@@ -393,7 +393,10 @@ class TestBenchCommand:
         params = LocalizationParams()
         rig = default_rig()
         c1, c2 = make_bench_clouds(5000, 0, params, rig)
-        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params)
+        load = {}
+        boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params, load)
+        assert {k: report[k] for k in ("n_red", "n_cells", "n_cell_pairs", "n_clusters_raw")} == {
+            k: load[k] for k in ("n_red", "n_cells", "n_cell_pairs", "n_clusters_raw")}
         span = params.y_plus - params.y_minus
         found = 0
         for k in range(N_BLOBS):

@@ -25,10 +25,9 @@ def cloud_of(xyz, rgb=None, frame="base"):
     return ColoredPointCloud(frame, xyz, rgb)
 
 
-def clusters_of(cloud, p):
-    """Each cluster's positions, in `cluster_indices` order."""
-    groups = cluster_indices(cloud.xyz, p.tol, p.s_min, p.s_max)
-    return [cloud.xyz[g] for g in groups]
+def boxes_from_clusters(cloud, p):
+    """The boxes of `cloud`'s clusters, in `cluster_indices` order."""
+    return boxes_of(cloud.xyz, cluster_indices(cloud.xyz, p.tol, p.s_min, p.s_max))
 
 
 def blob(rng, center, n=30, radius=0.008):
@@ -172,6 +171,15 @@ def oracle_checked_clusters(xyz):
     return mine
 
 
+def each_neighbour_path(monkeypatch):
+    """Force `cluster_indices` onto each way of finding a cell's neighbours
+    in turn, yielding its name: the grid table, then the search of the
+    sorted cell keys. Both must find the same candidate cell pairs."""
+    for path, fits in (("table", True), ("search", False)):
+        monkeypatch.setattr(localization, "_table_fits", lambda cells, n, fits=fits: fits)
+        yield path
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """Count the calls to the clustering's last round, the point test."""
@@ -229,15 +237,16 @@ class TestClustering:
     def test_empty_input(self):
         assert cluster_indices(np.empty((0, 3)), 0.02, 1, 10) == []
 
-    def test_oracle_equivalence_random_clouds(self):
+    def test_oracle_equivalence_random_clouds(self, monkeypatch):
         rng = np.random.default_rng(16)
         for _ in range(25):
             n = int(rng.integers(0, 800))
             span = float(rng.uniform(0.05, 0.4))
             xyz = rng.uniform(0, span, size=(n, 3))
-            mine = cluster_indices(xyz, 0.02, 1, 10**9)
             oracle = brute_force_clusters(xyz, 0.02, 1, 10**9)
-            assert partitions_equal(mine, oracle)
+            for path in each_neighbour_path(monkeypatch):
+                mine = cluster_indices(xyz, 0.02, 1, 10**9)
+                assert partitions_equal(mine, oracle), path
 
     def test_oracle_equivalence_with_size_filter(self):
         rng = np.random.default_rng(17)
@@ -277,6 +286,22 @@ class TestClustering:
         perm_sets = [frozenset(map(tuple, xyz[perm][c])) for c in permuted]
         assert base_sets == perm_sets
 
+    def test_ordered_by_each_clusters_mean(self):
+        # 30 clusters, each a chain of the same twelve y values along one
+        # line x = const, with the clusters' points interleaved at random:
+        # every cluster sums its y values in another order, so the means
+        # differ only in how they round. The order key is each cluster's
+        # own `.mean(axis=0)`, y, x, z, then its lowest index.
+        rng = np.random.default_rng(33)
+        tol = 0.25
+        ys = 0.1 * np.arange(12) + 0.013
+        xyz = np.array([[x, y, 0.3] for x in np.arange(30.0) for y in ys])[rng.permutation(360)]
+        clusters = cluster_indices(xyz, tol, 1, 10**6)
+        assert len(clusters) == 30
+        key = [(*xyz[c].mean(axis=0)[[1, 0, 2]].tolist(), int(c[0])) for c in clusters]
+        assert key == sorted(key)
+        assert len({k[0] for k in key}) > 1  # the means round apart
+
     def test_sorted_by_centroid_y(self):
         rng = np.random.default_rng(21)
         centers = [np.array([0.0, y, 0.0]) for y in (0.3, -0.1, 0.1, 0.5)]
@@ -285,14 +310,15 @@ class TestClustering:
         ys = [xyz[c][:, 1].mean() for c in clusters]
         assert ys == sorted(ys)
 
-    def test_every_cell_offset_matches_oracle(self):
+    def test_every_cell_offset_matches_oracle(self, monkeypatch):
         # For each of the 62 half-space offsets d between grid cells, put a
         # pair of points in cells k and k + d: once as close as the cells
         # allow (within tol for every d, by ~1e-12 for |d| = 2 on all axes)
         # and once just beyond tol. A third point far above or below puts
         # the pair at the grid's lowest or highest cell coordinates; with
         # the pair alone the grid is as small as the pair allows, so the
-        # runs searched in neighbouring rows abut.
+        # runs searched in neighbouring rows abut. Each cloud is clustered
+        # on both neighbour paths.
         tol = 0.02
         cell = tol / np.sqrt(3.0) * (1.0 - 1e-12)  # the grid's cell edge
         e = 1e-13 * cell
@@ -323,9 +349,10 @@ class TestClustering:
                     xyz = np.array([p, q] if anchor is None else [p, q, (k + anchor + 0.5) * cell])
                     oracle = brute_force_clusters(xyz, tol, 1, 10)
                     assert (max(map(len, oracle)) == 2) == joined, (d, joined)
-                    assert partitions_equal(cluster_indices(xyz, tol, 1, 10), oracle), (d, joined, anchor)
-                    checked += 1
-        assert checked == 62 * 2 * 3
+                    for path in each_neighbour_path(monkeypatch):
+                        assert partitions_equal(cluster_indices(xyz, tol, 1, 10), oracle), (d, joined, anchor, path)
+                        checked += 1
+        assert checked == 62 * 2 * 3 * 2
 
     def test_grid_of_2_64_cells_rejected(self):
         # 2^32 + 5 by 65,536 by 65,536 cells: int64 keys would wrap and join
@@ -349,6 +376,28 @@ class TestClustering:
         far = [2**30 - 5, 2**29 - 5, 0]
         xyz = (np.array([[0, 0, 0], far, far]) + [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]) * edge
         assert partitions_equal(cluster_indices(xyz, 0.02, 1, 10), [[0], [1, 2]])
+
+    @pytest.mark.parametrize("dims, table", [((6, 8, 1366), True), ((7, 17, 551), False)])
+    def test_table_rule_at_its_limit(self, monkeypatch, dims, table):
+        # Four points on grids of 65,568 = 8 * 4 + 2^16 cells, the largest
+        # grid the table rule admits for four points, and of 65,569 cells,
+        # one past it, which the sorted keys are searched for. Two of the
+        # points are one cell apart, two are two cells apart.
+        tol = 0.02
+        edge = localization._cell_edge(tol)
+        far = np.array(dims) - 5
+        xyz = (np.array([[0, 0, 0], [0, 0, 1], far - [0, 0, 2], far]) + 0.5) * edge
+        decided = []
+        fits = localization._table_fits
+
+        def recorded(cells, n):
+            decided.append((cells, n, fits(cells, n)))
+            return decided[-1][2]
+
+        monkeypatch.setattr(localization, "_table_fits", recorded)
+        assert partitions_equal(cluster_indices(xyz, tol, 1, 10), brute_force_clusters(xyz, tol, 1, 10))
+        assert partitions_equal(cluster_indices(xyz, tol, 1, 10), [[0, 1], [2], [3]])
+        assert decided[0] == (8 * 4 + 2**16 + (not table), 4, table)
 
     def test_one_cell_cloud(self):
         # a grid of one occupied cell: points anywhere in it, repeats too
@@ -390,7 +439,7 @@ class TestClustering:
         assert tel["discarded_small"] == 1
         assert tel["discarded_large"] == 1
 
-    def test_telemetry_counts_cells_and_near_pairs(self):
+    def test_telemetry_counts_cells_and_near_pairs(self, monkeypatch):
         rng = np.random.default_rng(31)
         clouds = [
             (rng.uniform(0, 0.1, (300, 3)), 0.02),
@@ -401,31 +450,35 @@ class TestClustering:
             (np.empty((0, 3)), 0.02),
         ]
         for xyz, tol in clouds:
-            tel = {}
-            cluster_indices(xyz, tol, 1, 10**6, tel)
-            assert (tel["n_cells"], tel["n_cell_pairs"]) == brute_force_cell_counts(xyz, tol)
+            want = brute_force_cell_counts(xyz, tol)
+            for path in each_neighbour_path(monkeypatch):
+                tel = {}
+                cluster_indices(xyz, tol, 1, 10**6, tel)
+                assert (tel["n_cells"], tel["n_cell_pairs"]) == want, path
 
-    # One case per round, each in several row orders against the oracle,
-    # with the point-round calls counted where the order cannot change
-    # them; coordinates are in cell edges (`cells_cloud`).
+    # One case per round, each in several row orders against the oracle and
+    # on both neighbour paths, with the point-round calls counted where the
+    # order cannot change them; coordinates are in cell edges (`cells_cloud`).
 
-    def test_round_sure_link(self, rounds):
+    def test_round_sure_link(self, monkeypatch, rounds):
         # every point of one cell within tol of every point of the other:
         # the probe links the cells whichever points come first
         u = [[0.8, 0.4, 0.4], [0.95, 0.6, 0.6], [0.9, 0.5, 0.45]]
         v = [[1.05, 0.4, 0.6], [1.2, 0.6, 0.4]]
-        assert in_each_order(cells_cloud(u, v), rounds) == [(1, 0)] * ORDERS
+        for _ in each_neighbour_path(monkeypatch):
+            assert in_each_order(cells_cloud(u, v), rounds) == [(1, 0)] * ORDERS
 
-    def test_round_representative_probe(self, rounds):
+    def test_round_representative_probe(self, monkeypatch, rounds):
         # cell corners and centres, the cells one apart: the corners of one
         # cell lie beyond tol of the far corners of the other, so the
         # points that come first decide which round links the cells
         corners = [[x, y, z] for x in (0.05, 0.95) for y in (0.05, 0.95) for z in (0.05, 0.95)]
         u = corners + [[0.5, 0.5, 0.5]]
         v = np.array(u) + [1.0, 0.0, 0.0]
-        assert [k for k, _ in in_each_order(cells_cloud(u, v), rounds)] == [1] * ORDERS
+        for _ in each_neighbour_path(monkeypatch):
+            assert [k for k, _ in in_each_order(cells_cloud(u, v), rounds)] == [1] * ORDERS
 
-    def test_round_pruned_point_test(self, rounds):
+    def test_round_pruned_point_test(self, monkeypatch, rounds):
         # the centre points sit two cells apart, beyond tol; only the face
         # points, 1.02 cells apart, join the cells, in the probe or the
         # point round as the order falls
@@ -433,15 +486,17 @@ class TestClustering:
         v = [[2.5, 0.5, 0.5]] * 3 + [[2.01, 0.5, 0.5]]
         xyz = cells_cloud(u, v)
         assert np.linalg.norm(xyz[0] - xyz[4]) > ROUND_TOL
-        assert [k for k, _ in in_each_order(xyz, rounds)] == [1] * ORDERS
+        for _ in each_neighbour_path(monkeypatch):
+            assert [k for k, _ in in_each_order(xyz, rounds)] == [1] * ORDERS
 
-    def test_round_near_pair_without_edge(self, rounds):
+    def test_round_near_pair_without_edge(self, monkeypatch, rounds):
         # the extents lie within tol of each other, no point pair does:
         # the closest pair is 1.04, 0.996 and 0.996 cells apart, so the
         # probe never links and the point round runs in every order
         u = [[0.98, 0.002, 0.002], [0.02, 0.998, 0.998]]
         v = [[2.02, 0.998, 0.998], [2.98, 0.002, 0.002]]
-        assert in_each_order(cells_cloud(u, v), rounds) == [(2, 1)] * ORDERS
+        for _ in each_neighbour_path(monkeypatch):
+            assert in_each_order(cells_cloud(u, v), rounds) == [(2, 1)] * ORDERS
 
     @pytest.mark.parametrize("linked", [False, True])
     def test_pair_budget_bounds_each_chunk(self, monkeypatch, linked):
@@ -471,7 +526,7 @@ class TestClustering:
 
 class TestBoxesOf:
     def test_two_point_cluster(self):
-        (box,) = boxes_of([np.array([[0.0, 0.0, 0.0], [0.01, 0.02, 0.03]])])
+        (box,) = boxes_of(np.array([[0.0, 0.0, 0.0], [0.01, 0.02, 0.03]]), [np.arange(2)])
         assert box.index == 0
         assert box.point_count == 2
         assert box.box.min == Vec3(0.0, 0.0, 0.0)
@@ -482,24 +537,46 @@ class TestBoxesOf:
         r = 0.015
         dirs = rng.normal(size=(2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        (box,) = boxes_of([np.array([0.4, 0.0, 0.4]) + r * dirs])
+        (box,) = boxes_of(np.array([0.4, 0.0, 0.4]) + r * dirs, [np.arange(2000)])
         for lo, hi in ((box.box.min.x, box.box.max.x), (box.box.min.y, box.box.max.y), (box.box.min.z, box.box.max.z)):
             assert 1.6 * r <= hi - lo <= 2.0 * r
 
     def test_boxes_sorted_by_center_y(self):
         rng = np.random.default_rng(24)
-        clusters = clusters_of(
+        boxes = boxes_from_clusters(
             cloud_of(np.concatenate([blob(rng, np.array([0.0, y, 0.0]), 30) for y in (-0.2, 0.0, 0.2)])),
             LocalizationParams(s_min=1),
         )
-        boxes = boxes_of(clusters)
         ys = [b.box.center.y for b in boxes]
         assert ys == sorted(ys)
         assert [b.index for b in boxes] == [0, 1, 2]
 
+    def test_bounds_equal_each_clusters_min_and_max(self):
+        # one gather and one reduceat per bound give each cluster's own
+        # min and max, bit for bit: random clusters, one-point clusters,
+        # and values that are signed zeros or subnormal
+        rng = np.random.default_rng(34)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0])
+        for trial in range(40):
+            n = int(rng.integers(1, 400))
+            xyz = rng.normal(size=(n, 3)) if trial % 2 else rng.choice(special, size=(n, 3))
+            k = n - 1 if trial % 4 == 0 else min(n - 1, int(rng.integers(0, 30)))  # all one-point, or mixed
+            cuts = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
+            clusters = np.split(rng.permutation(n), cuts)
+            boxes = boxes_of(xyz, clusters)
+            assert len(boxes) == len(clusters)
+            for i, (b, c) in enumerate(zip(boxes, clusters)):
+                got = np.array([b.box.min.x, b.box.min.y, b.box.min.z, b.box.max.x, b.box.max.y, b.box.max.z])
+                want = np.concatenate([xyz[c].min(axis=0), xyz[c].max(axis=0)])
+                assert (b.index, b.point_count) == (i, len(c))
+                assert got.tobytes() == want.tobytes()
+        assert boxes_of(np.zeros((0, 3)), []) == []
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            boxes_of([np.empty((0, 3))])
+            boxes_of(np.zeros((2, 3)), [np.empty(0, dtype=np.intp)])
+        with pytest.raises(ValueError):
+            boxes_of(np.zeros((2, 3)), [np.arange(2), np.empty(0, dtype=np.intp)])
 
 
 def make_scene_clouds(rng, n_blobs=3):
@@ -556,7 +633,7 @@ class TestLocalize:
         merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
         cropped = crop_window(merged, p)
         red = threshold_red(cropped, p)
-        staged = boxes_of(clusters_of(red, p))
+        staged = boxes_from_clusters(red, p)
         assert boxes == staged
         assert len(boxes) == 3
         # the filter-first path clusters the staged path's red points, bit for bit
@@ -586,7 +663,7 @@ class TestLocalize:
             merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
             red = threshold_red(crop_window(merged, p), p)
             seen.clear()
-            assert localize(c1, c2, t1, t2, p) == boxes_of(clusters_of(red, p))
+            assert localize(c1, c2, t1, t2, p) == boxes_from_clusters(red, p)
             assert seen[0].tobytes() == red.xyz.tobytes()
 
     def test_all_non_red_gives_empty(self):
