@@ -200,10 +200,10 @@ def cmd_sweep(args) -> int:
     # Seed-major: no sweep axis changes the scene, so a seed's points run
     # one after another and view its scene once (camera.py keeps the last
     # view). The rows are then put back in value-major order.
+    points = [apply_sweep_value(cfg, axis, value) for value in values]
     jobs = []
     for seed in cfg["seeds"]:
-        for value in values:
-            point = apply_sweep_value(cfg, axis, value)
+        for point, value in zip(points, values):
             run_dir = out_root / f"{axis}_{value}_seed{seed}"
             jobs.append((point, axis, value, seed, str(run_dir)))
 

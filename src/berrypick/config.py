@@ -8,13 +8,18 @@ at load time; defaults and everything downstream are in meters. Speeds
 are always m/s, energy densities always J/m^2, and `sweep.offsets_mm` is
 always millimeters (the key carries its unit).
 
-This module checks types and the keys no component consumes. Every range
-rule belongs to its component: resolving a config builds the components
-for it and for each sweep point, and a rejected value becomes a
-`ConfigError` naming its dotted key. The robot workspace, the
-localization crop window inflated by `robot.workspace_margin`, is built
-here only. So are the scene rules that read the crop window: where any
-fruit is ripe, the layout must hang every fruit inside it.
+The file is merged over `DEFAULTS` in one walk. It rejects unknown keys,
+gives each value the file sets inside a section the type of its default,
+and only then rescales it if it is a length; the first fault in walk
+order is the one named. This module also checks the keys no component
+consumes. Every range rule belongs to its component: resolving a config
+builds the components for it and for each sweep point, and a rejected
+value becomes a `ConfigError` naming its dotted key. The robot
+workspace, the localization crop window inflated by
+`robot.workspace_margin`, is built here only. So are the scene rules
+that read the crop window or the trough: where any fruit is ripe, the
+layout must hang every fruit inside the window and, where the cameras
+make the boxes, in front of the trough.
 
 The resolved (defaulted, meter-converted) dictionary is hashed with
 SHA-256 and the hash is embedded in every artifact, so artifacts can be
@@ -91,7 +96,7 @@ DEFAULTS: dict = {
 }
 
 # dotted paths of length-dimensioned fields rescaled by `units`
-_LENGTH_FIELDS = [
+_LENGTH_FIELDS = {
     "scene.bend_sigma",
     "scene.spacing",
     "scene.fruit_x",
@@ -118,48 +123,41 @@ _LENGTH_FIELDS = [
     "tool.interrupter_drop",
     "boxes.offset",
     "sweep.noise_sigmas",
-]
+}
 
 
-def _merge(defaults, override, path: str):
+def _merge(defaults, given, path: str, scale: float):
+    """`given` merged over `defaults` in one walk. Inside a section each
+    given value first takes the type of its default, then, if it is a
+    length, is rescaled to meters; the defaults are meters already."""
     if isinstance(defaults, dict):
-        if not isinstance(override, dict):
+        if not isinstance(given, dict):
             raise ConfigError(f"{path or 'config'} must be an object")
         out = {}
         for key, dval in defaults.items():
             sub = f"{path}.{key}" if path else key
-            if key in override:
-                out[key] = _merge(dval, override[key], sub)
+            if key in given:
+                out[key] = _merge(dval, given[key], sub, scale)
             else:
                 out[key] = copy.deepcopy(dval)
-        for key in override:
+        for key in given:
             if key not in defaults:
                 sub = f"{path}.{key}" if path else key
                 raise ConfigError(f"unknown key: {sub}")
         return out
-    return copy.deepcopy(override)
+    value = copy.deepcopy(given)
+    if "." in path:  # top-level scalars have their rules in `_validate`
+        _check_type(value, defaults, path)
+        # a scale of 1 keeps each value's type: an int stays an int in the hash
+        if scale != 1.0 and path in _LENGTH_FIELDS:
+            value = _scaled(value, scale)
+    return value
 
 
-def _scale_lengths(cfg: dict, raw: dict, scale: float) -> None:
-    """Rescale the lengths the file gives; the defaults are meters already."""
-    def scaled(v):
-        if isinstance(v, list):
-            return [scaled(x) for x in v]
-        if _is_number(v):
-            return v * scale
-        return v  # None, or a bad value left for _validate to name
-
-    for path in _LENGTH_FIELDS:
-        *parents, key = path.split(".")
-        node, given = cfg, raw
-        for p in parents:
-            node, given = node[p], given.get(p, {})
-        if key in given:
-            node[key] = scaled(node[key])
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _scaled(v, scale: float):
+    if isinstance(v, list):
+        return [_scaled(x, scale) for x in v]
+    return v * scale if _is_finite(v) else v  # a bad value left for `_validate` to name
 
 
 def _is_int(v) -> bool:
@@ -173,7 +171,7 @@ def _is_seed(v) -> bool:
 
 def _is_finite(v) -> bool:
     try:
-        return _is_number(v) and math.isfinite(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -190,34 +188,27 @@ def _check_triple(v, key: str) -> None:
     )
 
 
-def _check_types(node: dict, defaults: dict, path: str) -> None:
-    """Give each value the type of its default: an integer for an int, a
+def _check_type(v, default, key: str) -> None:
+    """Give a value the type of its default: an integer for an int, a
     finite number for a float, and for a non-empty list a list of as many
     finite numbers. Other leaves have their own rules in `_validate`."""
-    for key, d in defaults.items():
-        sub = f"{path}.{key}"
-        v = node[key]
-        if isinstance(d, dict):
-            _check_types(v, d, sub)
-        elif isinstance(d, int):
-            _require(_is_int(v), sub, "must be an integer")
-        elif isinstance(d, float):
-            _require(_is_finite(v), sub, "must be a finite number")
-        elif isinstance(d, list) and d:
-            _require(
-                isinstance(v, list) and len(v) == len(d) and all(_is_finite(x) for x in v),
-                sub, f"must be a list of {len(d)} finite numbers",
-            )
+    if isinstance(default, int):
+        _require(_is_int(v), key, "must be an integer")
+    elif isinstance(default, float):
+        _require(_is_finite(v), key, "must be a finite number")
+    elif isinstance(default, list) and default:
+        _require(
+            isinstance(v, list) and len(v) == len(default) and all(_is_finite(x) for x in v),
+            key, f"must be a list of {len(default)} finite numbers",
+        )
 
 
 def _validate(cfg: dict) -> None:
-    """Types, and the rules of keys that no component consumes; the
-    components check every other range when `build_scenario` runs."""
+    """The rules of keys that no component consumes and `_merge` does not
+    type; the components check every other range when `build_scenario`
+    runs."""
     _require(cfg["version"] == CONFIG_VERSION, "version", f"must be {CONFIG_VERSION}")
     _require(isinstance(cfg["name"], str) and cfg["name"] != "", "name", "must be a non-empty string")
-    for section, defaults in DEFAULTS.items():
-        if isinstance(defaults, dict):
-            _check_types(cfg[section], defaults, section)
 
     sc = cfg["scene"]
     _require(sc["seed"] is None or _is_seed(sc["seed"]), "scene.seed", "must be an integer >= 0 or null")
@@ -274,8 +265,9 @@ def apply_sweep_value(cfg: dict, axis: str, value) -> dict:
 
 
 def resolve_config(raw: dict) -> dict:
-    """Merge over defaults, convert units to meters, validate. Returns the
-    canonical resolved dictionary (units always 'm').
+    """Merge over defaults (type-checking and converting to meters on the
+    way), validate. Returns the canonical resolved dictionary (units
+    always 'm').
 
     Validation builds the components for the first seed, once for the
     config and once for every sweep point, so every range rule is the
@@ -285,11 +277,8 @@ def resolve_config(raw: dict) -> dict:
     units = raw.get("units", "m")
     if not isinstance(units, str) or units not in _UNIT_SCALE:
         raise ConfigError(f"units must be one of {sorted(_UNIT_SCALE)}")
-    cfg = _merge(DEFAULTS, raw, "")
-    scale = _UNIT_SCALE[cfg["units"]]
-    if scale != 1.0:
-        _scale_lengths(cfg, raw, scale)
-        cfg["units"] = "m"
+    cfg = _merge(DEFAULTS, raw, "", _UNIT_SCALE[units])
+    cfg["units"] = "m"
     _validate(cfg)
     seed = cfg["seeds"][0]
     build_scenario(cfg, seed)
@@ -393,11 +382,13 @@ def build_cut(cfg: dict) -> tuple[CutModel, bool]:
         return CutModel(**kwargs), ct["duty"] is None
 
 
-def _require_ripe_in_crop_window(cfg: dict, scene: Scene, p: LocalizationParams) -> None:
-    """The scene rules that read the crop window, which `localize` crops to
-    (strictly): where any fruit is ripe, `fruit_x` (give or take its
-    jitter), `fruit_z_band` and the row's y extent (stem bend included)
-    lie inside it."""
+def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> None:
+    """The scene rules that keep ripe fruit where the boxes are found.
+    Where any fruit is ripe, `fruit_x` (give or take its jitter),
+    `fruit_z_band` and the row's y extent (stem bend included) lie inside
+    the crop window, which `localize` crops to (strictly); and where the
+    cameras make the boxes, `fruit_x` (with its jitter) lies in front of
+    the trough, whose box hides the fruit hung inside it."""
     if not any(s.ripe for s in scene.strawberries):
         return
     sc = cfg["scene"]
@@ -406,6 +397,12 @@ def _require_ripe_in_crop_window(cfg: dict, scene: Scene, p: LocalizationParams)
         p.x_minus < x - FRUIT_X_JITTER and x + FRUIT_X_JITTER < p.x_plus, "scene.fruit_x",
         f"must lie within ({p.x_minus + FRUIT_X_JITTER:g}, {p.x_plus - FRUIT_X_JITTER:g}) m"
         " so that ripe fruit stay in the crop window",
+    )
+    front = scene.trough.min.x
+    _require(
+        cfg["boxes"]["source"] != "cameras" or x + FRUIT_X_JITTER < front, "scene.fruit_x",
+        f"must lie below {front - FRUIT_X_JITTER:g} m so that ripe fruit hang in front of the trough"
+        f" (x = {front:g} m), where the cameras see them",
     )
     _require(
         p.z_minus < z_lo and z_hi < p.z_plus, "scene.fruit_z_band",
@@ -426,7 +423,7 @@ def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     params = build_localization(cfg)
     robot = build_robot(cfg)
     scene = build_scene(cfg, run_seed)
-    _require_ripe_in_crop_window(cfg, scene, params)
+    _require_ripe_in_view(cfg, scene, params)
     cut, derive_duty = build_cut(cfg)
     return BuiltScenario(
         scene=scene,

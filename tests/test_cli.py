@@ -157,6 +157,8 @@ class TestRunCommand:
         # ... and in y, where the row is wider than a narrowed window
         ({"localization": {"y_minus": -0.1, "y_plus": 0.1}, "robot": {"home": [0.2, -0.15, 0.44]}, "scene": {"seed": 7}},
          "scene.n_straw"),
+        # ripe fruit inside the crop window but behind the trough's front face, hidden from the cameras
+        ({"scene": {"seed": 7, "fruit_x": 0.52}}, "scene.fruit_x"),
     ])
     def test_component_rule_is_config_error(self, tmp_path, capsys, payload, key):
         # rules only the components hold: the config is rejected when they are built

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -150,6 +151,20 @@ class TestUnits:
     def test_mm_scaling(self):
         cfg = resolve_config({"units": "mm", "tool": {"trapper_width": 30, "groove_width": 35}})
         assert cfg["tool"]["trapper_width"] == pytest.approx(0.030)
+
+    def test_int_length_in_meters_keeps_its_type(self):
+        # units "m" rescale nothing, so the hash reads the int the file gave
+        cfg = resolve_config({"localization": {"x_plus": 1}})
+        assert type(cfg["localization"]["x_plus"]) is int
+        expected = copy.deepcopy(DEFAULTS)
+        expected["localization"]["x_plus"] = 1
+        assert config_hash(cfg) == config_hash(expected)
+        assert config_hash(cfg) != config_hash(resolve_config({"localization": {"x_plus": 1.0}}))
+
+    def test_resolved_config_resolves_to_itself(self):
+        cfg = resolve_config({"units": "mm", "scene": {"spacing": 50, "occluders": [[[210, -50, 300], [220, 50, 350]]]}})
+        again = resolve_config(copy.deepcopy(cfg))
+        assert again == cfg and config_hash(again) == config_hash(cfg)
 
 
 class TestHash:

@@ -110,6 +110,21 @@ def _base_with(section: str, key: str, value, **more) -> dict:
     return cfg
 
 
+def _huge_lengths(test):
+    """Examples with an integer beyond the float range in each shape of
+    length (a scalar, a triple, an occluder corner, a sweep entry), in
+    each unit that rescales it."""
+    for units in ("cm", "mm"):
+        for section, key, value in [
+            ("scene", "spacing", 10**400),
+            ("rig", "cam1", {**BASE_CONFIG["rig"]["cam1"], "target": [0.45, 0.0, 10**400]}),
+            ("scene", "occluders", [[[0.2, -0.05, 10**400], [0.21, 0.05, 0.35]]]),
+            ("sweep", "noise_sigmas", [10**400]),
+        ]:
+            test = example({**_base_with(section, key, value), "units": units})(test)
+    return test
+
+
 class TestConfigContract:
     def test_base_config_resolves(self):
         resolve_config(copy.deepcopy(BASE_CONFIG))
@@ -124,6 +139,7 @@ class TestConfigContract:
     @example(_base_with("scene", "radius_band", [0, 0], spacing=1e-9, n_straw=10**9))
     # a camera far enough out that |target - eye| overflows: once a NaN pose
     @example(_base_with("rig", "cam2", {**BASE_CONFIG["rig"]["cam2"], "eye": [1.5e299, 0.0, 0.05]}))
+    @_huge_lengths
     def test_mutated_config_resolves_or_raises_config_error(self, cfg):
         try:
             resolve_config(cfg)

@@ -40,7 +40,9 @@ class TestGenerateScene:
 
     def test_nine_ripe_in_workspace(self):
         # the default layout, and a crop window widened in x that reaches fruit hung further out
-        for raw in ({"scene": {"seed": 7}}, {"localization": {"x_plus": 0.85}, "scene": {"seed": 7, "fruit_x": 0.7}}):
+        # (behind the trough's front face, so only truth boxes find them)
+        widened = {"localization": {"x_plus": 0.85}, "scene": {"seed": 7, "fruit_x": 0.7}, "boxes": {"source": "truth"}}
+        for raw in ({"scene": {"seed": 7}}, widened):
             built = build_scenario(resolve_config(raw), 1)
             scene = built.scene
             assert len(scene.strawberries) == 9
