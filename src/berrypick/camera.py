@@ -31,7 +31,9 @@ Rows are gathered with `take` along axis 0, from index arrays that
 are the same, and on numpy 2.4.6 `q.take(idx, axis=0)` gathers 50k rows
 of an (n, 3) array in 0.38 ms where `q[idx]` takes 1.37 ms. A view
 carries one index array through the frustum and slab stages and gathers
-positions and colours once, at the end.
+positions and colours once, at the end. A view also holds the length of
+each of its rays, which sensing needs and which does not depend on the
+seed: a row's length is the same bits whichever rows are gathered with it.
 
 The views of the last capture are kept, one entry only, and reused when
 the next capture has an equal key: the frozen `Scene` (fruit and their
@@ -42,7 +44,8 @@ viewed once for the runs of a fixed scene over several run seeds, for
 each seed's points of a sweep (`berrypick sweep` runs them one after
 another, and gives each worker whole seeds), and for the
 `--dump-clouds` re-capture of a run; a scene that changes with every
-run is viewed every time. The kept arrays are read-only.
+run is viewed every time. The kept arrays (positions, colours and ray
+lengths) are read-only.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ DEFAULT_RIG = {
     "cam2": {"eye": [0.15, 0.0, 0.05], "target": [0.42, 0.0, 0.40], **_OPTICS},
 }
 
+# bins a camera's angular z-buffer grid must stay below, so that `_view`'s
+# int64 bin numbers, row * (columns) + column, cannot overflow
+MAX_BINS = 2**62
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -103,6 +110,9 @@ class CameraModel:
             raise ValueError("dropout_rate must be in [0, 1]")
         if self.bin_res <= 0:
             raise ValueError("bin_res must be > 0")
+        per_axis = (self.h_fov / self.bin_res, self.v_fov / self.bin_res)
+        if not all(map(math.isfinite, per_axis)) or math.prod(math.ceil(n) + 1 for n in per_axis) >= MAX_BINS:
+            raise ValueError("bin_res must leave the z-buffer fewer than 2^62 angular bins over the field of view")
 
 
 @dataclass(frozen=True)
@@ -234,9 +244,10 @@ def _frustum(cam: CameraModel, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return q, az, el, inside
 
 
-def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    """Camera-frame positions and colours of the samples one camera sees,
-    one per angular bin in bin order; read-only, as they may be reused."""
+def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Camera-frame positions, colours and ray lengths of the samples one
+    camera sees, one per angular bin in bin order; read-only, as they may
+    be reused."""
     eye = cam.pose.translation.to_array()
     kept = np.flatnonzero((~_back_faces(surf.bounds, eye)).take(surf.face))
     q, az, el, inside = _frustum(cam, surf.xyz.take(kept, axis=0))
@@ -262,12 +273,13 @@ def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     sel = idx.take(order.compress(first))
     q = q.take(sel, axis=0)
     rgb = surf.rgb.take(kept.take(sel), axis=0)
-    q.setflags(write=False)
-    rgb.setflags(write=False)
-    return q, rgb
+    ranges = np.sqrt(sq_lengths(q))
+    for a in (q, rgb, ranges):
+        a.setflags(write=False)
+    return q, rgb, ranges
 
 
-def _sense(q: np.ndarray, rgb: np.ndarray, cam: CameraModel, seed: int) -> ColoredPointCloud:
+def _sense(q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel, seed: int) -> ColoredPointCloud:
     """The cloud one camera reports for a view: depth noise along each ray,
     then dropout, from two streams derived from `seed`. Each sample draws
     its noise whether or not it drops out, so only the kept rows are
@@ -277,9 +289,8 @@ def _sense(q: np.ndarray, rgb: np.ndarray, cam: CameraModel, seed: int) -> Color
     dr = noise_rng.normal(0.0, 1.0, size=len(q)) * cam.depth_noise_sigma
     kept = np.flatnonzero(dropout_rng.random(len(q)) >= cam.dropout_rate)
 
-    q = q.take(kept, axis=0)
-    ranges = np.sqrt(sq_lengths(q))
-    q = q * ((ranges + dr.take(kept)) / ranges)[:, None]
+    ranges = ranges.take(kept)
+    q = q.take(kept, axis=0) * ((ranges + dr.take(kept)) / ranges)[:, None]
     return ColoredPointCloud(cam.frame, q, rgb.take(kept, axis=0))
 
 
@@ -303,7 +314,7 @@ def _view_key(cam: CameraModel) -> tuple:
 _last_views: tuple | None = None
 
 
-def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The view of `scene` from each of the rig's cameras, from one surface
     sampling, or the last capture's views when scene and camera geometry
     are equal."""

@@ -89,10 +89,27 @@ def resolve_config_arg(arg: str) -> dict:
     raise ConfigError(f"config not found: {arg!r} (no such file or packaged scenario)")
 
 
+# (key, scenario) of the last run; see run_one
+_last_built: tuple | None = None
+
+
 def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None) -> tuple[dict, dict]:
-    """Execute one harvest run and write its artifacts; returns (metrics, wallclock)."""
-    built = build_scenario(cfg, seed)
+    """Execute one harvest run and write its artifacts; returns (metrics, wallclock).
+
+    The last run's `BuiltScenario` is kept, one entry only, and reused when
+    the next run has the same config hash and scene seed (`scene.seed`, or
+    the run seed where that is null); nothing else in it depends on the run
+    seed. So the runs of a fixed scene over several run seeds build it once.
+    The key is the hash, not the dict: JSON tells -0.0 from 0.0 and 1 from
+    1.0, where `==` does not. Sharing is safe, as every component is frozen
+    and `run_harvest` detaches fruit into new scenes."""
+    global _last_built
     chash = config_hash(cfg)
+    scene_seed = cfg["scene"]["seed"]
+    key = (chash, seed if scene_seed is None else scene_seed)
+    if _last_built is None or _last_built[0] != key:
+        _last_built = (key, build_scenario(cfg, seed))
+    built = _last_built[1]
     wall_start = time.perf_counter()
     log, localization_ms = run_harvest(built, seed, config_hash=chash)
     wall_s = time.perf_counter() - wall_start

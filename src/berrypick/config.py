@@ -49,6 +49,9 @@ CONFIG_VERSION = 1
 
 _UNIT_SCALE = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
+# timesteps a laser cut may take, laser_timeout / dt
+MAX_TIMESTEPS = 10**7
+
 _ROBOT = inspect.signature(RobotState).parameters
 
 # Each default below is read from the component that consumes it; only
@@ -226,6 +229,11 @@ def _validate(cfg: dict) -> None:
         _require(ct[key] is None or _is_finite(ct[key]), f"cut.{key}", "must be a finite number or null")
     for key in ("dt", "laser_timeout"):
         _require(ct[key] > 0, f"cut.{key}", "must be > 0")
+    # `laser_step` burns up to this many timesteps a cut, so `dt` sets a run's cost
+    _require(
+        ct["laser_timeout"] / ct["dt"] <= MAX_TIMESTEPS, "cut.dt",
+        f"must leave laser_timeout / dt at most {MAX_TIMESTEPS:,} timesteps (laser_timeout {ct['laser_timeout']:g} s)",
+    )
 
     _require(cfg["boxes"]["source"] in ("cameras", "truth"), "boxes.source", "must be 'cameras' or 'truth'")
 

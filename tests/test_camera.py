@@ -7,7 +7,7 @@ from berrypick import camera
 from berrypick.camera import CameraModel, CameraRig, capture_rig, default_rig, look_at_pose
 from berrypick.cli import resolve_config_arg
 from berrypick.config import build_scene
-from berrypick.geometry import Aabb, Vec3, transform_cloud
+from berrypick.geometry import Aabb, Vec3, sq_lengths, transform_cloud
 from berrypick.scene import (
     KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, detach_fruit, sample_surface_arrays,
     _box_points,
@@ -468,7 +468,11 @@ class TestViewCache:
         capture_rig(generate_scene(2, 3), default_rig(), 1)
         views = camera._last_views[1]
         assert len(views) == 2
-        for q, rgb in views:
+        for q, rgb, ranges in views:
             assert len(q) and not q.flags.writeable and not rgb.flags.writeable
+            assert not ranges.flags.writeable
+            assert ranges.tobytes() == np.sqrt(sq_lengths(q)).tobytes()
             with pytest.raises(ValueError):
                 q[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                ranges[0] = 1.0

@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from berrypick import camera, cli
 from berrypick.bench import N_BLOBS, make_bench_clouds
 from berrypick.camera import capture_rig, default_rig
 from berrypick.cli import (
@@ -13,7 +15,9 @@ from berrypick.cli import (
     resolve_config_arg,
     run_one,
 )
+from berrypick.config import build_scenario, resolve_config
 from berrypick.controller import HarvestEventLog
+from berrypick.errors import ConfigError
 from berrypick.geometry import dump_cloud
 from berrypick.localization import LocalizationParams, localize
 from berrypick.scene import generate_scene
@@ -159,6 +163,8 @@ class TestRunCommand:
          "scene.n_straw"),
         # ripe fruit inside the crop window but behind the trough's front face, hidden from the cameras
         ({"scene": {"seed": 7, "fruit_x": 0.52}}, "scene.fruit_x"),
+        # a z-buffer grid of 2^62 bins or more, once an OverflowError
+        ({"rig": {"cam1": {"bin_res_deg": 1e-300}}}, "rig.cam1.bin_res_deg"),
     ])
     def test_component_rule_is_config_error(self, tmp_path, capsys, payload, key):
         # rules only the components hold: the config is rejected when they are built
@@ -353,6 +359,109 @@ class TestSweepCommand:
         cfg_path = write_cfg(tmp_path, payload)
         monkeypatch.setenv("BERRYPICK_THREADS", threads)
         assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record each scenario `run_one` builds, at the name it calls."""
+    calls = []
+
+    def counting(cfg, seed):
+        calls.append(seed)
+        return build_scenario(cfg, seed)
+
+    monkeypatch.setattr(cli, "build_scenario", counting)
+    return calls
+
+
+def _with(raw: dict, path: str, value) -> dict:
+    """A copy of a raw config with the dotted key `path` set to `value`."""
+    out = copy.deepcopy(raw)
+    *sections, leaf = path.split(".")
+    node = out
+    for key in sections:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return out
+
+
+def _artifacts(root) -> dict:
+    """Every file under `root` but the wall-clock sidecars, by relative path."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+            if f.is_file() and f.name != "wallclock.json"}
+
+
+TRUTH_MINI = {"name": "mini", "scene": FAST_SCENE, "boxes": {"source": "truth"}}
+
+
+class TestKeptScenario:
+    """`run_one` reuses the last built scenario only for the same config
+    hash and scene seed."""
+
+    @pytest.mark.parametrize("cfg, seeds, n_builds", [
+        (resolve_config_arg("paper9"), [1, 2, 3, 4], 1),
+        # a scene per run seed
+        (resolve_config({"name": "mini", "scene": {**FAST_SCENE, "seed": None}}), [1, 2, 3], 3),
+    ], ids=["paper9", "scene_seed_null"])
+    def test_warm_runs_write_the_files_of_cold_runs(self, tmp_path, monkeypatch, builds, cfg, seeds, n_builds):
+        for seed in seeds:
+            run_one(cfg, seed, tmp_path / "warm" / f"seed{seed}", tmp_path / "warm" / f"clouds{seed}")
+        assert len(builds) == n_builds
+        for seed in seeds:
+            monkeypatch.setattr(cli, "_last_built", None)
+            monkeypatch.setattr(camera, "_last_views", None)
+            run_one(cfg, seed, tmp_path / "cold" / f"seed{seed}", tmp_path / "cold" / f"clouds{seed}")
+        warm, cold = _artifacts(tmp_path / "warm"), _artifacts(tmp_path / "cold")
+        assert len(warm) == 7 * len(seeds) and warm == cold
+
+    def test_same_config_and_scene_seed_hit(self, tmp_path, builds):
+        cfg = resolve_config(TRUTH_MINI)
+        run_one(cfg, 1, tmp_path / "a")
+        run_one(copy.deepcopy(cfg), 1, tmp_path / "b")
+        # scene.seed is fixed, so a new run seed builds the same scenario
+        run_one(cfg, 2, tmp_path / "c")
+        assert builds == [1]
+
+    @pytest.mark.parametrize("path, value", [
+        ("name", "other"),
+        ("scene.spacing", 0.07),
+        ("rig.cam1.dropout_rate", 0.03),
+        ("localization.s_min", 21),
+        ("robot.velocity_scale", 0.6),
+        ("tool.focal_length", 0.26),
+        ("cut.laser_power", 60.0),
+        ("boxes.offset", [0.0, 0.001, 0.0]),
+        ("sweep.powers", [50.0]),
+        ("seeds", [1, 2]),
+    ])
+    def test_changed_value_misses(self, tmp_path, builds, path, value):
+        run_one(resolve_config(TRUTH_MINI), 1, tmp_path / "a")
+        run_one(resolve_config(_with(TRUTH_MINI, path, value)), 1, tmp_path / "b")
+        assert builds == [1, 1]
+
+    @pytest.mark.parametrize("path, value", [("boxes.offset", [0.0, -0.0, 0.0]), ("cut.laser_power", 50)])
+    def test_value_equal_under_eq_but_not_in_json_misses(self, tmp_path, builds, path, value):
+        base, changed = resolve_config(TRUTH_MINI), resolve_config(_with(TRUTH_MINI, path, value))
+        assert changed == base
+        run_one(base, 1, tmp_path / "a")
+        run_one(changed, 1, tmp_path / "b")
+        assert builds == [1, 1]
+
+    def test_new_run_seed_misses_where_each_draws_its_scene(self, tmp_path, builds):
+        cfg = resolve_config(_with(TRUTH_MINI, "scene.seed", None))
+        run_one(cfg, 1, tmp_path / "a")
+        run_one(cfg, 2, tmp_path / "b")
+        run_one(cfg, 2, tmp_path / "c")
+        assert builds == [1, 2]
+
+    def test_config_error_raises_again(self, tmp_path, builds):
+        cfg = resolve_config(TRUTH_MINI)
+        run_one(cfg, 1, tmp_path / "a")
+        bad = _with(cfg, "localization.s_min", -1)
+        for run in ("b", "c"):
+            with pytest.raises(ConfigError, match="^localization.s_min "):
+                run_one(bad, 1, tmp_path / run)
+        assert builds == [1, 1, 1]
 
 
 class TestBenchCommand:

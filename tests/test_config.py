@@ -1,10 +1,13 @@
 import copy
 import json
+import math
 
 import pytest
 
+from berrypick.camera import MAX_BINS, capture_rig
 from berrypick.config import (
     DEFAULTS,
+    MAX_TIMESTEPS,
     build_cut,
     build_localization,
     build_rig,
@@ -68,6 +71,29 @@ class TestResolve:
         # once a silent int64 wrap of the clustering grid's cell keys
         with pytest.raises(ConfigError, match="^localization.tol "):
             resolve_config({"localization": {"tol": tol}})
+
+    @pytest.mark.parametrize("bin_res_deg", [1e-300, 3.30e-8])
+    def test_bin_res_too_fine_for_z_buffer_named(self, bin_res_deg):
+        # once an OverflowError in the z-buffer's int64 bin numbers; the
+        # limit, a grid of 2^62 bins, lies between 3.30e-8 and 3.31e-8 degrees
+        with pytest.raises(ConfigError, match=r"^rig\.cam1\.bin_res_deg "):
+            resolve_config({"rig": {"cam1": {"bin_res_deg": bin_res_deg}}})
+
+    def test_finest_bin_res_views(self):
+        cfg = resolve_config({"scene": {"seed": 7}, "rig": {"cam1": {"bin_res_deg": 3.31e-8}}})
+        cam1 = build_rig(cfg).cam1
+        bins = (math.ceil(cam1.h_fov / cam1.bin_res) + 1) * (math.ceil(cam1.v_fov / cam1.bin_res) + 1)
+        assert 0.99 * MAX_BINS < bins < MAX_BINS
+        c1, _ = capture_rig(build_scene(cfg, 1), build_rig(cfg), 1)
+        assert len(c1) > 0
+
+    def test_timesteps_a_cut_bounded(self):
+        # a cut burns up to laser_timeout / dt timesteps: at the limit, one step
+        # over it, and dt 1e-8 s, which once took seconds a fruit
+        assert resolve_config({"cut": {"dt": 1.0, "laser_timeout": float(MAX_TIMESTEPS)}})
+        for cut in ({"dt": 1.0, "laser_timeout": MAX_TIMESTEPS + 1.0}, {"dt": 1e-8}):
+            with pytest.raises(ConfigError, match=r"^cut\.dt "):
+                resolve_config({"cut": cut})
 
     def test_velocity_scale_range(self):
         with pytest.raises(ConfigError, match="robot.velocity_scale"):
