@@ -50,7 +50,7 @@ from .localization import LocalizationParams, StrawberryBox, localize
 from .motion import RobotState, compute_z_min, plan_cycle_waypoints, robot_move
 from .scene import Scene, StrawberryTruth, detach_fruit
 
-LOG_SCHEMA_VERSION = 2
+LOG_SCHEMA_VERSION = 3
 
 # encodes every event record; one encoder spares building one per record
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

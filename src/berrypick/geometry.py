@@ -119,8 +119,20 @@ class RigidTransform:
         if abs(det - 1.0) > ROTATION_TOL:
             raise ValueError(f"rotation determinant is {det}, expected +1")
 
-    def apply_to(self, xyz: np.ndarray) -> np.ndarray:
-        return xyz @ self.rotation.T + self.translation.to_array()
+    def apply_to(self, xyz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows of `xyz` moved by this transform, written into `out`
+        when one is given."""
+        out = np.matmul(xyz, self.rotation.T, out=out)
+        out += self.translation.to_array()
+        return out
+
+    def check_maps(self, source: str, target: str) -> None:
+        """Raise FrameMismatchError unless this transform may map frame
+        `source` to frame `target`; an unlabelled end maps any frame."""
+        if self.source_frame is not None and source != self.source_frame:
+            raise FrameMismatchError(f"cloud is in frame {source!r} but transform maps from {self.source_frame!r}")
+        if self.target_frame is not None and target != self.target_frame:
+            raise FrameMismatchError(f"requested target {target!r} but transform maps to {self.target_frame!r}")
 
     def inverse(self) -> "RigidTransform":
         rot = self.rotation.T
@@ -167,14 +179,7 @@ class Aabb:
 
 def transform_cloud(t: RigidTransform, cloud: ColoredPointCloud, target_frame: str) -> ColoredPointCloud:
     """Re-express a cloud in `target_frame`; order and colors are untouched."""
-    if t.source_frame is not None and cloud.frame != t.source_frame:
-        raise FrameMismatchError(
-            f"cloud is in frame {cloud.frame!r} but transform maps from {t.source_frame!r}"
-        )
-    if t.target_frame is not None and target_frame != t.target_frame:
-        raise FrameMismatchError(
-            f"requested target {target_frame!r} but transform maps to {t.target_frame!r}"
-        )
+    t.check_maps(cloud.frame, target_frame)
     return ColoredPointCloud(target_frame, t.apply_to(cloud.xyz), cloud.rgb)
 
 

@@ -142,27 +142,23 @@ ROUND_CELL = ROUND_TOL / np.sqrt(3.0) * (1.0 - 1e-12)  # the grid's cell edge at
 
 def cells_cloud(*groups):
     """Points given in cell edges from the low corner of cell u = (5, 5, 5);
-    every point lies in u, u + (1,0,0) or u + (2,0,0)."""
+    each point must land in the cell its coordinates name."""
     k = np.array([5, 5, 5])
-    xyz = (k + np.concatenate([np.asarray(g, dtype=float).reshape(-1, 3) for g in groups])) * ROUND_CELL
-    ij = np.floor(xyz / ROUND_CELL) - k
-    assert np.isin(ij[:, 0], [0, 1, 2]).all() and (ij[:, 1:] == 0).all()
+    pts = np.concatenate([np.asarray(g, dtype=float).reshape(-1, 3) for g in groups])
+    xyz = (k + pts) * ROUND_CELL
+    assert np.array_equal(np.floor(xyz / ROUND_CELL) - k, np.floor(pts))
     return xyz
 
 
 def brute_force_cell_counts(xyz, tol):
     """(n_cells, n_cell_pairs) of `cluster_indices` by an O(m^2) count: the
-    distinct floor keys of its grid, and the pairs of those cells whose
-    point extents lie within tol, each pair compared."""
+    distinct floor keys of its grid, and the pairs of those cells at most
+    two cells apart on every axis, each pair compared."""
     if len(xyz) == 0:
         return 0, 0
-    keys, cell = np.unique(np.floor(xyz / (tol / np.sqrt(3.0) * (1.0 - 1e-12))), axis=0, return_inverse=True)
-    cell = cell.ravel()
-    lo = np.array([xyz[cell == c].min(axis=0) for c in range(len(keys))])
-    hi = np.array([xyz[cell == c].max(axis=0) for c in range(len(keys))])
-    gap = np.maximum(np.maximum(lo[:, None] - hi[None, :], lo[None, :] - hi[:, None]), 0.0)
-    near = (sq_lengths(gap.reshape(-1, 3)) <= tol * tol).reshape(len(keys), len(keys))
-    return len(keys), int(np.triu(near, 1).sum())
+    keys = np.unique(np.floor(xyz / (tol / np.sqrt(3.0) * (1.0 - 1e-12))), axis=0)
+    apart = np.abs(keys[:, None] - keys[None, :]).max(axis=2)
+    return len(keys), int(np.triu(apart <= 2, 1).sum())
 
 
 def oracle_checked_clusters(xyz):
@@ -182,33 +178,49 @@ def each_neighbour_path(monkeypatch):
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """Count the calls to the clustering's last round, the point test."""
-    calls = {"point_links": 0}
-    point_links = localization._point_links
+    """Log each clustering round as it runs, with whether it merged
+    components: `_probe` runs the face round and then the probe round, once
+    each per clustering, and `_point_links` the point round when pairs are
+    left for it."""
+    log = []
+    probe, point_links = localization._probe, localization._point_links
 
-    def counted(*args):
-        calls["point_links"] += 1
-        return point_links(*args)
+    def probed(label, *args):
+        out = probe(label, *args)
+        log.append((("face", "probe")[sum(r != "point" for r, _ in log) % 2], not np.array_equal(out, label)))
+        return out
 
-    monkeypatch.setattr(localization, "_point_links", counted)
-    return calls
+    def point_linked(label, *args):
+        out = point_links(label, *args)
+        log.append(("point", not np.array_equal(out, label)))
+        return out
+
+    monkeypatch.setattr(localization, "_probe", probed)
+    monkeypatch.setattr(localization, "_point_links", point_linked)
+    return log
 
 
 ORDERS = 6
 
 
 def in_each_order(xyz, rounds):
-    """(clusters, point-round calls) of `xyz` as given and in ORDERS - 1
-    shuffles, each checked against the oracle. The key sort is unstable,
-    so each order may put another of a cell's points first, where the
-    probe reads it."""
+    """(clusters, rounds run) of `xyz` as given and in ORDERS - 1 shuffles,
+    each checked against the oracle; the rounds are (name, merged) pairs.
+    The key sort is unstable, so each order may put another of a cell's
+    points first, where the face and probe rounds read it."""
     rng = np.random.default_rng(30)
     out = []
     for perm in [np.arange(len(xyz))] + [rng.permutation(len(xyz)) for _ in range(ORDERS - 1)]:
-        calls = rounds["point_links"]
+        ran = len(rounds)
         n_clusters = len(oracle_checked_clusters(xyz[perm]))
-        out.append((n_clusters, rounds["point_links"] - calls))
+        out.append((n_clusters, tuple(rounds[ran:])))
     return out
+
+
+FACE = ("face", True), ("probe", False)
+PROBE = ("face", False), ("probe", True)
+POINT = ("face", False), ("probe", False), ("point", True)
+NO_LINK = ("face", False), ("probe", False), ("point", False)
 
 
 class TestClustering:
@@ -423,7 +435,7 @@ class TestClustering:
                 shuffled = cluster_indices(xyz[perm], tol, 1, 10**6)
                 assert partitions_equal(shuffled, brute_force_clusters(xyz[perm], tol, 1, 10**6))
                 assert sorted(np.sort(perm[c]).tolist() for c in shuffled) == sorted(c.tolist() for c in base)
-        assert rounds["point_links"] > 0
+        assert ("point", True) in rounds
 
     def test_telemetry_counts_discards(self):
         rng = np.random.default_rng(22)
@@ -457,46 +469,75 @@ class TestClustering:
                 assert (tel["n_cells"], tel["n_cell_pairs"]) == want, path
 
     # One case per round, each in several row orders against the oracle and
-    # on both neighbour paths, with the point-round calls counted where the
-    # order cannot change them; coordinates are in cell edges (`cells_cloud`).
+    # on both neighbour paths, with the rounds that merge components logged;
+    # coordinates are in cell edges (`cells_cloud`).
 
     def test_round_sure_link(self, monkeypatch, rounds):
-        # every point of one cell within tol of every point of the other:
-        # the probe links the cells whichever points come first
+        # every point of one cell within tol of every point of the other, a
+        # face neighbour: the face round links the cells whichever points
+        # come first, and the probe round skips the settled pair
         u = [[0.8, 0.4, 0.4], [0.95, 0.6, 0.6], [0.9, 0.5, 0.45]]
         v = [[1.05, 0.4, 0.6], [1.2, 0.6, 0.4]]
         for _ in each_neighbour_path(monkeypatch):
-            assert in_each_order(cells_cloud(u, v), rounds) == [(1, 0)] * ORDERS
+            assert in_each_order(cells_cloud(u, v), rounds) == [(1, FACE)] * ORDERS
 
     def test_round_representative_probe(self, monkeypatch, rounds):
         # cell corners and centres, the cells one apart: the corners of one
         # cell lie beyond tol of the far corners of the other, so the
-        # points that come first decide which round links the cells
+        # points that come first decide whether the face round or the
+        # point round links the cells; the probe round tests the same
+        # first points as the face round, so it never does
         corners = [[x, y, z] for x in (0.05, 0.95) for y in (0.05, 0.95) for z in (0.05, 0.95)]
         u = corners + [[0.5, 0.5, 0.5]]
         v = np.array(u) + [1.0, 0.0, 0.0]
         for _ in each_neighbour_path(monkeypatch):
-            assert [k for k, _ in in_each_order(cells_cloud(u, v), rounds)] == [1] * ORDERS
+            for k, ran in in_each_order(cells_cloud(u, v), rounds):
+                assert k == 1 and ran in (FACE, POINT), ran
 
     def test_round_pruned_point_test(self, monkeypatch, rounds):
         # the centre points sit two cells apart, beyond tol; only the face
         # points, 1.02 cells apart, join the cells, in the probe or the
-        # point round as the order falls
+        # point round as the order falls (two cells apart are no face
+        # neighbours)
         u = [[0.5, 0.5, 0.5]] * 3 + [[0.99, 0.5, 0.5]]
         v = [[2.5, 0.5, 0.5]] * 3 + [[2.01, 0.5, 0.5]]
         xyz = cells_cloud(u, v)
         assert np.linalg.norm(xyz[0] - xyz[4]) > ROUND_TOL
         for _ in each_neighbour_path(monkeypatch):
-            assert [k for k, _ in in_each_order(xyz, rounds)] == [1] * ORDERS
+            for k, ran in in_each_order(xyz, rounds):
+                assert k == 1 and ran in (PROBE, POINT), ran
 
     def test_round_near_pair_without_edge(self, monkeypatch, rounds):
         # the extents lie within tol of each other, no point pair does:
-        # the closest pair is 1.04, 0.996 and 0.996 cells apart, so the
-        # probe never links and the point round runs in every order
+        # the closest pair is 1.04, 0.996 and 0.996 cells apart, so no probe
+        # links and the point round runs in every order, and links nothing
         u = [[0.98, 0.002, 0.002], [0.02, 0.998, 0.998]]
         v = [[2.02, 0.998, 0.998], [2.98, 0.002, 0.002]]
         for _ in each_neighbour_path(monkeypatch):
-            assert in_each_order(cells_cloud(u, v), rounds) == [(2, 1)] * ORDERS
+            assert in_each_order(cells_cloud(u, v), rounds) == [(2, NO_LINK)] * ORDERS
+
+    def test_round_face_settles_all(self, monkeypatch, rounds):
+        # two 4 x 4 x 3 blocks of cells, each cell holding three points
+        # near its centre, the blocks three cells apart: face neighbours'
+        # points lie within tol, so the face round joins each block, no
+        # candidate pair crosses the blocks, and the probe round finds
+        # every pair settled
+        rng = np.random.default_rng(34)
+        centres = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(3)]) + 0.5
+        block = np.repeat(centres, 3, axis=0) + rng.uniform(-0.1, 0.1, (3 * len(centres), 3))
+        xyz = cells_cloud(block, block + [0, 0, 6])
+        for _ in each_neighbour_path(monkeypatch):
+            assert in_each_order(xyz, rounds) == [(2, FACE)] * ORDERS
+
+    def test_round_row_mixes_settled_and_crossing(self, monkeypatch, rounds):
+        # one point each in cells u, u + x and u + x + z: the face round
+        # joins u and u + x, and tests u + x against u + x + z, beyond tol.
+        # The row (dx, dy) = (1, 0) of u then holds a settled pair and one
+        # that still crosses, which the probe round links
+        xyz = cells_cloud([[0.99, 0.5, 0.99]], [[1.99, 0.0, 0.0]], [[1.01, 0.99, 1.99]])
+        assert np.linalg.norm(xyz[1] - xyz[2]) > ROUND_TOL
+        for _ in each_neighbour_path(monkeypatch):
+            assert in_each_order(xyz, rounds) == [(1, (("face", True), ("probe", True)))] * ORDERS
 
     @pytest.mark.parametrize("linked", [False, True])
     def test_pair_budget_bounds_each_chunk(self, monkeypatch, linked):
