@@ -4,7 +4,8 @@
 The view (`_view`) is the seed-free geometry: which surface samples a
 camera sees and where, in its own frame; the scene surfaces are sampled
 once and viewed from each camera. The sensor (`_sense`) then perturbs
-each view with a seed derived from the capture seed.
+each view with a seed derived from the capture seed: cam1's on the
+calling thread and, at the same time, cam2's on the sensing worker.
 
 Viewing runs four visibility passes, cheapest first. The first three
 only drop points, so the z-buffer sees the survivors in sampling order:
@@ -46,11 +47,23 @@ another, and gives each worker whole seeds), and for the
 `--dump-clouds` re-capture of a run; a scene that changes with every
 run is viewed every time. The kept arrays (positions, colours and ray
 lengths) are read-only.
+
+The sensing worker is one thread, started by the first capture in a
+process, with `concurrent.futures` imported only then; a process that
+never captures starts no thread. It runs nothing but `_sense`, a pure
+function of read-only view arrays, a camera and a seed; the views, the
+kept-view entry and everything else stay on the calling thread. Each
+camera draws from its own Philox streams, so the clouds are the bits a
+serial capture gives. Before any `os.fork()` the worker is shut down
+and joined, so no thread crosses a fork (a `sweep` with workers forks
+them); the next capture, in parent or child, starts a new one. Like
+the kept views, the worker assumes one capture at a time per process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -283,14 +296,25 @@ def _sense(q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel,
     """The cloud one camera reports for a view: depth noise along each ray,
     then dropout, from two streams derived from `seed`. Each sample draws
     its noise whether or not it drops out, so only the kept rows are
-    gathered, once, and perturbed."""
+    gathered, once, and perturbed, in place.
+
+    The draws are `standard_normal` scaled by sigma. `normal(0.0, 1.0)`
+    returns 0.0 + 1.0*z, which is z but for the sign of a zero draw, and
+    that sign is lost in `ranges + dr` as every range is > 0; so the
+    points are the bits `normal` gives. A pure function of read-only
+    arrays, so `capture_rig` runs one camera's on its sensing worker."""
     ss = np.random.SeedSequence(seed)
     noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
-    dr = noise_rng.normal(0.0, 1.0, size=len(q)) * cam.depth_noise_sigma
+    dr = noise_rng.standard_normal(len(q))
+    dr *= cam.depth_noise_sigma
     kept = np.flatnonzero(dropout_rng.random(len(q)) >= cam.dropout_rate)
 
     ranges = ranges.take(kept)
-    q = q.take(kept, axis=0) * ((ranges + dr.take(kept)) / ranges)[:, None]
+    scale = dr.take(kept)
+    scale += ranges
+    scale /= ranges
+    q = q.take(kept, axis=0)
+    q *= scale[:, None]
     return ColoredPointCloud(cam.frame, q, rgb.take(kept, axis=0))
 
 
@@ -329,13 +353,48 @@ def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, 
     return views
 
 
+# the sensing worker: one thread, started by the first capture and shut
+# down before any fork; see the module docstring
+_sensor = None
+
+
+def _drop_sensor() -> None:
+    """Join and drop the sensing worker, so that no thread crosses a fork:
+    a forked child would hold a worker whose thread is gone, and its first
+    capture would wait on cam2 forever. The next capture starts a new one."""
+    global _sensor
+    if _sensor is not None:
+        _sensor.shutdown()
+        _sensor = None
+
+
+os.register_at_fork(before=_drop_sensor)
+
+
 def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCloud, ColoredPointCloud]:
     """Capture both cameras from one surface sampling, each as a cloud in
     its own frame, with independent noise streams derived from `seed`.
 
     Each cloud's order follows the angular bin index, which is
     deterministic for a fixed (scene, rig, seed).
+
+    The views are made here; cam2 is then sensed on the sensing worker
+    while this thread senses cam1. The two draw from separate streams and
+    numpy fills them without the GIL, so they run side by side with the
+    bits a serial capture gives. cam2's sensing is waited for even when
+    cam1's raises, and an error from either reaches the caller.
     """
+    global _sensor
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     v1, v2 = _views(scene, rig)
-    return _sense(*v1, rig.cam1, int(s1)), _sense(*v2, rig.cam2, int(s2))
+    if _sensor is None:
+        # imported here, so that a process that never captures starts no thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        _sensor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="berrypick-sense")
+    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2))
+    try:
+        cloud1 = _sense(*v1, rig.cam1, int(s1))
+    finally:
+        cam2.exception()  # waits, and leaves cam2's error to result()
+    return cloud1, cam2.result()

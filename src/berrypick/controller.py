@@ -97,7 +97,18 @@ class HarvestEventLog:
         return [r for r in self.records if r["event"] in names]
 
     def to_jsonl(self) -> str:
-        """The log as canonical JSON lines, one record per line."""
+        """The log as canonical JSON lines, one record per line.
+
+        The records are encoded in one call, as a list; the list's brackets
+        are dropped and the `},{` between each two records becomes a line
+        break. That is sound only when the text holds no other `},{`: when it
+        holds more than one per boundary (a string with `},{` in it),
+        each record is encoded on its own instead."""
+        if not self.records:
+            return ""
+        text = _CANONICAL_JSON.encode(self.records)
+        if text.count("},{") == len(self.records) - 1:
+            return text[1:-1].replace("},{", "}\n{") + "\n"
         return "".join(_CANONICAL_JSON.encode(rec) + "\n" for rec in self.records)
 
     def __len__(self) -> int:

@@ -6,9 +6,12 @@ plain Python loops, and physics checks use closed forms. The camera
 reference is the straightforward renderer (slab-test every sample, then
 clip to the frustum) that the culling renderer must match bit for bit.
 Box face codes are read off each sample's coordinates, not off the face
-the sampler drew it on.
+the sampler drew it on. The sensor reference keeps the out-of-place
+formula the in-place sensor must match, and the event log reference
+encodes one record at a time.
 """
 
+import json
 import math
 
 import numpy as np
@@ -210,3 +213,21 @@ def reference_capture(scene, cam, seed) -> ColoredPointCloud:
     u = dropout_rng.random(len(q))
     kept = u >= cam.dropout_rate
     return ColoredPointCloud(cam.frame, q[kept], rgb[kept])
+
+
+def reference_sense(q, rgb, ranges, cam, seed) -> ColoredPointCloud:
+    """The sensor as first written: noise drawn with `normal(0.0, 1.0)`
+    and each ray rescaled out of place."""
+    ss = np.random.SeedSequence(seed)
+    noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
+    dr = noise_rng.normal(0.0, 1.0, size=len(q)) * cam.depth_noise_sigma
+    kept = np.flatnonzero(dropout_rng.random(len(q)) >= cam.dropout_rate)
+
+    ranges = ranges.take(kept)
+    q = q.take(kept, axis=0) * ((ranges + dr.take(kept)) / ranges)[:, None]
+    return ColoredPointCloud(cam.frame, q, rgb.take(kept, axis=0))
+
+
+def per_record_jsonl(records: list[dict]) -> str:
+    """Canonical JSON lines, each record encoded on its own."""
+    return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)

@@ -1,4 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +482,86 @@ class TestViewCache:
                 q[0, 0] = 1.0
             with pytest.raises(ValueError):
                 ranges[0] = 1.0
+
+
+class TestSensor:
+    """`_sense` draws and rescales in place, with the bits of the
+    out-of-place formula in `oracles.reference_sense`."""
+
+    @pytest.mark.parametrize("sigma, rate", [(0.002, 0.02), (0.0, 0.02), (0.002, 0.0), (0.002, 1.0), (0.0, 0.0)])
+    def test_matches_reference_sense(self, sigma, rate):
+        rig = default_rig(depth_noise_sigma=sigma, dropout_rate=rate)
+        views = camera._views(_paper9(), rig)
+        for cam, (q, rgb, ranges) in zip((rig.cam1, rig.cam2), views):
+            for seed in range(10):
+                cloud = camera._sense(q, rgb, ranges, cam, seed)
+                assert _same_bytes(cloud, oracles.reference_sense(q, rgb, ranges, cam, seed))
+                if rate in (0.0, 1.0):
+                    assert len(cloud) == (len(q) if rate == 0.0 else 0)
+
+
+def _sweep_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.name in ("manifest.json", "sweep.csv")}
+
+
+class TestSensingWorker:
+    """cam2 is sensed on a worker thread; it must not survive a fork, and
+    an error on either camera must reach the caller."""
+
+    def test_worker_sweep_after_a_capture(self, tmp_path):
+        # a capture starts the worker, then the sweep forks two processes
+        script = (
+            "import sys\n"
+            "from berrypick import camera, cli\n"
+            "from berrypick.scene import generate_scene\n"
+            "camera.capture_rig(generate_scene(2, 3), camera.default_rig(), 1)\n"
+            "assert camera._sensor is not None\n"
+            "sys.exit(cli.main(['sweep', '--config', 'noise', '--axis', 'noise', '--out', sys.argv[1]]))\n"
+        )
+        src = str(Path(camera.__file__).resolve().parents[1])
+        for threads in ("2", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "BERRYPICK_THREADS": threads}
+            out = str(tmp_path / ("workers" if threads == "2" else "serial"))
+            # a session of its own, so that a hung sweep's workers are killed with it
+            with subprocess.Popen([sys.executable, "-c", script, out], env=env, stderr=subprocess.PIPE,
+                                  stdout=subprocess.DEVNULL, text=True, start_new_session=True) as proc:
+                try:
+                    _, err = proc.communicate(timeout=60)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    raise
+            assert proc.returncode == 0, err
+        workers, serial = _sweep_files(tmp_path / "workers"), _sweep_files(tmp_path / "serial")
+        assert len(serial) == 31 and workers == serial
+
+    @pytest.mark.parametrize("failing", ["cam1", "cam2"])
+    def test_error_reaches_the_caller(self, monkeypatch, failing):
+        scene, rig = _paper9(), default_rig()
+        sensed = []
+
+        def sense(q, rgb, ranges, cam, seed):
+            if cam.frame == failing:
+                raise RuntimeError(f"{cam.frame} failed")
+            sensed.append(cam.frame)
+            return camera.ColoredPointCloud(cam.frame, q, rgb)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(camera, "_sense", sense)
+            with pytest.raises(RuntimeError, match=f"{failing} failed"):
+                capture_rig(scene, rig, 3)
+        # the other camera was sensed before the error came back
+        assert sensed == [{"cam1": "cam2", "cam2": "cam1"}[failing]]
+        s1, s2 = (int(s) for s in np.random.SeedSequence(3).generate_state(2, np.uint64))
+        c1, c2 = capture_rig(scene, rig, 3)
+        assert _same_bytes(c1, reference_capture(scene, rig.cam1, s1))
+        assert _same_bytes(c2, reference_capture(scene, rig.cam2, s2))
+
+    def test_fork_joins_the_worker(self):
+        capture_rig(generate_scene(2, 3), default_rig(), 1)
+        assert camera._sensor is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert camera._sensor is None
+        assert not any(t.name.startswith("berrypick-sense") for t in threading.enumerate())

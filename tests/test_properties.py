@@ -8,8 +8,11 @@ program either accepts it or rejects it with its own error type:
 code 0, 2 or 3 with no traceback from the CLI. The clustering test draws
 small clouds full of ties and checks `cluster_indices` against
 `oracles.brute_force_clusters`, and its cell counts against an O(m^2)
-count. Runs are derandomized and keep no example database, so every run
-tries the same inputs.
+count. The event log test draws flat records whose strings hold the
+brackets, commas and quotes the one-call encoder splits on, and checks
+`HarvestEventLog.to_jsonl` against `oracles.per_record_jsonl`. Runs are
+derandomized and keep no example database, so every run tries the same
+inputs.
 """
 
 import contextlib
@@ -25,11 +28,12 @@ from hypothesis.extra import numpy as hnp
 
 from berrypick.cli import main
 from berrypick.config import DEFAULTS, resolve_config
+from berrypick.controller import HarvestEventLog
 from berrypick.errors import CloudFormatError, ConfigError
 from berrypick.geometry import VALID_FRAMES, dump_cloud, load_cloud
 from berrypick.localization import cluster_indices
 
-from oracles import brute_force_clusters
+from oracles import brute_force_clusters, per_record_jsonl
 from test_localization import brute_force_cell_counts
 
 PROPERTY_SETTINGS = settings(
@@ -355,3 +359,37 @@ class TestClusteringOracle:
             "discarded_small": sum(1 for k in sizes if k < s_min),
             "discarded_large": sum(1 for k in sizes if k > s_max),
         }
+
+
+# strings made of the characters the one-call encoder splits on, with
+# escapes and non-ASCII text
+LOG_STRINGS = st.sampled_from(["},{", '"},{"', "}", "{", "", "é},{ü"]) | st.text(
+    st.sampled_from(["}", ",", "{", '"', "\\", "\n", "a", "é", "草", "🍓"]), max_size=8
+)
+LOG_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | LOG_STRINGS
+    | st.lists(st.floats() | st.booleans(), max_size=3)
+)
+
+
+# (event, fields) of each record of a log, in order
+EVENT_RECORDS = st.lists(
+    st.tuples(LOG_STRINGS, st.dictionaries(LOG_STRINGS.filter(lambda k: k not in ("t", "event")), LOG_VALUES, max_size=4)),
+    max_size=6,
+)
+
+
+class TestEventLogEncoding:
+    @PROPERTY_SETTINGS
+    @given(EVENT_RECORDS)
+    @example([])
+    @example([("begin", {"note": "},{"}), ("end", {})])
+    def test_to_jsonl_matches_per_record_encoding(self, records):
+        log = HarvestEventLog()
+        for t, (event, fields) in enumerate(records):
+            log.append(float(t), event, **fields)
+        assert log.to_jsonl() == per_record_jsonl(log.records)
