@@ -10,7 +10,7 @@ from .geometry import (
     merge_clouds,
     transform_cloud,
 )
-from .scene import Scene, StrawberryTruth, detach_fruit, generate_scene
+from .scene import Scene, StrawberryTruth, generate_scene
 from .camera import CameraModel, CameraRig, capture_rig, default_rig
 from .localization import (
     LocalizationParams,

@@ -15,6 +15,7 @@ import numpy as np
 from .camera import CameraRig, default_rig
 from .geometry import ColoredPointCloud, Vec3
 from .localization import LocalizationParams, localize
+from .scene import RIPE, draw_rgb
 
 N_BLOBS = 9
 RED_FRACTION = 0.08
@@ -63,22 +64,14 @@ def make_bench_clouds(
         dirs = rng.normal(size=(n_blob_pts, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         chunks_xyz.append(center.to_array() + 0.0165 * dirs)
-        rgb = np.empty((n_blob_pts, 3), dtype=np.uint8)
-        rgb[:, 0] = rng.integers(150, 256, size=n_blob_pts)
-        rgb[:, 1] = rng.integers(0, 70, size=n_blob_pts)
-        rgb[:, 2] = rng.integers(0, 70, size=n_blob_pts)
-        chunks_rgb.append(rgb)
+        chunks_rgb.append(draw_rgb(rng, n_blob_pts, RIPE))
 
     window_lo = np.array([params.x_minus, params.y_minus, params.z_minus])
     window_hi = np.array([params.x_plus, params.y_plus, params.z_plus])
 
     if n_red_noise:
         chunks_xyz.append(rng.uniform(window_lo, window_hi, size=(n_red_noise, 3)))
-        rgb = np.empty((n_red_noise, 3), dtype=np.uint8)
-        rgb[:, 0] = rng.integers(150, 256, size=n_red_noise)
-        rgb[:, 1] = rng.integers(0, 70, size=n_red_noise)
-        rgb[:, 2] = rng.integers(0, 70, size=n_red_noise)
-        chunks_rgb.append(rgb)
+        chunks_rgb.append(draw_rgb(rng, n_red_noise, RIPE))
 
     if n_window:
         chunks_xyz.append(rng.uniform(window_lo, window_hi, size=(n_window, 3)))

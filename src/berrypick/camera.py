@@ -37,10 +37,10 @@ each of its rays, which sensing needs and which does not depend on the
 seed: a row's length is the same bits whichever rows are gathered with it.
 
 The views of the last capture are kept, one entry only, and reused when
-the next capture has an equal key: the frozen `Scene` (fruit and their
-detached flags, trough, occluders, surface density, scene seed) and,
-for each of the rig's cameras, every `CameraModel` field but depth noise
-and dropout, the pose as bytes. Within one process, then, a scene is
+the next capture has an equal key: the frozen `Scene` (fruit, trough,
+occluders, surface density, scene seed) and, for each of the rig's
+cameras, every `CameraModel` field but depth noise and dropout, the pose
+as bytes. Within one process, then, a scene is
 viewed once for the runs of a fixed scene over several run seeds, for
 each seed's points of a sweep (`berrypick sweep` runs them one after
 another, and gives each worker whole seeds), and for the
@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ColoredPointCloud, RigidTransform, Vec3, sq_lengths
-from .scene import KIND_FRUIT, Scene, sample_surface_arrays
+from .scene import Scene, sample_surface_arrays
 
 
 # The default rig in scenario-config units (degrees for angles): both
@@ -223,7 +223,7 @@ def _back_faces(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) ->
 class _Surfaces(NamedTuple):
     """A scene sampled once for any number of cameras."""
 
-    xyz: np.ndarray      # (n, 3) samples, detached fruit dropped
+    xyz: np.ndarray      # (n, 3) samples
     rgb: np.ndarray      # (n, 3) uint8
     face: np.ndarray     # (n,) code 6*box + face into the _back_faces table, or -1
     bounds: list         # (lo, hi) of each box in Scene.boxes, in slab-test order
@@ -235,11 +235,6 @@ def _surfaces(scene: Scene) -> _Surfaces:
     batch = sample_surface_arrays(scene, scene.surface_density)
     face = np.where(batch.face < 0, -1, 6 * batch.owner + batch.face)
     bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
-
-    detached = np.array([s.id for s in scene.strawberries if s.detached], dtype=np.int32)
-    if len(detached):
-        keep = np.flatnonzero(~((batch.kind == KIND_FRUIT) & np.isin(batch.owner, detached)))
-        return _Surfaces(batch.xyz.take(keep, axis=0), batch.rgb.take(keep, axis=0), face.take(keep), bounds)
     return _Surfaces(batch.xyz, batch.rgb, face, bounds)
 
 

@@ -102,7 +102,8 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     seed. So the runs of a fixed scene over several run seeds build it once.
     The key is the hash, not the dict: JSON tells -0.0 from 0.0 and 1 from
     1.0, where `==` does not. Sharing is safe, as every component is frozen
-    and `run_harvest` detaches fruit into new scenes."""
+    and `run_harvest` only reads it: it keeps the fruit still hanging in a
+    list of its own."""
     global _last_built
     chash = config_hash(cfg)
     scene_seed = cfg["scene"]["seed"]

@@ -206,6 +206,17 @@ def _check_type(v, default, key: str) -> None:
         )
 
 
+def _check_distinct(values: list, key: str) -> None:
+    """No two entries equal as numbers: a sweep groups its aggregate rows
+    with `==` and names a run directory by value and seed, so a repeated
+    entry would count its runs twice. Equal numbers hash alike, so 0, 0.0
+    and -0.0 are one entry."""
+    first = {}
+    for i, v in enumerate(values):
+        j = first.setdefault(v, i)
+        _require(j == i, key, f"entries must differ as numbers: [{i}] = {v!r} repeats [{j}] = {values[j]!r}")
+
+
 def _validate(cfg: dict) -> None:
     """The rules of keys that no component consumes and `_merge` does not
     type; the components check every other range when `build_scenario`
@@ -240,9 +251,11 @@ def _validate(cfg: dict) -> None:
     for key, values in cfg["sweep"].items():
         _require(isinstance(values, list), f"sweep.{key}", "must be a list")
         _require(all(_is_finite(v) for v in values), f"sweep.{key}", "entries must be finite numbers")
+        _check_distinct(values, f"sweep.{key}")
 
     _require(isinstance(cfg["seeds"], list) and len(cfg["seeds"]) > 0, "seeds", "must be a non-empty list")
     _require(all(_is_seed(s) for s in cfg["seeds"]), "seeds", "entries must be integers >= 0")
+    _check_distinct(cfg["seeds"], "seeds")
     _require(cfg["out"] is None or isinstance(cfg["out"], str), "out", "must be a string path")
 
 

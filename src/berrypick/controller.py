@@ -10,7 +10,10 @@ A run reads one `BuiltScenario`, which `config.build_scenario` assembles
 from a resolved config and a run seed. Its ripe set is the ripe fruit
 inside the robot's workspace (the crop window inflated by
 `robot.workspace_margin`): the `begin` record counts them, and
-ground-truth boxes are drawn from them.
+ground-truth boxes are drawn from them. The scene is one value for the
+whole run, as the cameras capture it once: each box is matched to the
+nearest ripe fruit still hanging, and a harvested fruit is taken off
+that list, so no later box is matched to it.
 
 The event log is a run's only record: every move, tool action and
 per-cycle summary (a `cycle` record) is appended with its simulation
@@ -48,7 +51,7 @@ from .errors import EmptyInputError, StateError
 from .geometry import Aabb, Vec3, distance
 from .localization import LocalizationParams, StrawberryBox, localize
 from .motion import RobotState, compute_z_min, plan_cycle_waypoints, robot_move
-from .scene import Scene, StrawberryTruth, detach_fruit
+from .scene import Scene, StrawberryTruth
 
 LOG_SCHEMA_VERSION = 3
 
@@ -226,8 +229,9 @@ def run_harvest(
         log.append(t, "no_fruit")
     tool = ToolState()
 
+    hanging = list(ripe)
     for box in boxes:
-        fruit = _match_fruit(scene, box)
+        fruit = _match_fruit(hanging, box)
         fid = fruit.id if fruit is not None else -1
 
         ctl.advance(ControllerPhase.DESCEND_ZMIN)
@@ -267,7 +271,7 @@ def run_harvest(
                 t_cut = t + burn
                 log.append(t_cut, "cut_done", fruit=fid, energy=acc)
                 t = t_cut + fall_t
-                scene = detach_fruit(scene, fid)
+                hanging.remove(fruit)
                 log.append(t, "detach_detect", fruit=fid, energy=acc, ir=[False, True])
                 cut_time, outcome = burn, "harvested"
             else:
@@ -314,12 +318,13 @@ def _v(p: Vec3) -> list[float]:
     return [p.x, p.y, p.z]
 
 
-def _match_fruit(scene: Scene, box: StrawberryBox):
-    candidates = [s for s in scene.strawberries if s.ripe and not s.detached]
-    if not candidates:
+def _match_fruit(hanging: list[StrawberryTruth], box: StrawberryBox) -> StrawberryTruth | None:
+    """The fruit in `hanging` nearest the box's center, or None when none
+    is left; ties go to the earliest in the list."""
+    if not hanging:
         return None
     center = box.box.center
-    return min(candidates, key=lambda s: distance(s.center, center))
+    return min(hanging, key=lambda s: distance(s.center, center))
 
 
 def cycle_metrics(log: HarvestEventLog) -> dict:

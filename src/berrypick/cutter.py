@@ -93,8 +93,6 @@ def trap_stem(tool_pos: Vec3, fruit: StrawberryTruth, geom: ToolGeometry) -> Tra
     within trapper_width/2; a caught stem is forced to the groove center,
     so the fall path starts on the tool axis.
     """
-    if fruit.detached:
-        raise StateError(f"strawberry {fruit.id} is already detached")
     err = stem_y_at_height(fruit, tool_pos.z) - tool_pos.y
     trapped = abs(err) <= geom.trapper_width / 2.0 + TRAP_EPS
     return TrapResult("trapped" if trapped else "missed", err)

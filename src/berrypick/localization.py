@@ -11,36 +11,44 @@ cluster adjacency is inclusive (distance <= tol). Clusters are returned
 sorted by ascending centroid y (ties broken by centroid x, then z, then
 lowest point index) and each cluster keeps its points in input order.
 
-Clustering is exact. Points are keyed by their cell in a grid of cells
-no wider than tol/sqrt(3), with an empty margin of two cells on every
-face, and sorted by key once. A cell's 62 neighbour offsets on one side
-are fixed key offsets (Bentley, Stanat & Williams 1977). When the grid
-has at most 8 cells a point (plus 2^16), tables over the whole grid map
-each key to its occupied cell, or to that cell's label, or to -1, and
-one gather reads them. Larger grids search the sorted keys: the offsets
-are 12 rows of five cells along z and two cells of the cell's own row,
-z has stride 1, so the occupied cells of each row are one run of the
-sorted keys, found by two `searchsorted` queries. Both give the same
-candidate cell pairs. They are linked in three rounds, each followed by
-min-label propagation with pointer jumping. The face round joins each
-cell with its +z, +y and +x face neighbours where their first points in
-key order lie within tol. The probe round does the same for every
-candidate pair whose cells do not already share a label; pairs already
-inside one component are skipped, as run-based labelling skips settled
-runs (He, Chao & Suzuki 2008). The point round takes the pairs still
-crossing components whose extents lie within tol, and tests, in chunks
-of at most PAIR_BUDGET point pairs, the points of each cell that lie
-within tol of the other cell's extent. Neither the skip nor the probes
-made before any extent test can change the partition: a skipped pair
-already lies inside one component, and a probe that links a pair is a
-real edge, and its extent gap is no farther than that point pair.
-Components are size-filtered by count before any is split out. The key
-sort is not stable: the order of a cell's points decides only which of
-them is its first, so which round links a cell pair, never whether the
-pair is linked; the order of the pairs decides only how the last
-round's chunks fall. Every round is exact, so the partition, and the
-output, which lists points in input order, do not depend on either
-order.
+Clustering is exact: its partition is the brute-force one, the
+connected components of the graph that joins points within tol. Points
+are keyed by their cell in a grid of cells no wider than tol/sqrt(3)
+(shrunk by 1e-12 against rounding), so points sharing a cell are
+adjacent and cells more than two apart on an axis hold no edge. An
+empty margin of two cells on every face keeps every neighbour key
+inside the grid and inside its row, and the points are sorted by key
+once. A cell's 62
+neighbour offsets on one side are fixed key offsets (Bentley, Stanat &
+Williams 1977). When the grid has at most 8 cells a point (plus 2^16),
+tables over the whole grid map each key to its occupied cell, or to
+that cell's label, or to -1, and one gather reads them. Larger grids
+search the sorted keys: the offsets are 12 rows of five cells along z
+and two cells of the cell's own row, z has stride 1, so the occupied
+cells of each row are one run of the sorted keys, found by two
+`searchsorted` queries. Both give the same candidate cell pairs. They
+are linked in three rounds, each followed by min-label propagation with
+pointer jumping. The face round joins each cell with its +z, +y and +x
+face neighbours where their first points in key order lie within tol.
+The probe round does the same for every candidate pair whose cells do
+not already share a label; pairs already inside one component are
+skipped, as run-based labelling skips settled runs (He, Chao & Suzuki
+2008). The point round takes the pairs still crossing components whose
+extents lie within tol, and tests, in chunks of at most PAIR_BUDGET
+point pairs, the points of each cell that lie within tol of the other
+cell's extent. A probe tests a real point pair, and the gap between two
+extents, or between a point and an extent, is no farther than any
+point pair it bounds, also as rounded by `sq_lengths`; so the point
+round misses no edge. Neither the skip nor the probes made before any
+extent test can change the partition: a skipped pair already lies
+inside one component, and a probe that links a pair is a real edge, and
+its extent gap is no farther than that point pair. Components are
+size-filtered by count before any is split out. The key sort is not
+stable: the order of a cell's points decides only which of them is its
+first, so which round links a cell pair, never whether the pair is
+linked; the order of the pairs decides only how the last round's chunks
+fall. Every round is exact, so the partition, and the output, which
+lists points in input order, do not depend on either order.
 
 `localize` and `cluster_indices` fill an optional `telemetry` dict with
 deterministic counts only: the points merged and clustered, the occupied
@@ -263,44 +271,22 @@ def cluster_indices(
 
     Two points are adjacent iff their distance is <= tol; clusters are the
     connected components of that graph, size-filtered to [s_min, s_max].
-    Grid cells have edge `_cell_edge(tol)`, tol/sqrt(3) shrunk by 1e-12
-    against rounding, so points sharing a cell are adjacent and cells more
-    than two apart on an axis hold no edge. Cells are keyed `ij . strides`
-    and the points sorted by key once, unstably. The 62 neighbour offsets
-    of one half-space are the cells dz = 1, 2 above a cell in its own row
-    and 12 rows (dx, dy) of dz = -2..2 (`_ROWS`), each a fixed key offset.
-    An empty margin of two cells on every face keeps every neighbour key
-    inside the grid and inside its row. When `_table_fits` the grid (at
-    most 8 cells a point plus 2^16, and at most 2^31 cells for int32
-    entries), a table over all its cells maps each key to its occupied
-    cell or -1, and a second to that cell's label or -1; a `take` of every
-    occupied key plus an offset reads the neighbours, and the hits are the
-    candidate pairs. Otherwise, z having stride 1, the occupied neighbours
-    in each row are one run of the sorted unique keys, k + b - 2 .. k + b
-    + 2 for the row's key offset b, found by two `searchsorted` queries:
-    25 per cell. Both paths find the same pairs. Raises ValueError when
-    the points span MAX_GRID_CELLS cells or more, or lie that many cells
-    from the origin: their int64 keys or cell indices would wrap.
-
-    Candidate cell pairs are linked in three rounds, each followed by
-    label propagation (`_join`). The face round probes each cell and its
-    +z, +y and +x face neighbours: it links a pair when the two cells'
-    first points in key order lie within tol. The probe round probes
-    every candidate pair whose cells do not yet share a label. The point
-    round takes the pairs still crossing components whose extents lie
-    within tol, and tests the points of each cell within tol of the other
-    cell's extent (`_point_links`). A probe tests a real point pair, and
-    the gap between two extents, or between a point and an extent, is no
-    farther than any point pair it bounds, also as rounded by
-    `sq_lengths`, so the partition equals the brute-force one. Skipping
-    and probing pairs before any extent test cannot change it either: a
-    skipped pair already lies inside one component, and a probe that
-    links a pair is a real edge, and its extent gap is no farther than
-    that point pair. The order of a cell's points, which the unstable
-    sort leaves open, decides only which point is the cell's first, so
-    only which round links a pair; the order of the candidate pairs
-    decides only how `_point_links` splits its chunks. The partition, and
-    with it the output, stay the same.
+    The module docstring gives the method and why its partition is the
+    brute-force one. Grid cells have edge `_cell_edge(tol)` and are keyed
+    `ij . strides`; the neighbour offsets of one half-space are the cells
+    dz = 1, 2 above a cell in its own row and 12 rows (dx, dy) of
+    dz = -2..2 (`_ROWS`). When `_table_fits` the grid (at most 8 cells a
+    point plus 2^16, and at most 2^31 cells for int32 entries), a table
+    over all its cells maps each key to its occupied cell or -1, and a
+    second to that cell's label or -1; a `take` of every occupied key
+    plus an offset reads the neighbours, and the hits are the candidate
+    pairs. Otherwise the occupied neighbours in each row are one run of
+    the sorted unique keys, k + b - 2 .. k + b + 2 for the row's key
+    offset b, found by two `searchsorted` queries: 25 per cell. Each
+    linking round is followed by label propagation (`_join`), and the
+    point round tests point pairs in `_point_links`. Raises ValueError
+    when the points span MAX_GRID_CELLS cells or more, or lie that many
+    cells from the origin: their int64 keys or cell indices would wrap.
 
     A `telemetry` dict receives `n_cells`, the occupied cells;
     `n_cell_pairs`, the candidate pairs, occupied cells at most two apart
@@ -483,15 +469,11 @@ def localize(
     to the base frame into one array, cam1's first, and cropped to the
     window. These are the points, in the same order and with the same
     coordinates, that merge, crop and threshold give over both whole
-    clouds. Their clusters are the brute-force ones: `cluster_indices`
-    skips and probes cell pairs before any extent test, and that cannot
-    change the partition, since a skipped pair already lies inside one
-    component, and a probe that links a pair is a real edge, and its
-    extent gap is no farther than that point pair. When a `telemetry`
-    dict is supplied it receives `n_merged`, the points of both clouds,
-    `n_red`, the in-window red points that are clustered, and the counts
-    of `cluster_indices`. Every count is deterministic; wall-clock time
-    is the caller's to measure.
+    clouds, and their clusters are the brute-force ones (see the module
+    docstring). When a `telemetry` dict is supplied it receives
+    `n_merged`, the points of both clouds, `n_red`, the in-window red
+    points that are clustered, and the counts of `cluster_indices`. Every
+    count is deterministic; wall-clock time is the caller's to measure.
     """
     if c1.frame != "cam1":
         raise FrameMismatchError(f"first cloud must be in frame 'cam1', got {c1.frame!r}")

@@ -19,12 +19,12 @@ reproducible across platforms; every log records the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 from .geometry import Aabb, Vec3
 
 # color bands: ripe strictly passes the red threshold, unripe strictly fails it
@@ -33,6 +33,9 @@ RIPE_GB = (0, 69)
 UNRIPE_G = (100, 255)
 UNRIPE_RB = (0, 99)
 NEUTRAL_GREY = (120, 180)
+# the (red, green, blue) bands of a ripe fruit, and of an unripe fruit or a stem
+RIPE = (RIPE_R, RIPE_GB, RIPE_GB)
+UNRIPE = (UNRIPE_RB, UNRIPE_G, UNRIPE_RB)
 
 MAX_STEM_BEND = 0.015
 
@@ -62,7 +65,6 @@ class StrawberryTruth:
     stem_top: Vec3
     stem_bend: float
     stem_diameter: float
-    detached: bool = False
 
     def __post_init__(self):
         if not MIN_RADIUS <= self.radius <= 0.0175:
@@ -187,23 +189,6 @@ def generate_scene(
     )
 
 
-def detach_fruit(scene: Scene, fruit_id: int) -> Scene:
-    """Mark one fruit as detached; later captures will not see it."""
-    found = False
-    fruits = []
-    for s in scene.strawberries:
-        if s.id == fruit_id:
-            if s.detached:
-                raise StateError(f"strawberry {fruit_id} is already detached")
-            fruits.append(replace(s, detached=True))
-            found = True
-        else:
-            fruits.append(s)
-    if not found:
-        raise StateError(f"no strawberry with id {fruit_id}")
-    return replace(scene, strawberries=tuple(fruits))
-
-
 class SurfaceBatch(NamedTuple):
     """Array form of sampled surfaces, used by the virtual cameras."""
 
@@ -212,6 +197,16 @@ class SurfaceBatch(NamedTuple):
     kind: np.ndarray   # (n,) int8
     owner: np.ndarray  # (n,) int32; fruit/stem: fruit id, trough/occluder: index in Scene.boxes
     face: np.ndarray   # (n,) int8; box sample: face of its own box (see _box_points), fruit/stem: -1
+
+
+def draw_rgb(rng: np.random.Generator, n: int, bands) -> np.ndarray:
+    """`n` uint8 colours, each channel drawn uniformly from its inclusive
+    (low, high) band in `bands`, one channel after another: red, green,
+    blue."""
+    rgb = np.empty((n, 3), dtype=np.uint8)
+    for c, (lo, hi) in enumerate(bands):
+        rgb[:, c] = rng.integers(lo, hi + 1, size=n)
+    return rgb
 
 
 def _sphere_points(rng, center: Vec3, radius: float, n: int) -> np.ndarray:
@@ -272,9 +267,9 @@ def _box_points(rng, box: Aabb, density: float) -> tuple[np.ndarray, np.ndarray]
 def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
     """Sample every scene surface at `density` points per square meter.
 
-    Detached fruits are still sampled here (the draw order never changes
-    with state) and filtered out by the cameras, so detaching one fruit
-    leaves every other sampled point bit-identical.
+    The draws come from one stream of the scene seed, in a fixed order:
+    each fruit, then each stem, then each box in `Scene.boxes` order. So a
+    scene's samples are a pure function of the scene and the density.
     """
     if density <= 0:
         raise ValueError("density must be > 0")
@@ -294,16 +289,7 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
     for s in scene.strawberries:
         n = int(round(density * 4.0 * math.pi * s.radius**2))
         pts = _sphere_points(rng, s.center, s.radius, n)
-        rgbv = np.empty((n, 3), dtype=np.uint8)
-        if s.ripe:
-            rgbv[:, 0] = rng.integers(RIPE_R[0], RIPE_R[1] + 1, size=n)
-            rgbv[:, 1] = rng.integers(RIPE_GB[0], RIPE_GB[1] + 1, size=n)
-            rgbv[:, 2] = rng.integers(RIPE_GB[0], RIPE_GB[1] + 1, size=n)
-        else:
-            rgbv[:, 0] = rng.integers(UNRIPE_RB[0], UNRIPE_RB[1] + 1, size=n)
-            rgbv[:, 1] = rng.integers(UNRIPE_G[0], UNRIPE_G[1] + 1, size=n)
-            rgbv[:, 2] = rng.integers(UNRIPE_RB[0], UNRIPE_RB[1] + 1, size=n)
-        add(pts, rgbv, KIND_FRUIT, s.id)
+        add(pts, draw_rgb(rng, n, RIPE if s.ripe else UNRIPE), KIND_FRUIT, s.id)
 
     for s in scene.strawberries:
         length = math.dist(
@@ -312,11 +298,7 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
         )
         n = int(round(density * math.pi * s.stem_diameter * length))
         pts = _cylinder_points(rng, s.stem_top, s.stem_attach, s.stem_diameter, n)
-        rgbv = np.empty((len(pts), 3), dtype=np.uint8)
-        rgbv[:, 0] = rng.integers(UNRIPE_RB[0], UNRIPE_RB[1] + 1, size=len(pts))
-        rgbv[:, 1] = rng.integers(UNRIPE_G[0], UNRIPE_G[1] + 1, size=len(pts))
-        rgbv[:, 2] = rng.integers(UNRIPE_RB[0], UNRIPE_RB[1] + 1, size=len(pts))
-        add(pts, rgbv, KIND_STEM, s.id)
+        add(pts, draw_rgb(rng, len(pts), UNRIPE), KIND_STEM, s.id)
 
     for b, box in enumerate(scene.boxes):
         pts, face = _box_points(rng, box, density)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from berrypick.geometry import ColoredPointCloud
-from berrypick.scene import KIND_FRUIT, sample_surface_arrays
+from berrypick.scene import sample_surface_arrays
 
 
 def brute_force_clusters(xyz: np.ndarray, tol: float, s_min: int, s_max: int) -> list[list[int]]:
@@ -156,12 +156,8 @@ def reference_capture(scene, cam, seed) -> ColoredPointCloud:
     """One camera view, rendered without culling: every sample is
     slab-tested against every box before the frustum clip."""
     batch = sample_surface_arrays(scene, scene.surface_density)
-    detached = np.array([s.id for s in scene.strawberries if s.detached], dtype=np.int32)
-    keep = np.ones(len(batch.xyz), dtype=bool)
-    if len(detached):
-        keep &= ~((batch.kind == KIND_FRUIT) & np.isin(batch.owner, detached))
-    xyz = batch.xyz[keep]
-    rgb = batch.rgb[keep]
+    xyz = batch.xyz
+    rgb = batch.rgb
 
     eye = cam.pose.translation.to_array()
     boxes = ([scene.trough] if scene.trough is not None else []) + list(scene.occluders)

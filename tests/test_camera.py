@@ -15,7 +15,7 @@ from berrypick.cli import resolve_config_arg
 from berrypick.config import build_scene
 from berrypick.geometry import Aabb, Vec3, sq_lengths, transform_cloud
 from berrypick.scene import (
-    KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, detach_fruit, sample_surface_arrays,
+    KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, sample_surface_arrays,
     _box_points,
 )
 
@@ -125,15 +125,6 @@ class TestCaptureGeometry:
         assert len(fruit_points_in_base(c1, rig.cam1, fruit)) == 0
         assert len(fruit_points_in_base(c2, rig.cam2, fruit)) > 0
 
-    def test_detached_fruit_excluded(self):
-        scene = generate_scene(2, 3)
-        rig = noiseless_rig()
-        target = scene.strawberries[1]
-        before, _ = capture_rig(scene, rig, 9)
-        after, _ = capture_rig(detach_fruit(scene, 1), rig, 9)
-        assert len(fruit_points_in_base(before, rig.cam1, target)) > 0
-        assert len(fruit_points_in_base(after, rig.cam1, target)) == 0
-
 
 class TestCaptureNoise:
     def test_same_seed_identical(self):
@@ -231,10 +222,15 @@ def _paper9():
     return build_scene(resolve_config_arg("paper9"), 1)
 
 
+def _without_fruit(scene, fruit_id):
+    """The scene with one fruit taken out of its row."""
+    return replace(scene, strawberries=tuple(s for s in scene.strawberries if s.id != fruit_id))
+
+
 # cam1's eye is at (-0.05, 0, 0.45)
 CULL_SCENES = {
     "paper9": _paper9,
-    "detached": lambda: detach_fruit(_paper9(), 4),
+    "detached": lambda: _without_fruit(_paper9(), 4),  # fruit 4 picked from the row
     "no_trough": lambda: replace(_paper9(), trough=None),
     "occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.20, -0.05, 0.30), Vec3(0.22, 0.05, 0.55)),)),
     "flat_occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.21, -0.05, 0.30), Vec3(0.21, 0.05, 0.55)),)),
@@ -416,7 +412,7 @@ def _cam1_at(rig, eye, target):
 
 # each case changes one thing a view depends on
 VIEW_CHANGES = {
-    "detached_fruit": lambda scene, rig: (detach_fruit(scene, 4), rig),
+    "detached_fruit": lambda scene, rig: (_without_fruit(scene, 4), rig),
     # eye and target shifted alike: the same rotation, a new translation
     "moved_eye": lambda scene, rig: (scene, _cam1_at(rig, [-0.05, 0.01, 0.45], [0.45, 0.01, 0.40])),
     "turned_camera": lambda scene, rig: (scene, _cam1_at(rig, [-0.05, 0.0, 0.45], [0.45, 0.02, 0.40])),

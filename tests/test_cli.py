@@ -243,6 +243,22 @@ class TestSweepCommand:
         assert rc == 2
         assert "sweep.noise_sigmas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("payload, key", [
+        ({"sweep": {"offsets_mm": [0, 0, 20]}, "seeds": [1, 2]}, "sweep.offsets_mm"),
+        ({"sweep": {"offsets_mm": [0, 20]}, "seeds": [1] * 12}, "seeds"),
+    ], ids=["offsets", "seeds"])
+    def test_repeated_entry_is_config_error(self, tmp_path, monkeypatch, capsys, threads, payload, key):
+        # a repeated value once counted its runs twice in the aggregate row, and
+        # two workers wrote into its run directory at the same time
+        cfg_path = write_cfg(tmp_path, {**TRUTH_MINI, **payload})
+        monkeypatch.setenv("BERRYPICK_THREADS", threads)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg_path, "--axis", "offset", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_power_sweep_halves_cut_time(self, tmp_path):
         payload = {
             "name": "mini",

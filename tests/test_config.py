@@ -111,6 +111,24 @@ class TestResolve:
         with pytest.raises(ConfigError, match="sweep.velocity_scales"):
             resolve_config({"sweep": {"velocity_scales": ["fast"]}})
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"sweep": {"offsets_mm": [0, 0, 20]}}, r"sweep\.offsets_mm .*\[1\] = 0 repeats \[0\] = 0"),
+        ({"sweep": {"offsets_mm": [0, 20, 0.0]}}, r"sweep\.offsets_mm .*\[2\] = 0\.0 repeats \[0\] = 0"),
+        ({"sweep": {"offsets_mm": [-0.0, 0.0]}}, r"sweep\.offsets_mm .*\[1\] = 0\.0 repeats \[0\] = -0\.0"),
+        ({"sweep": {"velocity_scales": [0.5, 1.0, 0.5]}}, r"sweep\.velocity_scales "),
+        ({"sweep": {"powers": [50, 50.0]}}, r"sweep\.powers "),
+        ({"units": "mm", "sweep": {"noise_sigmas": [2, 2.0]}}, r"sweep\.noise_sigmas "),
+        ({"seeds": [1, 2, 1]}, r"seeds .*\[2\] = 1 repeats \[0\] = 1"),
+    ], ids=["offsets", "int_and_float", "signed_zeros", "velocity", "powers", "scaled_noise", "seeds"])
+    def test_repeated_entry_named(self, payload, message):
+        # a sweep groups its aggregate rows with ==, so a repeat counts its runs twice
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            resolve_config(payload)
+
+    def test_distinct_entries_accepted(self):
+        cfg = resolve_config({"sweep": {"offsets_mm": [0, 1e-300, -1e-300]}, "seeds": [0, 1, 2]})
+        assert cfg["sweep"]["offsets_mm"] == [0, 1e-300, -1e-300]
+
     @pytest.mark.parametrize("occ, key", [
         ([[1, 2]], r"scene\.occluders\[0\]"),
         ([[[0, 0, 0], [1, 1, 1]], 5], r"scene\.occluders\[1\]"),

@@ -27,7 +27,7 @@ GEOM = ToolGeometry()
 CUT = CutModel()
 
 
-def fruit_with_lateral(offset_y, stem_diameter=0.003, detached=False):
+def fruit_with_lateral(offset_y, stem_diameter=0.003):
     """Fruit whose stem is vertical in y at `offset_y`; a tool at y=0 sees
     exactly that lateral error."""
     return StrawberryTruth(
@@ -38,7 +38,6 @@ def fruit_with_lateral(offset_y, stem_diameter=0.003, detached=False):
         stem_top=Vec3(0.50, offset_y, 0.48),
         stem_bend=0.0,
         stem_diameter=stem_diameter,
-        detached=detached,
     )
 
 
@@ -105,10 +104,6 @@ class TestTrapStem:
     def test_sign_of_error(self):
         res = trap_stem(Vec3(0.44, 0.005, 0.43), fruit_with_lateral(0.0), GEOM)
         assert res.lateral_error == pytest.approx(-0.005)
-
-    def test_detached_rejected(self):
-        with pytest.raises(StateError):
-            trap_stem(Vec3(0.44, 0, 0.43), fruit_with_lateral(0.0, detached=True), GEOM)
 
     def test_bent_stem_interpolation(self):
         # stem runs from (0.50, 0.01, 0.48) down to the fruit top at y=0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from berrypick.config import build_scenario, resolve_config
-from berrypick.errors import ConfigError, StateError
+from berrypick.errors import ConfigError
 from berrypick.geometry import Aabb, Vec3
 from berrypick.scene import (
     KIND_FRUIT,
@@ -12,7 +12,6 @@ from berrypick.scene import (
     MAX_STEM_BEND,
     Scene,
     StrawberryTruth,
-    detach_fruit,
     generate_scene,
     sample_surface_arrays,
 )
@@ -214,28 +213,3 @@ class TestFaceCodes:
         assert fruit_or_stem.any() and (batch.face[fruit_or_stem] == -1).all()
         assert (batch.owner[batch.kind == KIND_TROUGH] == 0).all()
         assert (batch.face[batch.kind == KIND_TROUGH] >= 0).mean() > 0.99
-
-
-class TestDetach:
-    def test_detach_marks_only_target(self):
-        scene = generate_scene(9, 4)
-        out = detach_fruit(scene, 2)
-        assert [s.detached for s in out.strawberries] == [False, False, True, False]
-        # original untouched
-        assert not any(s.detached for s in scene.strawberries)
-
-    def test_double_detach(self):
-        scene = detach_fruit(generate_scene(9, 4), 1)
-        with pytest.raises(StateError):
-            detach_fruit(scene, 1)
-
-    def test_unknown_id(self):
-        with pytest.raises(StateError):
-            detach_fruit(generate_scene(9, 4), 99)
-
-    def test_sampling_unchanged_for_other_fruits(self):
-        scene = generate_scene(12, 3)
-        before = sample_surface_arrays(scene, 8000.0)
-        after = sample_surface_arrays(detach_fruit(scene, 0), 8000.0)
-        assert_batches_equal(before, after)  # sampling ignores the detached flag
-
