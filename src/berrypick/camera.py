@@ -75,8 +75,8 @@ from .scene import Scene, sample_surface_arrays
 
 # The default rig in scenario-config units (degrees for angles): both
 # cameras share one set of optics, cam1 faces the trough and cam2 sits
-# below it looking up. CameraModel, default_rig and the config's `rig`
-# defaults all read this table.
+# below it looking up. default_rig and the config's `rig` defaults read
+# DEFAULT_RIG, and make_camera turns an entry into a CameraModel.
 _OPTICS = {
     "h_fov_deg": 87.0,
     "v_fov_deg": 58.0,
@@ -98,15 +98,15 @@ MAX_BINS = 2**62
 
 @dataclass(frozen=True)
 class CameraModel:
-    pose: RigidTransform          # camera frame -> base frame
-    frame: str = "cam1"
-    h_fov: float = math.radians(_OPTICS["h_fov_deg"])
-    v_fov: float = math.radians(_OPTICS["v_fov_deg"])
-    min_range: float = _OPTICS["min_range"]
-    max_range: float = _OPTICS["max_range"]
-    depth_noise_sigma: float = _OPTICS["depth_noise_sigma"]
-    dropout_rate: float = _OPTICS["dropout_rate"]
-    bin_res: float = math.radians(_OPTICS["bin_res_deg"])   # angular z-buffer bin size
+    pose: RigidTransform   # camera frame -> base frame
+    frame: str
+    h_fov: float
+    v_fov: float
+    min_range: float
+    max_range: float
+    depth_noise_sigma: float
+    dropout_rate: float
+    bin_res: float         # angular z-buffer bin size
 
     def __post_init__(self):
         if not 0 < self.h_fov < math.pi:
@@ -173,12 +173,9 @@ def make_camera(
     )
 
 
-def default_rig(
-    depth_noise_sigma: float = _OPTICS["depth_noise_sigma"], dropout_rate: float = _OPTICS["dropout_rate"]
-) -> CameraRig:
+def default_rig() -> CameraRig:
     """Two-view arrangement: one camera facing the trough, one below looking up."""
-    noise = {"depth_noise_sigma": depth_noise_sigma, "dropout_rate": dropout_rate}
-    return CameraRig(*(make_camera(frame, **{**DEFAULT_RIG[frame], **noise}) for frame in ("cam1", "cam2")))
+    return CameraRig(*(make_camera(frame, **DEFAULT_RIG[frame]) for frame in ("cam1", "cam2")))
 
 
 def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -232,7 +229,7 @@ class _Surfaces(NamedTuple):
 def _surfaces(scene: Scene) -> _Surfaces:
     """Sample the scene and number each box sample's face across all the
     boxes; none of this depends on the camera."""
-    batch = sample_surface_arrays(scene, scene.surface_density)
+    batch = sample_surface_arrays(scene)
     face = np.where(batch.face < 0, -1, 6 * batch.owner + batch.face)
     bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
     return _Surfaces(batch.xyz, batch.rgb, face, bounds)

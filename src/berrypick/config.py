@@ -223,6 +223,8 @@ def _validate(cfg: dict) -> None:
     runs."""
     _require(cfg["version"] == CONFIG_VERSION, "version", f"must be {CONFIG_VERSION}")
     _require(isinstance(cfg["name"], str) and cfg["name"] != "", "name", "must be a non-empty string")
+    # `name` and `out` become directory names, and no path may hold a NUL byte
+    _require("\0" not in cfg["name"], "name", "must not contain a NUL byte")
 
     sc = cfg["scene"]
     _require(sc["seed"] is None or _is_seed(sc["seed"]), "scene.seed", "must be an integer >= 0 or null")
@@ -257,6 +259,7 @@ def _validate(cfg: dict) -> None:
     _require(all(_is_seed(s) for s in cfg["seeds"]), "seeds", "entries must be integers >= 0")
     _check_distinct(cfg["seeds"], "seeds")
     _require(cfg["out"] is None or isinstance(cfg["out"], str), "out", "must be a string path")
+    _require(cfg["out"] is None or "\0" not in cfg["out"], "out", "must not contain a NUL byte")
 
 
 # sweep axis -> the `sweep` list holding its values

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CloudFormatError, FrameMismatchError
 
-VALID_FRAMES = ("base", "cam1", "cam2", "tool")
+VALID_FRAMES = ("base", "cam1", "cam2")
 
 # tolerance for rotation-matrix orthonormality / determinant checks
 ROTATION_TOL = 1e-9
@@ -76,10 +76,6 @@ class ColoredPointCloud:
     def __setattr__(self, name, value):
         raise AttributeError("ColoredPointCloud is immutable")
 
-    @classmethod
-    def empty(cls, frame: str) -> "ColoredPointCloud":
-        return cls(frame, np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
-
     def __len__(self) -> int:
         return len(self.xyz)
 
@@ -98,15 +94,13 @@ class ColoredPointCloud:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation + translation; maps points from `source_frame` to `target_frame`.
-
-    The frame labels are optional and only used for validation when present.
-    """
+    """Rotation + translation; maps points from `source_frame` to
+    `target_frame`, and `check_maps` holds every use to those two frames."""
 
     rotation: np.ndarray
     translation: Vec3
-    source_frame: str | None = None
-    target_frame: str | None = None
+    source_frame: str
+    target_frame: str
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -127,11 +121,11 @@ class RigidTransform:
         return out
 
     def check_maps(self, source: str, target: str) -> None:
-        """Raise FrameMismatchError unless this transform may map frame
-        `source` to frame `target`; an unlabelled end maps any frame."""
-        if self.source_frame is not None and source != self.source_frame:
+        """Raise FrameMismatchError unless this transform maps frame
+        `source` to frame `target`."""
+        if source != self.source_frame:
             raise FrameMismatchError(f"cloud is in frame {source!r} but transform maps from {self.source_frame!r}")
-        if self.target_frame is not None and target != self.target_frame:
+        if target != self.target_frame:
             raise FrameMismatchError(f"requested target {target!r} but transform maps to {self.target_frame!r}")
 
     def inverse(self) -> "RigidTransform":

@@ -55,15 +55,20 @@ KIND_OCCLUDER = 3
 # (SurfaceBatch.face -1); the cameras cull only samples on a face
 FACE_MARGIN = 1e-6
 
+# surface samples a scene may draw, surface_density times its surface
+# area; the default paper9 scene draws 81,293
+MAX_SURFACE_SAMPLES = 10**7
+
 
 @dataclass(frozen=True)
 class StrawberryTruth:
+    """One fruit on its stem; the stem's bend is `center.y - stem_top.y`."""
+
     id: int
     center: Vec3
     radius: float
     ripe: bool
     stem_top: Vec3
-    stem_bend: float
     stem_diameter: float
 
     def __post_init__(self):
@@ -79,12 +84,18 @@ class StrawberryTruth:
         """Point where the stem meets the fruit (top of the sphere)."""
         return Vec3(self.center.x, self.center.y, self.center.z + self.radius)
 
+    @property
+    def stem_length(self) -> float:
+        """Length of the stem, from `stem_top` to `stem_attach`."""
+        a, b = self.stem_top, self.stem_attach
+        return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+
 
 @dataclass(frozen=True)
 class Scene:
     strawberries: tuple[StrawberryTruth, ...]
     rng_seed: int
-    trough: Aabb | None
+    trough: Aabb
     occluders: tuple[Aabb, ...]
     surface_density: float
 
@@ -92,12 +103,35 @@ class Scene:
         ids = [s.id for s in self.strawberries]
         if len(ids) != len(set(ids)):
             raise ValueError("strawberry ids must be unique")
+        if not self.surface_density > 0:
+            raise ValueError("surface_density must be > 0")
+        area = self.surface_area
+        # `not <=`, so that an area that overflows to inf or nan fails too
+        if not self.surface_density * area <= MAX_SURFACE_SAMPLES:
+            raise ValueError(
+                f"surface_density must draw at most {MAX_SURFACE_SAMPLES:,} surface samples, but"
+                f" {self.surface_density:g} per m^2 over the scene's {area:.6g} m^2 of fruit, stem and box"
+                f" surface draws {self.surface_density * area:.6g}"
+            )
 
     @property
     def boxes(self) -> tuple[Aabb, ...]:
-        """The trough, if there is one, then each occluder: the order in
-        which boxes are sampled and numbered (`SurfaceBatch.owner`)."""
-        return ((self.trough,) if self.trough is not None else ()) + self.occluders
+        """The trough, then each occluder: the order in which boxes are
+        sampled and numbered (`SurfaceBatch.owner`)."""
+        return (self.trough,) + self.occluders
+
+    @property
+    def surface_area(self) -> float:
+        """The area `sample_surface_arrays` samples, in m^2: each fruit's
+        sphere, each stem's wall and the six faces of each box."""
+        area = 0.0
+        for s in self.strawberries:
+            area += 4.0 * math.pi * s.radius * s.radius
+            area += math.pi * s.stem_diameter * s.stem_length
+        for box in self.boxes:
+            x, y, z = box.max.x - box.min.x, box.max.y - box.min.y, box.max.z - box.min.z
+            area += 2.0 * (x * y + y * z + z * x)
+        return area
 
 
 def _scene_rng(seed: int, stream: int) -> np.random.Generator:
@@ -137,8 +171,7 @@ def generate_scene(
     if not 0.0 <= ripe_fraction <= 1.0:
         raise ConfigError("ripe_fraction must be in [0, 1]")
     for name, value in (
-        ("spacing", spacing), ("fruit_x", fruit_x), ("trough_height", trough_height),
-        ("base_height", base_height), ("surface_density", surface_density),
+        ("spacing", spacing), ("fruit_x", fruit_x), ("trough_height", trough_height), ("base_height", base_height),
     ):
         if value <= 0:
             raise ConfigError(f"{name} must be > 0")
@@ -176,7 +209,6 @@ def generate_scene(
                 radius=radius,
                 ripe=i in ripe_ids,
                 stem_top=Vec3(trough.min.x, y_nominal, lip_z),
-                stem_bend=bend,
                 stem_diameter=stem_diameter,
             )
         )
@@ -264,15 +296,15 @@ def _box_points(rng, box: Aabb, density: float) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(chunks), np.concatenate(faces)
 
 
-def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
-    """Sample every scene surface at `density` points per square meter.
+def sample_surface_arrays(scene: Scene) -> SurfaceBatch:
+    """Sample every scene surface at `scene.surface_density` points per
+    square meter.
 
     The draws come from one stream of the scene seed, in a fixed order:
     each fruit, then each stem, then each box in `Scene.boxes` order. So a
-    scene's samples are a pure function of the scene and the density.
+    scene's samples are a pure function of the scene.
     """
-    if density <= 0:
-        raise ValueError("density must be > 0")
+    density = scene.surface_density
     rng = _scene_rng(scene.rng_seed, 1)
     # an empty part first, so that a scene with no surfaces concatenates too
     parts = [(
@@ -292,18 +324,14 @@ def sample_surface_arrays(scene: Scene, density: float) -> SurfaceBatch:
         add(pts, draw_rgb(rng, n, RIPE if s.ripe else UNRIPE), KIND_FRUIT, s.id)
 
     for s in scene.strawberries:
-        length = math.dist(
-            (s.stem_top.x, s.stem_top.y, s.stem_top.z),
-            (s.stem_attach.x, s.stem_attach.y, s.stem_attach.z),
-        )
-        n = int(round(density * math.pi * s.stem_diameter * length))
+        n = int(round(density * math.pi * s.stem_diameter * s.stem_length))
         pts = _cylinder_points(rng, s.stem_top, s.stem_attach, s.stem_diameter, n)
         add(pts, draw_rgb(rng, len(pts), UNRIPE), KIND_STEM, s.id)
 
     for b, box in enumerate(scene.boxes):
         pts, face = _box_points(rng, box, density)
         grey = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=len(pts)).astype(np.uint8)
-        kind = KIND_TROUGH if b == 0 and scene.trough is not None else KIND_OCCLUDER
+        kind = KIND_TROUGH if b == 0 else KIND_OCCLUDER
         add(pts, np.stack([grey, grey, grey], axis=1), kind, b, face)
 
     return SurfaceBatch(*(np.concatenate(column) for column in zip(*parts)))

@@ -155,12 +155,12 @@ def _reference_occluded_by_box(eye, pts, lo, hi):
 def reference_capture(scene, cam, seed) -> ColoredPointCloud:
     """One camera view, rendered without culling: every sample is
     slab-tested against every box before the frustum clip."""
-    batch = sample_surface_arrays(scene, scene.surface_density)
+    batch = sample_surface_arrays(scene)
     xyz = batch.xyz
     rgb = batch.rgb
 
     eye = cam.pose.translation.to_array()
-    boxes = ([scene.trough] if scene.trough is not None else []) + list(scene.occluders)
+    boxes = [scene.trough, *scene.occluders]
     for box in boxes:
         if len(xyz) == 0:
             break
@@ -182,9 +182,6 @@ def reference_capture(scene, cam, seed) -> ColoredPointCloud:
     az = az[vis]
     el = el[vis]
     z = z[vis]
-
-    if len(q) == 0:
-        return ColoredPointCloud.empty(cam.frame)
 
     n_az = int(math.ceil(cam.h_fov / cam.bin_res)) + 1
     bi = np.floor((az + cam.h_fov / 2) / cam.bin_res).astype(np.int64)

@@ -23,8 +23,14 @@ import oracles
 from oracles import ray_hits_box, point_to_segment_distance, reference_capture
 
 
+def noisy_rig(sigma, rate):
+    """The default rig with both cameras' depth noise and dropout set."""
+    rig = default_rig()
+    return CameraRig(*(replace(cam, depth_noise_sigma=sigma, dropout_rate=rate) for cam in (rig.cam1, rig.cam2)))
+
+
 def noiseless_rig():
-    return default_rig(depth_noise_sigma=0.0, dropout_rate=0.0)
+    return noisy_rig(0.0, 0.0)
 
 
 def fruit_points_in_base(cloud, cam, fruit, slack=1e-6):
@@ -35,15 +41,15 @@ def fruit_points_in_base(cloud, cam, fruit, slack=1e-6):
 
 class TestCameraModel:
     def test_validation(self):
-        pose = look_at_pose(Vec3(0, 0, 0.4), Vec3(0.4, 0, 0.4), "cam1")
+        cam = default_rig().cam1
         with pytest.raises(ValueError):
-            CameraModel(pose=pose, h_fov=0.0)
+            replace(cam, h_fov=0.0)
         with pytest.raises(ValueError):
-            CameraModel(pose=pose, min_range=1.0, max_range=0.5)
+            replace(cam, min_range=1.0, max_range=0.5)
         with pytest.raises(ValueError):
-            CameraModel(pose=pose, dropout_rate=1.5)
+            replace(cam, dropout_rate=1.5)
         with pytest.raises(ValueError):
-            CameraModel(pose=pose, depth_noise_sigma=-0.1)
+            replace(cam, depth_noise_sigma=-0.1)
 
     def test_rig_frames(self):
         rig = default_rig()
@@ -114,7 +120,7 @@ class TestCaptureGeometry:
         eye2 = rig.cam2.pose.translation.to_array()
         lo = occluder.min.to_array()
         hi = occluder.max.to_array()
-        batch = sample_surface_arrays(scene, 2000.0)
+        batch = sample_surface_arrays(replace(scene, surface_density=2000.0))
         fruit_samples = batch.xyz[batch.kind == KIND_FRUIT]
         assert len(fruit_samples)
         for s in fruit_samples:
@@ -144,9 +150,7 @@ class TestCaptureNoise:
     def test_noise_perturbs_along_ray(self):
         scene = generate_scene(2, 1)
         rig0 = noiseless_rig()
-        cam = CameraModel(
-            pose=rig0.cam1.pose, frame="cam1", depth_noise_sigma=0.002, dropout_rate=0.0
-        )
+        cam = replace(rig0.cam1, depth_noise_sigma=0.002)
         clean, _ = capture_rig(scene, rig0, 11)
         noisy, _ = capture_rig(scene, replace(rig0, cam1=cam), 11)
         assert len(clean) == len(noisy)
@@ -163,7 +167,7 @@ class TestCaptureNoise:
         rig = noiseless_rig()
         counts = []
         for rate in (0.0, 0.02, 0.3, 0.7, 1.0):
-            cam = CameraModel(pose=rig.cam1.pose, frame="cam1", depth_noise_sigma=0.0, dropout_rate=rate)
+            cam = replace(rig.cam1, dropout_rate=rate)
             c1, _ = capture_rig(scene, replace(rig, cam1=cam), 13)
             counts.append(len(c1))
         assert counts == sorted(counts, reverse=True)
@@ -172,9 +176,9 @@ class TestCaptureNoise:
 
 class TestCaptureRig:
     def test_empty_scene(self):
-        from berrypick.scene import Scene
-
-        scene = Scene(strawberries=(), rng_seed=1, trough=None, occluders=(), surface_density=60000.0)
+        # a trough 10 m below the workspace, beyond both cameras' range
+        trough = Aabb(Vec3(0.50, -0.60, -10.3), Vec3(0.70, 0.60, -10.0))
+        scene = Scene(strawberries=(), rng_seed=1, trough=trough, occluders=(), surface_density=60000.0)
         c1, c2 = capture_rig(scene, default_rig(), 1)
         assert len(c1) == 0 and len(c2) == 0
         assert (c1.frame, c2.frame) == ("cam1", "cam2")
@@ -194,7 +198,7 @@ class TestCaptureRig:
         rig_a = default_rig()
         rig_b = CameraRig(
             cam1=rig_a.cam1,
-            cam2=CameraModel(pose=rig_a.cam2.pose, frame="cam2", depth_noise_sigma=0.01),
+            cam2=replace(rig_a.cam2, depth_noise_sigma=0.01),
         )
         a1, _ = capture_rig(scene, rig_a, 21)
         b1, _ = capture_rig(scene, rig_b, 21)
@@ -231,7 +235,6 @@ def _without_fruit(scene, fruit_id):
 CULL_SCENES = {
     "paper9": _paper9,
     "detached": lambda: _without_fruit(_paper9(), 4),  # fruit 4 picked from the row
-    "no_trough": lambda: replace(_paper9(), trough=None),
     "occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.20, -0.05, 0.30), Vec3(0.22, 0.05, 0.55)),)),
     "flat_occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(0.21, -0.05, 0.30), Vec3(0.21, 0.05, 0.55)),)),
     "eye_in_occluder": lambda: replace(_paper9(), occluders=(Aabb(Vec3(-0.10, -0.05, 0.40), Vec3(0.0, 0.05, 0.50)),)),
@@ -251,13 +254,13 @@ def _lone_sample_scene(seed, occluded):
     box = Aabb(Vec3(0.40, -0.01, 0.39), Vec3(0.4001, 0.01, 0.41))
     scene = Scene((), seed, box, (), 5000.0 if occluded else 2500.0)
     if occluded:
-        xyz = sample_surface_arrays(scene, scene.surface_density).xyz
+        xyz = sample_surface_arrays(scene).xyz
         near = xyz[xyz[:, 0] == 0.40]
         assert len(near) == 2
         eye = default_rig().cam1.pose.translation.to_array()
         mid = (eye + near[0]) / 2
         scene = replace(scene, occluders=(Aabb(Vec3(*(mid - 1e-4)), Vec3(*(mid + 1e-4))),))
-    assert len(sample_surface_arrays(scene, scene.surface_density).xyz) == (4 if occluded else 2)
+    assert len(sample_surface_arrays(scene).xyz) == (4 if occluded else 2)
     return scene
 
 
@@ -267,11 +270,11 @@ EDGE_OCCLUDER = Aabb(Vec3(0.50, -0.05, 0.48), Vec3(0.52, 0.05, 0.55))
 EDGE_SAMPLES = np.array([[0.50, y, 0.48] for y in (-0.04, -0.013, 0.0, 0.021, 0.05)])
 
 
-def _with_edge_samples(scene, density):
+def _with_edge_samples(scene):
     """The scene's samples, then each of EDGE_SAMPLES twice: once as a
     sample of the trough (box 0) and once as one of the occluder (box 1),
     each with the face code the oracle gives it on that box."""
-    batch = sample_surface_arrays(scene, density)
+    batch = sample_surface_arrays(scene)
     n = len(EDGE_SAMPLES)
     grey = np.full((2 * n, 3), 150, dtype=np.uint8)
     faces = [oracles.face_codes(EDGE_SAMPLES, box.min.to_array(), box.max.to_array()) for box in scene.boxes]
@@ -314,13 +317,11 @@ class TestCullingEquivalence:
     def test_culled_samples_are_blocked(self, name):
         scene = replace(CULL_SCENES[name](), surface_density=6000.0)
         surf = camera._surfaces(scene)
-        boxes = [scene.trough] if scene.trough is not None else []
-        boxes += list(scene.occluders)
+        boxes = [scene.trough, *scene.occluders]
         for cam in (default_rig().cam1, default_rig().cam2):
             eye = cam.pose.translation.to_array()
             culled = camera._back_faces(surf.bounds, eye)[surf.face]
-            if scene.trough is not None:
-                assert culled.sum() > len(surf.xyz) // 4
+            assert culled.sum() > len(surf.xyz) // 4
             for p in surf.xyz[culled]:
                 # the segment stopped just short of the sample still meets a box
                 assert any(
@@ -347,7 +348,7 @@ class TestCullingEquivalence:
 
     def test_flat_occluder_samples_are_not_culled(self):
         scene = CULL_SCENES["flat_occluder"]()
-        occ = sample_surface_arrays(scene, scene.surface_density).kind == KIND_OCCLUDER
+        occ = sample_surface_arrays(scene).kind == KIND_OCCLUDER
         surf = camera._surfaces(scene)
         for cam in (default_rig().cam1, default_rig().cam2):
             culled = camera._back_faces(surf.bounds, cam.pose.translation.to_array())[surf.face]
@@ -442,7 +443,7 @@ class TestViewCache:
     def test_noise_and_dropout_reuse_the_view(self, sample_calls, sigma, rate):
         scene = _paper9()
         capture_rig(scene, default_rig(), 1)
-        rig = default_rig(depth_noise_sigma=sigma, dropout_rate=rate)
+        rig = noisy_rig(sigma, rate)
         seed = 5
         c1, c2 = capture_rig(scene, rig, seed)
         assert len(sample_calls) == 1
@@ -486,7 +487,7 @@ class TestSensor:
 
     @pytest.mark.parametrize("sigma, rate", [(0.002, 0.02), (0.0, 0.02), (0.002, 0.0), (0.002, 1.0), (0.0, 0.0)])
     def test_matches_reference_sense(self, sigma, rate):
-        rig = default_rig(depth_noise_sigma=sigma, dropout_rate=rate)
+        rig = noisy_rig(sigma, rate)
         views = camera._views(_paper9(), rig)
         for cam, (q, rgb, ranges) in zip((rig.cam1, rig.cam2), views):
             for seed in range(10):

@@ -15,12 +15,14 @@ from berrypick.cli import (
     resolve_config_arg,
     run_one,
 )
-from berrypick.config import build_scenario, resolve_config
+from berrypick.config import build_rig, build_scenario, load_config, resolve_config
 from berrypick.controller import HarvestEventLog
 from berrypick.errors import ConfigError
 from berrypick.geometry import dump_cloud
 from berrypick.localization import LocalizationParams, localize
 from berrypick.scene import generate_scene
+
+from test_config import UNSAFE_CONFIGS
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -66,6 +68,19 @@ class TestPackagedScenarios:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("case", sorted(UNSAFE_CONFIGS))
+    def test_unsafe_config_is_config_error(self, tmp_path, monkeypatch, capsys, command, case):
+        payload, key = UNSAFE_CONFIGS[case]
+        cfg_path = write_cfg(tmp_path, {**payload, "sweep": {"offsets_mm": [0]}})
+        # no --out: the output directory comes from `name` or `out`, under the working directory
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", cfg_path] + (["--axis", "offset"] if command == "sweep" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, {"name": "mini", "scene": FAST_SCENE, "seeds": [5]})
         out = tmp_path / "out"
@@ -535,16 +550,16 @@ class TestBenchCommand:
 
 class TestLocalizeCommand:
     def test_matches_direct_call(self, tmp_path, capsys):
-        scene = generate_scene(3, 2, 1.0, 0.0, surface_density=20000.0)
-        rig = default_rig(depth_noise_sigma=0.0, dropout_rate=0.0)
-        c1, c2 = capture_rig(scene, rig, 4)
-        p1, p2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
-        dump_cloud(c1, p1)
-        dump_cloud(c2, p2)
         cfg_path = write_cfg(tmp_path, {"rig": {
             "cam1": {"depth_noise_sigma": 0.0, "dropout_rate": 0.0},
             "cam2": {"depth_noise_sigma": 0.0, "dropout_rate": 0.0},
         }})
+        scene = generate_scene(3, 2, 1.0, 0.0, surface_density=20000.0)
+        rig = build_rig(load_config(cfg_path))
+        c1, c2 = capture_rig(scene, rig, 4)
+        p1, p2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
+        dump_cloud(c1, p1)
+        dump_cloud(c2, p2)
         rc = main(["localize", "--cloud1", str(p1), "--cloud2", str(p2), "--params", cfg_path])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)

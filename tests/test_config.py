@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -19,6 +20,23 @@ from berrypick.config import (
     resolve_config,
 )
 from berrypick.errors import ConfigError
+from berrypick.scene import MAX_SURFACE_SAMPLES
+
+# the paper9 scenario's scene
+PAPER9_SCENE = {"seed": 7, "n_straw": 9, "ripe_fraction": 1.0, "bend_sigma": 0.001}
+
+# configs a run could not survive, and the key each is rejected by: a
+# scene whose surface sampling would allocate terabytes or more (at a
+# high density, around a huge occluder, or along stems 1e300 m long), and
+# a directory name holding a NUL byte
+UNSAFE_CONFIGS = {
+    "density": ({"scene": {"seed": 7, "surface_density": 1e15}}, "scene.surface_density"),
+    "vast_occluder": ({"scene": {"occluders": [[[-1e150] * 3, [-0.9, 1e150, 1e150]]]}}, "scene.surface_density"),
+    "large_occluder": ({"scene": {"occluders": [[[-1e6] * 3, [-0.9, 1e6, 1e6]]]}}, "scene.surface_density"),
+    "long_stems": ({"scene": {"seed": 7, "trough_height": 1e300}}, "scene.surface_density"),
+    "nul_name": ({"name": "a\0b", "boxes": {"source": "truth"}, "scene": {"n_straw": 1, "seed": 3}}, "name"),
+    "nul_out": ({"out": "o\0x", "boxes": {"source": "truth"}, "scene": {"n_straw": 1, "seed": 3}}, "out"),
+}
 
 
 class TestResolve:
@@ -94,6 +112,20 @@ class TestResolve:
         for cut in ({"dt": 1.0, "laser_timeout": MAX_TIMESTEPS + 1.0}, {"dt": 1e-8}):
             with pytest.raises(ConfigError, match=r"^cut\.dt "):
                 resolve_config({"cut": cut})
+
+    @pytest.mark.parametrize("case", sorted(UNSAFE_CONFIGS))
+    def test_unsafe_config_named(self, case):
+        payload, key = UNSAFE_CONFIGS[case]
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
+            resolve_config(payload)
+
+    def test_surface_samples_bounded(self):
+        # only resolved: a scene at the limit would draw 10^7 samples
+        area = build_scene(resolve_config({"scene": PAPER9_SCENE}), 1).surface_area
+        limit = MAX_SURFACE_SAMPLES / area
+        resolve_config({"scene": {**PAPER9_SCENE, "surface_density": limit * (1 - 1e-9)}})
+        with pytest.raises(ConfigError, match=rf"^scene\.surface_density .* {area:.6g} m\^2 "):
+            resolve_config({"scene": {**PAPER9_SCENE, "surface_density": limit * (1 + 1e-9)}})
 
     def test_velocity_scale_range(self):
         with pytest.raises(ConfigError, match="robot.velocity_scale"):

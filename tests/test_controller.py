@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from berrypick.camera import default_rig
+from berrypick.camera import CameraRig, default_rig
 from berrypick.cli import resolve_config_arg
 from berrypick.config import apply_sweep_value, build_robot, build_scenario, resolve_config
 from berrypick.controller import (
@@ -31,7 +31,8 @@ NAMED = ("home", "move", "trap", "laser_on", "detach_detect", "laser_off", "rele
 
 
 def quiet_rig():
-    return default_rig(depth_noise_sigma=0.0, dropout_rate=0.0)
+    rig = default_rig()
+    return CameraRig(*(replace(cam, depth_noise_sigma=0.0, dropout_rate=0.0) for cam in (rig.cam1, rig.cam2)))
 
 
 def built_for(scene, rig=None, robot=ROBOT, cut=CUT, box_source="cameras",

@@ -36,7 +36,6 @@ def fruit_with_lateral(offset_y, stem_diameter=0.003):
         radius=0.015,
         ripe=True,
         stem_top=Vec3(0.50, offset_y, 0.48),
-        stem_bend=0.0,
         stem_diameter=stem_diameter,
     )
 
@@ -109,7 +108,7 @@ class TestTrapStem:
         # stem runs from (0.50, 0.01, 0.48) down to the fruit top at y=0
         fruit = StrawberryTruth(
             id=0, center=Vec3(0.42, 0.0, 0.40), radius=0.015, ripe=True,
-            stem_top=Vec3(0.50, 0.01, 0.48), stem_bend=-0.01, stem_diameter=0.003,
+            stem_top=Vec3(0.50, 0.01, 0.48), stem_diameter=0.003,
         )
         attach_z = 0.415
         mid_z = (attach_z + 0.48) / 2

@@ -28,13 +28,17 @@ def random_cloud(rng, n, frame="base"):
     return ColoredPointCloud(frame, xyz, rgb)
 
 
-def random_transform(rng, source=None, target=None):
+def no_points(frame):
+    return ColoredPointCloud(frame, np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
+
+
+def random_transform(rng):
     # QR of a random matrix gives an orthonormal basis; flip to det +1
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     t = Vec3(*rng.uniform(-0.5, 0.5, size=3))
-    return RigidTransform(q, t, source, target)
+    return RigidTransform(q, t, "cam1", "base")
 
 
 class TestVec3:
@@ -113,24 +117,24 @@ class TestSqLengths:
 class TestRigidTransform:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
-            RigidTransform(np.eye(3) * 1.001, Vec3(0, 0, 0))
+            RigidTransform(np.eye(3) * 1.001, Vec3(0, 0, 0), "cam1", "base")
 
     def test_rejects_reflection(self):
         m = np.eye(3)
         m[0, 0] = -1.0
         with pytest.raises(ValueError):
-            RigidTransform(m, Vec3(0, 0, 0))
+            RigidTransform(m, Vec3(0, 0, 0), "cam1", "base")
 
     def test_identity_apply(self):
-        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0))
+        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base")
         assert t.apply_to(np.array([[1.0, 2.0, 3.0]])).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pure_translation(self):
-        t = RigidTransform(np.eye(3), Vec3(0.1, 0.0, 0.0))
+        t = RigidTransform(np.eye(3), Vec3(0.1, 0.0, 0.0), "cam1", "base")
         assert t.apply_to(np.zeros((1, 3))).tolist() == [[0.1, 0.0, 0.0]]
 
     def test_rotation_90_about_z(self):
-        t = RigidTransform(rot_z(math.pi / 2), Vec3(0, 0, 0))
+        t = RigidTransform(rot_z(math.pi / 2), Vec3(0, 0, 0), "cam1", "base")
         (p,) = t.apply_to(np.array([[1.0, 0.0, 0.0]]))
         assert abs(p[0] - 0.0) < 1e-12
         assert abs(p[1] - 1.0) < 1e-12
@@ -149,22 +153,24 @@ class TestTransformCloud:
     def test_identity_relabels_frame(self):
         rng = np.random.default_rng(0)
         c = random_cloud(rng, 5, frame="cam1")
-        out = transform_cloud(RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0)), c, "base")
+        out = transform_cloud(RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base"), c, "base")
         assert out.frame == "base"
         assert np.array_equal(out.xyz, c.xyz)
         assert np.array_equal(out.rgb, c.rgb)
 
     def test_translation_shifts_z(self):
         c = ColoredPointCloud("cam1", [[0, 0, 0], [1, 1, 1]], [[1, 2, 3], [4, 5, 6]])
-        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.5))
+        t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.5), "cam1", "base")
         out = transform_cloud(t, c, "base")
         assert np.allclose(out.xyz[:, 2], c.xyz[:, 2] + 0.5)
 
     def test_frame_mismatch_rejected(self):
-        c = ColoredPointCloud.empty("cam2")
+        c = no_points("cam2")
         t = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base")
         with pytest.raises(FrameMismatchError):
             transform_cloud(t, c, "base")
+        with pytest.raises(FrameMismatchError, match="requested target 'cam2'"):
+            transform_cloud(t, no_points("cam1"), "cam2")
 
     def test_round_trip_through_inverse(self):
         rng = np.random.default_rng(1)
@@ -175,7 +181,7 @@ class TestTransformCloud:
 
     def test_preserves_pairwise_distances(self):
         rng = np.random.default_rng(2)
-        c = random_cloud(rng, 50)
+        c = random_cloud(rng, 50, frame="cam1")
         t = random_transform(rng)
         out = transform_cloud(t, c, "base")
         d_in = np.linalg.norm(c.xyz[:, None] - c.xyz[None], axis=-1)
@@ -184,7 +190,7 @@ class TestTransformCloud:
 
     def test_preserves_order_and_colors(self):
         rng = np.random.default_rng(4)
-        c = random_cloud(rng, 30)
+        c = random_cloud(rng, 30, frame="cam1")
         t = random_transform(rng)
         out = transform_cloud(t, c, "base")
         assert len(out) == len(c)
@@ -193,7 +199,7 @@ class TestTransformCloud:
 
 class TestMergeClouds:
     def test_empty_plus_empty(self):
-        out = merge_clouds(ColoredPointCloud.empty("base"), ColoredPointCloud.empty("base"))
+        out = merge_clouds(no_points("base"), no_points("base"))
         assert len(out) == 0
 
     def test_order_preserved(self):
@@ -208,12 +214,12 @@ class TestMergeClouds:
     def test_merge_with_empty_is_identity(self):
         rng = np.random.default_rng(6)
         a = random_cloud(rng, 7)
-        out = merge_clouds(a, ColoredPointCloud.empty("base"))
+        out = merge_clouds(a, no_points("base"))
         assert out == a
 
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatchError):
-            merge_clouds(ColoredPointCloud.empty("base"), ColoredPointCloud.empty("cam1"))
+            merge_clouds(no_points("base"), no_points("cam1"))
 
     def test_size_always_adds(self):
         rng = np.random.default_rng(7)
@@ -238,20 +244,20 @@ class TestCloudType:
     def test_from_points_round_trip(self):
         xyz = [[0.0, 0.1, 0.2], [-0.5, 0.0, 2.0]]
         rgb = [[1, 2, 3], [200, 100, 0]]
-        c = ColoredPointCloud("tool", xyz, rgb)
-        assert ColoredPointCloud("tool", c.xyz, c.rgb) == c
+        c = ColoredPointCloud("cam1", xyz, rgb)
+        assert ColoredPointCloud("cam1", c.xyz, c.rgb) == c
         assert (c.xyz.tolist(), c.rgb.tolist()) == (xyz, rgb)
 
     def test_invalid_frame(self):
         with pytest.raises(FrameMismatchError):
-            ColoredPointCloud.empty("world")
+            no_points("world")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ColoredPointCloud("base", [[np.inf, 0, 0]], [[0, 0, 0]])
 
     def test_immutable(self):
-        c = ColoredPointCloud.empty("base")
+        c = no_points("base")
         with pytest.raises(AttributeError):
             c.frame = "cam1"
         with pytest.raises(ValueError):
@@ -291,7 +297,7 @@ class TestTextFormat:
 
     def test_empty_cloud_round_trip(self, tmp_path):
         path = tmp_path / "empty.txt"
-        dump_cloud(ColoredPointCloud.empty("tool"), path)
+        dump_cloud(no_points("cam2"), path)
         back = load_cloud(path)
-        assert back.frame == "tool"
+        assert back.frame == "cam2"
         assert len(back) == 0

@@ -719,12 +719,15 @@ class TestLocalize:
         assert localize(c1, c2, ident1, ident2, PARAMS) == []
 
     def test_frame_checks(self):
-        c = ColoredPointCloud.empty("base")
-        ident = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0))
+        def no_points(frame):
+            return ColoredPointCloud(frame, np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
+
+        ident1 = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam1", "base")
+        ident2 = RigidTransform(np.eye(3), Vec3(0.0, 0.0, 0.0), "cam2", "base")
         with pytest.raises(FrameMismatchError):
-            localize(c, ColoredPointCloud.empty("cam2"), ident, ident, PARAMS)
+            localize(no_points("base"), no_points("cam2"), ident1, ident2, PARAMS)
         with pytest.raises(FrameMismatchError):
-            localize(ColoredPointCloud.empty("cam1"), c, ident, ident, PARAMS)
+            localize(no_points("cam1"), no_points("base"), ident1, ident2, PARAMS)
 
     def test_telemetry_populated(self):
         rng = np.random.default_rng(27)

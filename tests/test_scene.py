@@ -17,17 +17,21 @@ from berrypick.scene import (
 )
 
 
+# the trough `generate_scene` builds at the default heights
+TROUGH = Aabb(Vec3(0.50, -0.60, 0.18), Vec3(0.70, 0.60, 0.48))
+
+
 class TestStrawberryTruth:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.03, True, Vec3(0.5, 0, 0.48), 0.0, 0.003)
+            StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.03, True, Vec3(0.5, 0, 0.48), 0.003)
         with pytest.raises(ValueError):
-            StrawberryTruth(0, Vec3(0.4, 0, 0.5), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.003)
+            StrawberryTruth(0, Vec3(0.4, 0, 0.5), 0.015, True, Vec3(0.5, 0, 0.48), 0.003)
         with pytest.raises(ValueError):
-            StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.010)
+            StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.010)
 
     def test_stem_attach(self):
-        s = StrawberryTruth(0, Vec3(0.4, 0.0, 0.40), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.003)
+        s = StrawberryTruth(0, Vec3(0.4, 0.0, 0.40), 0.015, True, Vec3(0.5, 0, 0.48), 0.003)
         assert (s.stem_attach.x, s.stem_attach.y) == (0.4, 0.0)
         assert s.stem_attach.z == pytest.approx(0.415, abs=1e-12)
 
@@ -85,7 +89,6 @@ class TestGenerateScene:
     def test_bend_clamped(self):
         scene = generate_scene(5, 9, bend_sigma=0.05)
         for s in scene.strawberries:
-            assert abs(s.stem_bend) <= MAX_STEM_BEND + 1e-12
             assert abs(s.center.y - s.stem_top.y) <= MAX_STEM_BEND + 1e-12
 
     def test_fruits_hang_below_lip(self):
@@ -95,9 +98,9 @@ class TestGenerateScene:
             assert s.stem_top.z == scene.trough.max.z
 
     def test_unique_ids_enforced(self):
-        s = StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.0, 0.003)
+        s = StrawberryTruth(0, Vec3(0.4, 0, 0.4), 0.015, True, Vec3(0.5, 0, 0.48), 0.003)
         with pytest.raises(ValueError):
-            Scene(strawberries=(s, s), rng_seed=0, trough=None, occluders=(), surface_density=60000.0)
+            Scene(strawberries=(s, s), rng_seed=0, trough=TROUGH, occluders=(), surface_density=60000.0)
 
 
 def is_red(rgb):
@@ -111,9 +114,9 @@ def assert_batches_equal(a, b):
 
 class TestSampleSurfaces:
     def test_fruit_points_on_sphere(self):
-        scene = generate_scene(2, 1)
+        scene = generate_scene(2, 1, surface_density=30000.0)
         fruit = scene.strawberries[0]
-        batch = sample_surface_arrays(scene, 30000.0)
+        batch = sample_surface_arrays(scene)
         fruit_pts = batch.xyz[batch.kind == KIND_FRUIT]
         assert len(fruit_pts)
         d = np.linalg.norm(fruit_pts - fruit.center.to_array(), axis=1)
@@ -124,19 +127,19 @@ class TestSampleSurfaces:
         # hemisphere above the minimum cluster size
         scene = generate_scene(2, 1, radius_band=(0.0175, 0.0175))
         fruit = scene.strawberries[0]
-        batch = sample_surface_arrays(scene, scene.surface_density)
+        batch = sample_surface_arrays(scene)
         front = (batch.kind == KIND_FRUIT) & (batch.xyz[:, 0] <= fruit.center.x)
         assert front.sum() >= 20
 
     def test_tiny_density_no_error(self):
-        scene = generate_scene(2, 1)
-        batch = sample_surface_arrays(scene, 0.001)
+        scene = generate_scene(2, 1, surface_density=0.001)
+        batch = sample_surface_arrays(scene)
         assert len(batch.xyz) == len(batch.rgb) == len(batch.kind) == len(batch.owner) == len(batch.face)
 
     def test_ripe_and_unripe_color_bands(self):
-        scene = generate_scene(4, 6, ripe_fraction=0.5)
+        scene = generate_scene(4, 6, ripe_fraction=0.5, surface_density=20000.0)
         ripe_ids = [s.id for s in scene.strawberries if s.ripe]
-        batch = sample_surface_arrays(scene, 20000.0)
+        batch = sample_surface_arrays(scene)
         red = is_red(batch.rgb)
         fruit = batch.kind == KIND_FRUIT
         ripe = fruit & np.isin(batch.owner, ripe_ids)
@@ -146,11 +149,11 @@ class TestSampleSurfaces:
         assert not red[(batch.kind == KIND_STEM) | (batch.kind == KIND_TROUGH)].any()
 
     def test_stem_points_near_segment(self):
-        scene = generate_scene(6, 2)
+        scene = generate_scene(6, 2, surface_density=40000.0)
         by_id = {s.id: s for s in scene.strawberries}
         from oracles import point_to_segment_distance
 
-        batch = sample_surface_arrays(scene, 40000.0)
+        batch = sample_surface_arrays(scene)
         stem = batch.kind == KIND_STEM
         assert stem.any()
         for p, owner in zip(batch.xyz[stem], batch.owner[stem]):
@@ -159,12 +162,12 @@ class TestSampleSurfaces:
             assert d == pytest.approx(s.stem_diameter / 2, abs=1e-9)
 
     def test_sampling_deterministic(self):
-        scene = generate_scene(2, 3)
-        assert_batches_equal(sample_surface_arrays(scene, 5000.0), sample_surface_arrays(scene, 5000.0))
+        scene = generate_scene(2, 3, surface_density=5000.0)
+        assert_batches_equal(sample_surface_arrays(scene), sample_surface_arrays(scene))
 
     def test_density_validation(self):
-        with pytest.raises(ValueError):
-            sample_surface_arrays(generate_scene(1, 1), 0.0)
+        with pytest.raises(ValueError, match="surface_density must be > 0"):
+            generate_scene(1, 1, surface_density=0.0)
 
 
 def _random_box(rng, scale, shape):
@@ -189,15 +192,15 @@ class TestFaceCodes:
             # boxes of one scale from 10^-6.5 to 0.1 m, a few hundred samples each
             scale = 10 ** rng.uniform(-6.5, -1.0)
             boxes = [_random_box(rng, scale, rng.choice(["box", "thin", "flat"])) for _ in range(1 + seed % 3)]
-            scene = Scene((), seed, boxes[0] if seed % 2 else None, tuple(boxes[seed % 2:]), 1.0)
-            batch = sample_surface_arrays(scene, 100 / scale**2)
+            scene = Scene((), seed, boxes[0], tuple(boxes[1:]), 100 / scale**2)
+            batch = sample_surface_arrays(scene)
             assert len(scene.boxes) == len(boxes)
             for b, box in enumerate(scene.boxes):
                 own = batch.owner == b
                 lo, hi = box.min.to_array(), box.max.to_array()
                 want = face_codes(batch.xyz[own], lo, hi)
                 assert batch.face[own].tolist() == want.tolist()
-                assert (batch.kind[own] == (KIND_TROUGH if b == 0 and seed % 2 else KIND_OCCLUDER)).all()
+                assert (batch.kind[own] == (KIND_TROUGH if b == 0 else KIND_OCCLUDER)).all()
                 if (hi - lo > 2e-6).all():
                     margin += int((want < 0).sum())
                     interior += int((want >= 0).sum())
@@ -208,7 +211,7 @@ class TestFaceCodes:
 
     def test_fruit_and_stem_samples_are_on_no_face(self):
         scene = generate_scene(3, 4)
-        batch = sample_surface_arrays(scene, scene.surface_density)
+        batch = sample_surface_arrays(scene)
         fruit_or_stem = (batch.kind == KIND_FRUIT) | (batch.kind == KIND_STEM)
         assert fruit_or_stem.any() and (batch.face[fruit_or_stem] == -1).all()
         assert (batch.owner[batch.kind == KIND_TROUGH] == 0).all()
