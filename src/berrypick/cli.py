@@ -43,11 +43,21 @@ CYCLES_HEADER = ["fruit_id", "cycle_time", "cut_time", "outcome"]
 
 def _write_text(path: Path, text: str) -> bytes:
     """Write `text` as UTF-8 through a tmp file and `os.replace`, so a
-    reader never sees half a file; returns the bytes written."""
+    reader never sees half a file; returns the bytes written. The tmp
+    file is `path` plus `.tmp`, opened as `open(tmp, "wb")` would open it;
+    `os.write` may write less than it is given, so it is called until every
+    byte is out."""
     data = text.encode()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    target = os.fspath(path)
+    tmp = target + ".tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+    finally:
+        os.close(fd)
+    os.replace(tmp, target)
     return data
 
 

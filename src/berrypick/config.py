@@ -386,7 +386,6 @@ def build_robot(cfg: dict) -> RobotState:
     home = Vec3(*rb["home"])
     with _keyed("robot"):
         return RobotState(
-            tool_pos=home,
             velocity_scale=rb["velocity_scale"],
             max_speed=rb["max_speed"],
             home=home,
@@ -440,12 +439,26 @@ def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> Non
     )
 
 
+def _require_offset_in_workspace(offset: Vec3, workspace: Aabb) -> None:
+    """Every box lies in the workspace, so an offset larger than the
+    workspace on some axis moves every box out of reach; the bound also
+    keeps the distance from a box to its fruit within the float range."""
+    lo, hi = workspace.min, workspace.max
+    size = (hi.x - lo.x, hi.y - lo.y, hi.z - lo.z)
+    _require(
+        all(abs(o) <= s for o, s in zip((offset.x, offset.y, offset.z), size)), "boxes.offset",
+        f"must be at most the workspace's size on each axis, ({size[0]:g}, {size[1]:g}, {size[2]:g}) m",
+    )
+
+
 def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     """Build every component of a resolved config for one run seed. A
     component that rejects a value raises a ConfigError naming its key."""
     # the crop window first: the workspace is built from it
     params = build_localization(cfg)
     robot = build_robot(cfg)
+    box_offset = Vec3(*cfg["boxes"]["offset"])
+    _require_offset_in_workspace(box_offset, robot.workspace)
     scene = build_scene(cfg, run_seed)
     _require_ripe_in_view(cfg, scene, params)
     cut, derive_duty = build_cut(cfg)
@@ -460,5 +473,5 @@ def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
         dt=cfg["cut"]["dt"],
         laser_timeout=cfg["cut"]["laser_timeout"],
         box_source=cfg["boxes"]["source"],
-        box_offset=Vec3(*cfg["boxes"]["offset"]),
+        box_offset=box_offset,
     )

@@ -89,10 +89,13 @@ class HarvestEventLog:
         self.records: list[dict] = []
 
     def append(self, t: float, event: str, **fields) -> None:
+        self.add({"t": float(t), "event": event, **fields})
+
+    def add(self, rec: dict) -> None:
+        """Append a whole record, whose `t` is a float and `event` a name."""
+        t = rec["t"]
         if self.records and t < self.records[-1]["t"] - 1e-12:
-            raise ValueError(f"event {event!r} at t={t} precedes the log tail")
-        rec = {"t": float(t), "event": event}
-        rec.update(fields)
+            raise ValueError(f"event {rec['event']!r} at t={t} precedes the log tail")
         self.records.append(rec)
 
     def events(self, *names: str) -> list[dict]:
@@ -196,8 +199,10 @@ def run_harvest(
         config_hash=config_hash,
     )
 
+    # the tool starts at HOME; each move's target is its next position
     t = 0.0
-    state, rec = robot_move(robot, robot.home, t)
+    pos = robot.home
+    rec = robot_move(robot, pos, pos, t)
     t = rec.t_end
     _log_move(log, rec, "home", None)
     cycle_start = t
@@ -236,9 +241,9 @@ def run_harvest(
 
         ctl.advance(ControllerPhase.DESCEND_ZMIN)
         legs = ("descend", "align", "ascend")
-        for wp, leg in zip(plan_cycle_waypoints(box, z_min, state.tool_pos), legs):
-            state, rec = robot_move(state, wp, t)
-            t = rec.t_end
+        for wp, leg in zip(plan_cycle_waypoints(box, z_min, pos), legs):
+            rec = robot_move(robot, pos, wp, t)
+            pos, t = wp, rec.t_end
             _log_move(log, rec, "move", fid, leg=leg)
             if leg == "descend":
                 ctl.advance(ControllerPhase.ALIGN_XY)
@@ -252,7 +257,7 @@ def run_harvest(
             log.append(t, "trap", fruit=fid, outcome="missed", lateral_error=None)
             trapped = False
         else:
-            trap = trap_stem(state.tool_pos, fruit, built.geom)
+            trap = trap_stem(pos, fruit, built.geom)
             log.append(t, "trap", fruit=fid, outcome=trap.outcome, lateral_error=trap.lateral_error)
             trapped = trap.outcome != "missed"
 
@@ -288,7 +293,7 @@ def run_harvest(
         log.append(t, "cycle", fruit=fid, cycle_time=t - cycle_start, cut_time=cut_time, outcome=outcome)
         cycle_start = t
 
-    state, rec = robot_move(state, robot.home, t)
+    rec = robot_move(robot, pos, robot.home, t)
     t = rec.t_end
     _log_move(log, rec, "home", None)
     if boxes:
@@ -298,20 +303,23 @@ def run_harvest(
     return log, localization_ms
 
 
-def _log_move(log: HarvestEventLog, rec, event: str, fruit_id, **extra) -> None:
+def _log_move(log: HarvestEventLog, rec, event: str, fruit_id, leg: str | None = None) -> None:
     # zero-length home confirmations carry no from/to; real motion always does
     if event == "home" and rec.duration == 0.0:
         log.append(rec.t_end, "home", pos=_v(rec.to_pos), dur=0.0)
         return
-    fields = {
+    record = {
+        "t": float(rec.t_start),
+        "event": event,
         "from": _v(rec.from_pos),
         "to": _v(rec.to_pos),
         "dur": rec.duration,
     }
     if fruit_id is not None:
-        fields["fruit"] = fruit_id
-    fields.update(extra)
-    log.append(rec.t_start, event, **fields)
+        record["fruit"] = fruit_id
+    if leg is not None:
+        record["leg"] = leg
+    log.add(record)
 
 
 def _v(p: Vec3) -> list[float]:

@@ -5,11 +5,17 @@ only the 3D tool position is modeled. Moves are constant-speed straight
 lines with no acceleration phase; duration is distance divided by
 (velocity_scale * max_speed). Timing claims against the physical system
 are validated through a calibrated scenario, not through this model.
+
+`RobotState` holds what a run does not change: the workspace, the speed
+and the HOME pose. The tool position is the caller's:
+`robot_move(robot, pos, target, clock)` moves the tool from `pos` to
+`target` and returns only the `MoveRecord`, so a run starts at `home`
+and carries the last move's `to_pos` forward itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EmptyInputError, MotionRejectedError
 from .geometry import Aabb, Vec3, distance
@@ -25,7 +31,6 @@ DEFAULT_HOME = Vec3(0.20, -0.35, 0.44)
 
 @dataclass(frozen=True)
 class RobotState:
-    tool_pos: Vec3
     workspace: Aabb  # reachable targets; config.build_robot builds it from the crop window
     velocity_scale: float = 0.5
     max_speed: float = 0.1
@@ -53,13 +58,14 @@ class MoveRecord:
     t_end: float
 
 
-def robot_move(state: RobotState, target: Vec3, clock: float) -> tuple[RobotState, MoveRecord]:
-    """Blocking straight-line move; returns the new state and its record."""
-    if not state.workspace.contains(target):
-        raise MotionRejectedError(f"target {target} outside workspace {state.workspace}")
-    dur = distance(state.tool_pos, target) / (state.velocity_scale * state.max_speed)
-    rec = MoveRecord(state.tool_pos, target, dur, clock, clock + dur)
-    return replace(state, tool_pos=target), rec
+def robot_move(robot: RobotState, pos: Vec3, target: Vec3, clock: float) -> MoveRecord:
+    """Blocking straight-line move of the tool from `pos` to `target`,
+    starting at `clock`; returns its record. The caller keeps the tool
+    position: after the move it is `target`."""
+    if not robot.workspace.contains(target):
+        raise MotionRejectedError(f"target {target} outside workspace {robot.workspace}")
+    dur = distance(pos, target) / (robot.velocity_scale * robot.max_speed)
+    return MoveRecord(pos, target, dur, clock, clock + dur)
 
 
 def compute_z_min(boxes: list[StrawberryBox]) -> float:

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -209,6 +210,56 @@ class TestRunCommand:
         blocker.write_text("a file, not a directory")
         rc = main(["run", "--config", cfg_path, "--out", str(blocker / "nested")])
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_far_sweep_offset_is_config_error(self, tmp_path, capsys, command):
+        payload = {"boxes": {"source": "truth"}, "scene": {"n_straw": 2, "seed": 3}, "sweep": {"offsets_mm": [0, 1e303]}}
+        argv = [command, "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "r")]
+        assert main(argv + (["--axis", "offset"] if command == "sweep" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.offsets_mm[1] = 1e+303: boxes.offset ") and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+
+class TestAtomicWrites:
+    def test_no_tmp_file_left(self, tmp_path):
+        run_one(resolve_config_arg("paper9"), 1, tmp_path / "run")
+        payload = {"boxes": {"source": "truth"}, "scene": {"n_straw": 2, "seed": 3}, "sweep": {"offsets_mm": [0, 20]}}
+        sweep_out = tmp_path / "sweep"
+        assert main(["sweep", "--config", write_cfg(tmp_path, payload), "--axis", "offset", "--out", str(sweep_out)]) == 0
+        assert len(list(sweep_out.glob("*/manifest.json"))) == 2
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "cycles.csv", "events.jsonl", "manifest.json", "metrics.json", "wallclock.json"]
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_failed_write_is_io_error_and_keeps_the_old_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--seed", "5", "--out", str(out), "--config"]
+        cfg = {"name": "first", "scene": FAST_SCENE, "boxes": {"source": "truth"}}
+        assert main([*argv, write_cfg(tmp_path, cfg)]) == 0
+        events = out / "seed5" / "events.jsonl"
+        before = events.read_bytes()
+        (out / "seed5" / "events.jsonl.tmp").mkdir()
+        # another name, another config hash: the run would write other bytes
+        assert main([*argv, write_cfg(tmp_path, {**cfg, "name": "second"})]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and "events.jsonl.tmp" in err and "Traceback" not in err
+        assert events.read_bytes() == before
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real_write, calls = os.write, []
+
+        def one_byte(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        text = "events: \u00e9\u4e2d\U0001f353\n" * 20
+        path = tmp_path / "f.txt"
+        assert cli._write_text(path, text) == text.encode()
+        assert path.read_bytes() == text.encode()
+        assert len(calls) == len(text.encode())
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSweepCommand:

@@ -27,8 +27,9 @@ PAPER9_SCENE = {"seed": 7, "n_straw": 9, "ripe_fraction": 1.0, "bend_sigma": 0.0
 
 # configs a run could not survive, and the key each is rejected by: a
 # scene whose surface sampling would allocate terabytes or more (at a
-# high density, around a huge occluder, or along stems 1e300 m long), and
-# a directory name holding a NUL byte
+# high density, around a huge occluder, or along stems 1e300 m long), a
+# directory name holding a NUL byte, and a box offset so large that the
+# distance from a box to its fruit leaves the float range
 UNSAFE_CONFIGS = {
     "density": ({"scene": {"seed": 7, "surface_density": 1e15}}, "scene.surface_density"),
     "vast_occluder": ({"scene": {"occluders": [[[-1e150] * 3, [-0.9, 1e150, 1e150]]]}}, "scene.surface_density"),
@@ -36,6 +37,8 @@ UNSAFE_CONFIGS = {
     "long_stems": ({"scene": {"seed": 7, "trough_height": 1e300}}, "scene.surface_density"),
     "nul_name": ({"name": "a\0b", "boxes": {"source": "truth"}, "scene": {"n_straw": 1, "seed": 3}}, "name"),
     "nul_out": ({"out": "o\0x", "boxes": {"source": "truth"}, "scene": {"n_straw": 1, "seed": 3}}, "out"),
+    "far_offset": ({"boxes": {"source": "truth", "offset": [0, 1e300, 0]}, "scene": {"n_straw": 2, "seed": 3}},
+                   "boxes.offset"),
 }
 
 
@@ -118,6 +121,18 @@ class TestResolve:
         payload, key = UNSAFE_CONFIGS[case]
         with pytest.raises(ConfigError, match=f"^{re.escape(key)} "):
             resolve_config(payload)
+
+    def test_box_offset_bounded_by_workspace_size(self):
+        ws = build_robot(resolve_config({})).workspace
+        size = [ws.max.x - ws.min.x, ws.max.y - ws.min.y, ws.max.z - ws.min.z]
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                offset = [0.0, 0.0, 0.0]
+                offset[axis] = sign * size[axis]
+                resolve_config({"boxes": {"offset": offset}})
+                offset[axis] = sign * math.nextafter(size[axis], math.inf)
+                with pytest.raises(ConfigError, match=r"^boxes\.offset must be at most the workspace's size "):
+                    resolve_config({"boxes": {"offset": offset}})
 
     def test_surface_samples_bounded(self):
         # only resolved: a scene at the limit would draw 10^7 samples
@@ -289,7 +304,6 @@ class TestBuilders:
         loc = cfg["localization"]
         assert robot.workspace.min.x == pytest.approx(loc["x_minus"] - 0.10)
         assert robot.workspace.max.z == pytest.approx(loc["z_plus"] + 0.10)
-        assert robot.tool_pos == robot.home
 
     def test_build_cut_duty_modes(self):
         cut, derive = build_cut(resolve_config({}))

@@ -149,6 +149,26 @@ class TestAccounting:
             end_t = log.events("end")[0]["t"]
             assert total == pytest.approx(end_t, abs=1e-6)
 
+    @pytest.mark.parametrize("config, point", [("paper9", None), ("robustness", 20)], ids=["paper9", "offset_20"])
+    def test_moves_chain_from_home_to_home(self, config, point):
+        # each move starts where the one before it ended; a zero-length
+        # home confirmation logs only where the tool is
+        cfg = resolve_config_arg(config)
+        if point is not None:
+            cfg = apply_sweep_value(cfg, "offset", point)
+        built = build_scenario(cfg, 1)
+        log, _ = run_harvest(built, 1)
+        home = [built.robot.home.x, built.robot.home.y, built.robot.home.z]
+        moves = log.events("home", "move")
+        assert len(moves) > 2
+        pos = home
+        for r in moves:
+            start, end = (r["pos"], r["pos"]) if "pos" in r else (r["from"], r["to"])
+            assert start == pos
+            pos = end
+        assert moves[0]["event"] == "home" and moves[0]["pos"] == home
+        assert moves[-1]["event"] == "home" and moves[-1]["to"] == home
+
     def test_cycle_boundaries_are_detachments(self):
         # each cycle runs from the last release (or the first HOME arrival)
         # to its own release, which a harvest logs at its detachment

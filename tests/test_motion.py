@@ -14,8 +14,8 @@ from berrypick.motion import (
 BIG = Aabb(Vec3(-10, -10, -10), Vec3(10, 10, 10))
 
 
-def state_at(pos, scale=0.5, max_speed=1.0):
-    return RobotState(tool_pos=pos, velocity_scale=scale, max_speed=max_speed, workspace=BIG)
+def robot(scale=0.5, max_speed=1.0):
+    return RobotState(velocity_scale=scale, max_speed=max_speed, workspace=BIG)
 
 
 def box(x0, x1, y0, y1, z0, z1, index=0, count=25):
@@ -24,45 +24,44 @@ def box(x0, x1, y0, y1, z0, z1, index=0, count=25):
 
 class TestRobotMove:
     def test_duration_is_distance_over_speed(self):
-        state = state_at(Vec3(0, 0, 0), scale=0.5, max_speed=1.0)
-        new, rec = robot_move(state, Vec3(0.5, 0, 0), 2.0)
+        rec = robot_move(robot(scale=0.5, max_speed=1.0), Vec3(0, 0, 0), Vec3(0.5, 0, 0), 2.0)
         assert rec.duration == pytest.approx(1.0)
         assert rec.t_start == 2.0
         assert rec.t_end == pytest.approx(3.0)
-        assert new.tool_pos == Vec3(0.5, 0, 0)
+        assert rec.from_pos == Vec3(0, 0, 0)
+        assert rec.to_pos == Vec3(0.5, 0, 0)
 
     def test_zero_length_move(self):
-        state = state_at(Vec3(1, 1, 1))
-        new, rec = robot_move(state, Vec3(1, 1, 1), 5.0)
+        rec = robot_move(robot(), Vec3(1, 1, 1), Vec3(1, 1, 1), 5.0)
         assert rec.duration == 0.0
         assert rec.t_end == 5.0
-        assert new.tool_pos == state.tool_pos
+        assert rec.from_pos == rec.to_pos == Vec3(1, 1, 1)
 
     def test_outside_workspace_rejected(self):
-        state = RobotState(tool_pos=Vec3(0.2, 0, 0.4), workspace=Aabb(Vec3(0.15, -0.4, 0.2), Vec3(0.65, 0.4, 0.6)))
+        state = RobotState(workspace=Aabb(Vec3(0.15, -0.4, 0.2), Vec3(0.65, 0.4, 0.6)))
         with pytest.raises(MotionRejectedError):
-            robot_move(state, Vec3(5.0, 0.0, 0.4), 0.0)
+            robot_move(state, Vec3(0.2, 0, 0.4), Vec3(5.0, 0.0, 0.4), 0.0)
 
     def test_doubling_scale_halves_duration_exactly(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             a = Vec3(*rng.uniform(-1, 1, 3))
             b = Vec3(*rng.uniform(-1, 1, 3))
-            _, slow = robot_move(state_at(a, scale=0.5, max_speed=0.1), b, 0.0)
-            _, fast = robot_move(state_at(a, scale=1.0, max_speed=0.1), b, 0.0)
+            slow = robot_move(robot(scale=0.5, max_speed=0.1), a, b, 0.0)
+            fast = robot_move(robot(scale=1.0, max_speed=0.1), a, b, 0.0)
             assert slow.duration == 2.0 * fast.duration
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, velocity_scale=0.0)
+            RobotState(workspace=BIG, velocity_scale=0.0)
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, velocity_scale=1.5)
+            RobotState(workspace=BIG, velocity_scale=1.5)
         with pytest.raises(ValueError):
-            RobotState(tool_pos=Vec3(0, 0, 0), workspace=BIG, max_speed=-1.0)
+            RobotState(workspace=BIG, max_speed=-1.0)
 
     def test_home_outside_workspace_rejected(self):
         with pytest.raises(ValueError, match="^home "):
-            RobotState(tool_pos=Vec3(0, 0, 0), workspace=Aabb(Vec3(0.3, -1, 0), Vec3(1, 1, 1)))
+            RobotState(workspace=Aabb(Vec3(0.3, -1, 0), Vec3(1, 1, 1)))
 
 
 class TestWaypoints:
