@@ -27,6 +27,20 @@ Sensing applies depth noise along each visible ray, and dropout removes
 points independently. Both randomness streams derive from the capture
 seed, so a capture is a pure function of (scene, rig, seed).
 
+A harvest run senses only what `localize` reads: given localization
+params, `capture_rig` returns each camera's red rows alone, as a
+`RedCloud`, with the bits of the whole cloud's red rows. A view's colours
+do not depend on the seed, so its red rows are found before sensing.
+Each row is perturbed on its own by the draws at its own index, and
+Philox fills draws in sequence, so drawing normals only up to the last
+red row gives a prefix of the whole view's draws and every red row the
+draw it gets there; gathering the selected rows then skips the rest.
+The dropout uniforms are still drawn over the whole view, so a red
+cloud knows how many rows its whole cloud holds, which `localize`
+counts as `n_merged` and needs to move a lone red row as the whole
+cloud moves it. cam1's 14,486-row `paper9` view holds 818 red rows, none
+past row 6,654; cam2's 11,537 rows hold 876, none past row 2,471.
+
 Rows are gathered with `take` along axis 0, from index arrays that
 `flatnonzero` makes of each mask, and never by fancy indexing: the values
 are the same, and on numpy 2.4.6 `q.take(idx, axis=0)` gathers 50k rows
@@ -70,6 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import ColoredPointCloud, RigidTransform, Vec3, sq_lengths
+from .localization import LocalizationParams, RedCloud, red_rows
 from .scene import Scene, sample_surface_arrays
 
 
@@ -284,11 +299,18 @@ def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np
     return q, rgb, ranges
 
 
-def _sense(q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel, seed: int) -> ColoredPointCloud:
+def _sense(
+    q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel, seed: int,
+    red: LocalizationParams | None = None,
+) -> ColoredPointCloud:
     """The cloud one camera reports for a view: depth noise along each ray,
-    then dropout, from two streams derived from `seed`. Each sample draws
-    its noise whether or not it drops out, so only the kept rows are
-    gathered, once, and perturbed, in place.
+    then dropout, from two streams derived from `seed`; given localization
+    params `red`, its `RedCloud` instead, the rows that pass red's colour
+    thresholds. Only the selected rows, those that survive dropout or of
+    those the red ones, are gathered, once, and perturbed, in place, each
+    by the draw at its own index. The normals are drawn only up to the
+    last selected row, a prefix of the whole view's, and the dropout
+    uniforms over the whole view (see the module docstring).
 
     The draws are `standard_normal` scaled by sigma. `normal(0.0, 1.0)`
     returns 0.0 + 1.0*z, which is z but for the sign of a zero draw, and
@@ -297,17 +319,25 @@ def _sense(q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel,
     arrays, so `capture_rig` runs one camera's on its sensing worker."""
     ss = np.random.SeedSequence(seed)
     noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
-    dr = noise_rng.standard_normal(len(q))
-    dr *= cam.depth_noise_sigma
-    kept = np.flatnonzero(dropout_rng.random(len(q)) >= cam.dropout_rate)
+    survives = dropout_rng.random(len(q)) >= cam.dropout_rate
+    if red is None:
+        rows = np.flatnonzero(survives)
+    else:
+        rows = red_rows(rgb, red)
+        rows = rows.compress(survives.take(rows))
+    dr = noise_rng.standard_normal(int(rows[-1]) + 1 if len(rows) else 0)
 
-    ranges = ranges.take(kept)
-    scale = dr.take(kept)
+    ranges = ranges.take(rows)
+    scale = dr.take(rows)
+    scale *= cam.depth_noise_sigma
     scale += ranges
     scale /= ranges
-    q = q.take(kept, axis=0)
+    q = q.take(rows, axis=0)
     q *= scale[:, None]
-    return ColoredPointCloud(cam.frame, q, rgb.take(kept, axis=0))
+    rgb = rgb.take(rows, axis=0)
+    if red is None:
+        return ColoredPointCloud(cam.frame, q, rgb)
+    return RedCloud(cam.frame, q, rgb, int(np.count_nonzero(survives)), (red.r_th, red.g_th, red.b_th))
 
 
 # CameraModel fields that only perturb a view; every other field shapes it
@@ -363,9 +393,14 @@ def _drop_sensor() -> None:
 os.register_at_fork(before=_drop_sensor)
 
 
-def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCloud, ColoredPointCloud]:
+def capture_rig(
+    scene: Scene, rig: CameraRig, seed: int, red: LocalizationParams | None = None
+) -> tuple[ColoredPointCloud, ColoredPointCloud]:
     """Capture both cameras from one surface sampling, each as a cloud in
     its own frame, with independent noise streams derived from `seed`.
+    Given localization params `red`, each cloud is a `RedCloud`: the rows
+    of the whole cloud that pass red's colour thresholds, which are all
+    that `localize` reads of it, with the same bits (see `_sense`).
 
     Each cloud's order follows the angular bin index, which is
     deterministic for a fixed (scene, rig, seed).
@@ -384,9 +419,9 @@ def capture_rig(scene: Scene, rig: CameraRig, seed: int) -> tuple[ColoredPointCl
         from concurrent.futures import ThreadPoolExecutor
 
         _sensor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="berrypick-sense")
-    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2))
+    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2), red)
     try:
-        cloud1 = _sense(*v1, rig.cam1, int(s1))
+        cloud1 = _sense(*v1, rig.cam1, int(s1), red)
     finally:
         cam2.exception()  # waits, and leaves cam2's error to result()
     return cloud1, cam2.result()

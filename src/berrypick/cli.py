@@ -9,6 +9,7 @@ reruns with identical inputs are byte-identical everywhere else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -46,18 +47,31 @@ def _write_text(path: Path, text: str) -> bytes:
     reader never sees half a file; returns the bytes written. The tmp
     file is `path` plus `.tmp`, opened as `open(tmp, "wb")` would open it;
     `os.write` may write less than it is given, so it is called until every
-    byte is out."""
+    byte is out. When a write or the replace fails, the tmp file is
+    removed if this call created it: a path that `os.open` refused, or a
+    file left from an earlier write, is left as it is."""
     data = text.encode()
     target = os.fspath(path)
     tmp = target + ".tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        rest = memoryview(data)
-        while rest:
-            rest = rest[os.write(fd, rest):]
-    finally:
-        os.close(fd)
-    os.replace(tmp, target)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+    except FileExistsError:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        created = False
+    try:
+        try:
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, target)
+    except OSError:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
     return data
 
 
@@ -152,7 +166,7 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
     _write_text(run_dir / "wallclock.json", json.dumps(wallclock, sort_keys=True, indent=2) + "\n")
 
     if dump_clouds is not None and built.box_source == "cameras":
-        # capture_rig is pure in (scene, rig, seed): these are the clouds the run localized
+        # capture_rig is pure in (scene, rig, seed): these are the whole clouds whose red rows the run localized
         c1, c2 = capture_rig(built.scene, built.rig, seed)
         dump_clouds.mkdir(parents=True, exist_ok=True)
         dump_cloud(c1, dump_clouds / "cam1.txt")

@@ -41,7 +41,7 @@ from .controller import BuiltScenario
 from .cutter import CutModel, ToolGeometry
 from .errors import ConfigError
 from .geometry import Aabb, Vec3
-from .localization import LocalizationParams
+from .localization import MAX_WORKSPACE_SPAN, LocalizationParams
 from .motion import DEFAULT_HOME, RobotState
 from .scene import FRUIT_X_JITTER, MAX_STEM_BEND, Scene, generate_scene
 
@@ -441,10 +441,16 @@ def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> Non
 
 def _require_offset_in_workspace(offset: Vec3, workspace: Aabb) -> None:
     """Every box lies in the workspace, so an offset larger than the
-    workspace on some axis moves every box out of reach; the bound also
-    keeps the distance from a box to its fruit within the float range."""
+    workspace on some axis moves every box out of reach. With the
+    workspace at most MAX_WORKSPACE_SPAN wide, which the crop window
+    already is, the bound also keeps the distance from a box to its fruit
+    within the float range."""
     lo, hi = workspace.min, workspace.max
     size = (hi.x - lo.x, hi.y - lo.y, hi.z - lo.z)
+    _require(
+        all(s <= MAX_WORKSPACE_SPAN for s in size), "robot.workspace_margin",
+        f"must leave the workspace at most {MAX_WORKSPACE_SPAN:.4g} m wide on each axis",
+    )
     _require(
         all(abs(o) <= s for o, s in zip((offset.x, offset.y, offset.z), size)), "boxes.offset",
         f"must be at most the workspace's size on each axis, ({size[0]:g}, {size[1]:g}, {size[2]:g}) m",

@@ -213,7 +213,8 @@ def run_harvest(
         boxes = truth_boxes(ripe, built.params)
     else:
         rig = built.rig
-        c1, c2 = capture_rig(scene, rig, seed)
+        # the red rows of each camera's cloud, all that localize reads of it
+        c1, c2 = capture_rig(scene, rig, seed, built.params)
         start = time.perf_counter()
         boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, counts)
         localization_ms = (time.perf_counter() - start) * 1e3

@@ -70,6 +70,7 @@ with `geometry.sq_lengths`, summed x, y, z.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,14 @@ from .geometry import merge_clouds, transform_cloud  # noqa: F401
 # cluster_indices keys each cell of its grid by one int64, so a grid has
 # fewer cells than this
 MAX_GRID_CELLS = 2.0**62
+
+# meters the robot's workspace, the crop window inflated by a margin, may
+# span on each axis. A box centre lies in the workspace, moved by an offset
+# of at most the workspace's size, so it and a fruit centre in the
+# workspace differ by at most twice this on each axis, and the squared
+# distance that matching a box to its fruit sums, 3 * (2 * span)**2, is
+# at most 3/4 of the largest float
+MAX_WORKSPACE_SPAN = math.sqrt(sys.float_info.max) / 4
 
 
 def _cell_edge(tol: float) -> float:
@@ -109,8 +118,11 @@ class LocalizationParams:
 
     def __post_init__(self):
         for axis in "xyz":
-            if not getattr(self, f"{axis}_minus") < getattr(self, f"{axis}_plus"):
+            lo, hi = getattr(self, f"{axis}_minus"), getattr(self, f"{axis}_plus")
+            if not lo < hi:
                 raise ValueError(f"{axis}_minus must be < {axis}_plus")
+            if not hi - lo <= MAX_WORKSPACE_SPAN:
+                raise ValueError(f"{axis}_plus must lie at most {MAX_WORKSPACE_SPAN:.4g} m above {axis}_minus")
         if self.s_min <= 0:
             raise ValueError(f"s_min must be > 0, got {self.s_min}")
         if self.s_min > self.s_max:
@@ -144,12 +156,28 @@ def _in_window(xyz: np.ndarray, p: LocalizationParams) -> np.ndarray:
     )
 
 
-def _red_rows(rgb: np.ndarray, p: LocalizationParams) -> np.ndarray:
+def red_rows(rgb: np.ndarray, p: LocalizationParams) -> np.ndarray:
     """The indices of the rows of `rgb` with r > r_th, g < g_th and b < b_th."""
     # one contiguous row per channel: the three compares take 0.17 ms on
     # 50k points where the strided columns take 0.30 ms
     r, g, b = np.ascontiguousarray(rgb.T)
     return np.flatnonzero((r > p.r_th) & (g < p.g_th) & (b < p.b_th))
+
+
+class RedCloud(ColoredPointCloud):
+    """The red rows of a camera cloud of `n_whole` rows, in its order: all
+    that `localize` reads of that cloud when its params have the
+    thresholds `rgb_th`, (r_th, g_th, b_th). `capture_rig` senses one in
+    place of a whole cloud when it is given localization params."""
+
+    __slots__ = ("n_whole", "rgb_th")
+
+    def __init__(self, frame: str, xyz, rgb, n_whole: int, rgb_th: tuple[int, int, int]):
+        super().__init__(frame, xyz, rgb)
+        if not len(self) <= n_whole:
+            raise ValueError(f"a red cloud of {len(self)} rows cannot come from a cloud of {n_whole}")
+        object.__setattr__(self, "n_whole", n_whole)
+        object.__setattr__(self, "rgb_th", rgb_th)
 
 
 def crop_window(cloud: ColoredPointCloud, p: LocalizationParams) -> ColoredPointCloud:
@@ -162,7 +190,7 @@ def crop_window(cloud: ColoredPointCloud, p: LocalizationParams) -> ColoredPoint
 
 def threshold_red(cloud: ColoredPointCloud, p: LocalizationParams) -> ColoredPointCloud:
     """Keep points with r > r_th, g < g_th and b < b_th."""
-    kept = _red_rows(cloud.rgb, p)
+    kept = red_rows(cloud.rgb, p)
     return ColoredPointCloud(cloud.frame, cloud.xyz.take(kept, axis=0), cloud.rgb.take(kept, axis=0))
 
 
@@ -442,14 +470,25 @@ def boxes_of(xyz: np.ndarray, clusters: list[np.ndarray]) -> list[StrawberryBox]
     ]
 
 
-def _to_base(cloud: ColoredPointCloud, t: RigidTransform, rows: np.ndarray, out: np.ndarray) -> None:
+def _red_of(cloud: ColoredPointCloud, p: LocalizationParams) -> tuple[np.ndarray, int]:
+    """The rows of `cloud` that `localize` moves, and the rows of the whole
+    camera cloud they are rows of: every row of a `RedCloud` picked with
+    p's thresholds, or the red rows of a whole cloud."""
+    if not isinstance(cloud, RedCloud):
+        return red_rows(cloud.rgb, p), len(cloud)
+    if cloud.rgb_th != (p.r_th, p.g_th, p.b_th):
+        raise ValueError(f"{cloud.frame} holds the red rows of thresholds {cloud.rgb_th}, not those of the params")
+    return np.arange(len(cloud)), cloud.n_whole
+
+
+def _to_base(cloud: ColoredPointCloud, t: RigidTransform, rows: np.ndarray, n_whole: int, out: np.ndarray) -> None:
     """Write the rows `rows` of a camera cloud, moved to the base frame,
-    into `out`: bit for bit the rows that moving the whole cloud gives
-    them. numpy multiplies a lone row by another BLAS routine than it does
-    two or more rows, and the two can round apart, so a lone row of a
-    larger cloud moves as a pair."""
+    into `out`: bit for bit the rows that moving the whole cloud of
+    `n_whole` rows gives them. numpy multiplies a lone row by another BLAS
+    routine than it does two or more rows, and the two can round apart,
+    so a lone row of a larger cloud moves as a pair."""
     t.check_maps(cloud.frame, "base")
-    if len(rows) == 1 < len(cloud):
+    if len(rows) == 1 < n_whole:
         out[:] = t.apply_to(cloud.xyz.take(np.repeat(rows, 2), axis=0))[:1]
     else:
         t.apply_to(cloud.xyz.take(rows, axis=0), out)
@@ -470,24 +509,29 @@ def localize(
     window. These are the points, in the same order and with the same
     coordinates, that merge, crop and threshold give over both whole
     clouds, and their clusters are the brute-force ones (see the module
-    docstring). When a `telemetry` dict is supplied it receives
-    `n_merged`, the points of both clouds, `n_red`, the in-window red
-    points that are clustered, and the counts of `cluster_indices`. Every
-    count is deterministic; wall-clock time is the caller's to measure.
+    docstring). A camera cloud may be a whole cloud or a `RedCloud`, its
+    red rows alone, as `capture_rig` senses them for these params' colour
+    thresholds; the boxes and counts are the same either way. A `RedCloud`
+    picked with other thresholds raises ValueError.
+
+    When a `telemetry` dict is supplied it receives `n_merged`, the points
+    of both whole clouds, `n_red`, the in-window red points that are
+    clustered, and the counts of `cluster_indices`. Every count is
+    deterministic; wall-clock time is the caller's to measure.
     """
     if c1.frame != "cam1":
         raise FrameMismatchError(f"first cloud must be in frame 'cam1', got {c1.frame!r}")
     if c2.frame != "cam2":
         raise FrameMismatchError(f"second cloud must be in frame 'cam2', got {c2.frame!r}")
-    rows1, rows2 = _red_rows(c1.rgb, p), _red_rows(c2.rgb, p)
+    (rows1, n1), (rows2, n2) = _red_of(c1, p), _red_of(c2, p)
     xyz = np.empty((len(rows1) + len(rows2), 3))
-    _to_base(c1, t1, rows1, xyz[: len(rows1)])
-    _to_base(c2, t2, rows2, xyz[len(rows1) :])
+    _to_base(c1, t1, rows1, n1, xyz[: len(rows1)])
+    _to_base(c2, t2, rows2, n2, xyz[len(rows1) :])
     inside = _in_window(xyz, p)
     if not inside.all():
         xyz = xyz.take(np.flatnonzero(inside), axis=0)
     groups = cluster_indices(xyz, p.tol, p.s_min, p.s_max, telemetry)
     boxes = boxes_of(xyz, groups)
     if telemetry is not None:
-        telemetry.update(n_merged=len(c1) + len(c2), n_red=len(xyz))
+        telemetry.update(n_merged=n1 + n2, n_red=len(xyz))
     return boxes

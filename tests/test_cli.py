@@ -246,6 +246,18 @@ class TestAtomicWrites:
         assert err.startswith("io error: ") and "events.jsonl.tmp" in err and "Traceback" not in err
         assert events.read_bytes() == before
 
+    def test_failed_replace_removes_its_tmp_file(self, tmp_path, capsys):
+        # events.jsonl is a directory: the tmp file is written, and the replace fails
+        run_dir = tmp_path / "out" / "seed1"
+        (run_dir / "events.jsonl").mkdir(parents=True)
+        (run_dir / "events.jsonl" / "keep").write_text("kept")
+        assert main(["run", "--config", "paper9", "--seed", "1", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and "events.jsonl" in err and "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert [p.name for p in (run_dir / "events.jsonl").iterdir()] == ["keep"]
+        assert (run_dir / "events.jsonl" / "keep").read_text() == "kept"
+
     def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
         real_write, calls = os.write, []
 

@@ -39,6 +39,13 @@ UNSAFE_CONFIGS = {
     "nul_out": ({"out": "o\0x", "boxes": {"source": "truth"}, "scene": {"n_straw": 1, "seed": 3}}, "out"),
     "far_offset": ({"boxes": {"source": "truth", "offset": [0, 1e300, 0]}, "scene": {"n_straw": 2, "seed": 3}},
                    "boxes.offset"),
+    # a window or a margin this wide once let the offset through, and matching a box to its fruit overflowed
+    "wide_window": ({"localization": {"y_plus": 1e300, "y_minus": -1e300, "tol": 1e290},
+                     "boxes": {"source": "truth", "offset": [0, 1e300, 0]}, "scene": {"n_straw": 2, "seed": 3}},
+                    "localization.y_plus"),
+    "wide_margin": ({"robot": {"workspace_margin": 1e300},
+                     "boxes": {"source": "truth", "offset": [0, 1e300, 0]}, "scene": {"n_straw": 2, "seed": 3}},
+                    "robot.workspace_margin"),
 }
 
 
