@@ -102,9 +102,11 @@ def metrics_to_json(metrics: dict) -> str:
 
 
 def resolve_config_arg(arg: str) -> dict:
-    """Accept a filesystem path or the name of a packaged scenario."""
+    """Accept a config file's path or the name of a packaged scenario. Only
+    a file counts as a path, so a directory named like a scenario does not
+    shadow it."""
     path = Path(arg)
-    if path.exists():
+    if path.is_file():
         return load_config(path)
     name = arg if arg.endswith(".json") else arg + ".json"
     pkg_file = resources.files("berrypick.scenarios").joinpath(name)

@@ -15,11 +15,13 @@ and carries the last move's `to_pos` forward itself.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyInputError, MotionRejectedError
 from .geometry import Aabb, Vec3, distance
-from .localization import StrawberryBox
+from .localization import MAX_WORKSPACE_SPAN, StrawberryBox
 
 # empirically motivated approach offsets applied to box maxima
 X_SAFETY_OFFSET = 0.010
@@ -27,6 +29,10 @@ Z_SAFETY_OFFSET = 0.015
 Z_MIN_CLEARANCE = 0.010
 
 DEFAULT_HOME = Vec3(0.20, -0.35, 0.44)
+
+# meters the longest move of a run may span: both its ends lie in the
+# workspace, which config keeps at most MAX_WORKSPACE_SPAN wide on each axis
+LONGEST_MOVE = math.sqrt(3.0) * MAX_WORKSPACE_SPAN
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,13 @@ class RobotState:
             raise ValueError(f"velocity_scale must be in (0, 1], got {self.velocity_scale}")
         if self.max_speed <= 0:
             raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
+        # the product can underflow, to 0 or to a speed that makes a move last forever
+        speed = self.velocity_scale * self.max_speed
+        if not (speed > 0 and math.isfinite(LONGEST_MOVE / speed)):
+            raise ValueError(
+                f"velocity_scale * max_speed must be at least {LONGEST_MOVE / sys.float_info.max:.3g} m/s"
+                f" so that every move takes a finite time, got {speed:.3g}"
+            )
         if not self.workspace.contains(self.home):
             h, lo, hi = self.home, self.workspace.min, self.workspace.max
             raise ValueError(

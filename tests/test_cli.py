@@ -67,6 +67,12 @@ class TestPackagedScenarios:
         assert rc == 2
         assert "config not found" in capsys.readouterr().err
 
+    def test_directory_does_not_shadow_a_scenario(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench").mkdir()
+        assert main(["run", "--config", "bench", "--seed", "1", "--out", "out"]) == 0
+        assert json.loads((tmp_path / "out" / "seed1" / "metrics.json").read_text())["seed"] == 1
+
 
 class TestRunCommand:
     @pytest.mark.parametrize("command", ["run", "sweep"])

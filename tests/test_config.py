@@ -46,6 +46,9 @@ UNSAFE_CONFIGS = {
     "wide_margin": ({"robot": {"workspace_margin": 1e300},
                      "boxes": {"source": "truth", "offset": [0, 1e300, 0]}, "scene": {"n_straw": 2, "seed": 3}},
                     "robot.workspace_margin"),
+    # each value is > 0, but the speed, their product, underflows to 0 or to a subnormal
+    "zero_speed": ({"robot": {"velocity_scale": 5e-324}}, "robot.velocity_scale"),
+    "subnormal_speed": ({"robot": {"velocity_scale": 1e-300, "max_speed": 1e-20}}, "robot.velocity_scale"),
 }
 
 

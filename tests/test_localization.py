@@ -206,8 +206,9 @@ ORDERS = 6
 def in_each_order(xyz, rounds):
     """(clusters, rounds run) of `xyz` as given and in ORDERS - 1 shuffles,
     each checked against the oracle; the rounds are (name, merged) pairs.
-    The key sort is unstable, so each order may put another of a cell's
-    points first, where the face and probe rounds read it."""
+    The key sort is stable, so a cell's first point, which the face and
+    probe rounds read, is its lowest row, and each order may put another
+    of its points first."""
     rng = np.random.default_rng(30)
     out = []
     for perm in [np.arange(len(xyz))] + [rng.permutation(len(xyz)) for _ in range(ORDERS - 1)]:
@@ -381,13 +382,17 @@ class TestClustering:
         with pytest.raises(ValueError, match=r"8\.66e\+21 grid cells from the origin"):
             cluster_indices(xyz, 0.02, 1, 10)
 
-    def test_grid_just_under_the_limit(self):
+    def test_grid_just_under_the_limit(self, monkeypatch):
         # 2^30 by 2^29 by 6 cells, 3/4 of 2^62: the keys do not wrap, and
         # the last two points, one cell apart, are joined
         edge = localization._cell_edge(0.02)
         far = [2**30 - 5, 2**29 - 5, 0]
         xyz = (np.array([[0, 0, 0], far, far]) + [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]) * edge
+        # no room is left in a key for the row, so the keys are argsorted
+        argsorted = []
+        monkeypatch.setattr(np, "argsort", lambda a, f=np.argsort: argsorted.append(len(a)) or f(a))
         assert partitions_equal(cluster_indices(xyz, 0.02, 1, 10), [[0], [1, 2]])
+        assert argsorted == [3]
 
     @pytest.mark.parametrize("dims, table", [((6, 8, 1366), True), ((7, 17, 551), False)])
     def test_table_rule_at_its_limit(self, monkeypatch, dims, table):
@@ -418,11 +423,11 @@ class TestClustering:
         assert partitions_equal(oracle_checked_clusters(xyz), [[0, 1, 2, 3]])
 
     def test_within_cell_order_changes_nothing(self, rounds):
-        # Many repeated points per cell, shuffled: the key sort is not
-        # stable, so each shuffle orders a cell's points anew, which may
-        # change which point comes first, and so which round links a cell
-        # pair, but never the partition. Each output maps through its
-        # permutation onto the unshuffled one.
+        # Many repeated points per cell, shuffled: a cell's first point is
+        # its lowest row, so each shuffle may change which point comes
+        # first, and so which round links a cell pair, but never the
+        # partition. Each output maps through its permutation onto the
+        # unshuffled one.
         rng = np.random.default_rng(29)
         tol = 0.25  # a power of two: lattice distances are exact
         for _ in range(4):
@@ -538,6 +543,36 @@ class TestClustering:
         assert np.linalg.norm(xyz[1] - xyz[2]) > ROUND_TOL
         for _ in each_neighbour_path(monkeypatch):
             assert in_each_order(xyz, rounds) == [(1, (("face", True), ("probe", True)))] * ORDERS
+
+    def test_one_point_cells_beyond_tol_never_link(self, monkeypatch, rounds):
+        # one point near the centre of every other cell of a 5 x 5 x 5
+        # block: each candidate pair is two cells apart on some axis, so
+        # its one point pair lies beyond tol, which the probe finds
+        rng = np.random.default_rng(35)
+        centres = np.array([[x, y, z] for x in (0, 2, 4) for y in (0, 2, 4) for z in (0, 2, 4)]) + 0.5
+        xyz = cells_cloud(centres + rng.uniform(-0.05, 0.05, centres.shape))
+        assert brute_force_cell_counts(xyz, ROUND_TOL) == (27, 158)
+        for path in each_neighbour_path(monkeypatch):
+            tel = {}
+            assert partitions_equal(cluster_indices(xyz, ROUND_TOL, 1, 1, tel), brute_force_clusters(xyz, ROUND_TOL, 1, 1))
+            assert tel == dict(n_cells=27, n_cell_pairs=158, n_clusters_raw=27, discarded_small=0, discarded_large=0), path
+            assert in_each_order(xyz, rounds) == [(27, (("face", False), ("probe", False)))] * ORDERS, path
+
+    def test_one_point_cell_beside_a_larger_one_links(self, monkeypatch, rounds):
+        # u holds one point; v, two cells away, holds two, the first beyond
+        # tol of u's point and the second within it, so the probe of the
+        # first points does not link the cells and the point round must.
+        # A shuffle that puts v's near point first links them in the probe
+        u = [[0.95, 0.5, 0.5]]
+        v = [[2.95, 0.95, 0.95], [2.05, 0.5, 0.5]]
+        xyz = cells_cloud(u, v)
+        assert np.linalg.norm(xyz[0] - xyz[1]) > ROUND_TOL >= np.linalg.norm(xyz[0] - xyz[2])
+        for path in each_neighbour_path(monkeypatch):
+            tel = {}
+            assert partitions_equal(cluster_indices(xyz, ROUND_TOL, 1, 10, tel), [[0, 1, 2]])
+            assert tel == dict(n_cells=2, n_cell_pairs=1, n_clusters_raw=1, discarded_small=0, discarded_large=0), path
+            ran = in_each_order(xyz, rounds)
+            assert ran[0] == (1, POINT) and all(r in ((1, POINT), (1, PROBE)) for r in ran), path
 
     @pytest.mark.parametrize("linked", [False, True])
     def test_pair_budget_bounds_each_chunk(self, monkeypatch, linked):

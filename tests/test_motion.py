@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from berrypick.errors import EmptyInputError, MotionRejectedError
 from berrypick.geometry import Aabb, Vec3
 from berrypick.localization import StrawberryBox
 from berrypick.motion import (
+    LONGEST_MOVE,
     RobotState,
     compute_z_min,
     plan_cycle_waypoints,
@@ -58,6 +61,16 @@ class TestRobotMove:
             RobotState(workspace=BIG, velocity_scale=1.5)
         with pytest.raises(ValueError):
             RobotState(workspace=BIG, max_speed=-1.0)
+
+    def test_speed_keeps_the_longest_move_finite(self):
+        # the speed is velocity_scale * max_speed: at the slowest one the
+        # longest move takes a finite time, and below it, underflowed to a
+        # subnormal or to 0 included, the robot is rejected
+        slowest = LONGEST_MOVE / sys.float_info.max
+        RobotState(workspace=BIG, velocity_scale=1.0, max_speed=slowest * (1 + 1e-9))
+        for scale, max_speed in ((1.0, slowest / 2), (5e-324, 0.1), (1e-300, 1e-20)):
+            with pytest.raises(ValueError, match=r"^velocity_scale \* max_speed must be at least 3\.23e-155 m/s"):
+                RobotState(workspace=BIG, velocity_scale=scale, max_speed=max_speed)
 
     def test_home_outside_workspace_rejected(self):
         with pytest.raises(ValueError, match="^home "):
