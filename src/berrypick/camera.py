@@ -30,7 +30,10 @@ seed, so a capture is a pure function of (scene, rig, seed).
 A harvest run senses only what `localize` reads: given localization
 params, `capture_rig` returns each camera's red rows alone, as a
 `RedCloud`, with the bits of the whole cloud's red rows. A view's colours
-do not depend on the seed, so its red rows are found before sensing.
+do not depend on the seed, so its red rows are found before sensing, and
+a kept view keeps them: each view's red rows for the last colour
+thresholds asked, found once for all the runs that reuse the view; other
+thresholds find them again.
 Each row is perturbed on its own by the draws at its own index, and
 Philox fills draws in sequence, so drawing normals only up to the last
 red row gives a prefix of the whole view's draws and every red row the
@@ -59,8 +62,8 @@ viewed once for the runs of a fixed scene over several run seeds, for
 each seed's points of a sweep (`berrypick sweep` runs them one after
 another, and gives each worker whole seeds), and for the
 `--dump-clouds` re-capture of a run; a scene that changes with every
-run is viewed every time. The kept arrays (positions, colours and ray
-lengths) are read-only.
+run is viewed every time. The kept arrays (positions, colours, ray
+lengths and red rows) are read-only.
 
 The sensing worker is one thread, started by the first capture in a
 process, with `concurrent.futures` imported only then; a process that
@@ -110,6 +113,14 @@ DEFAULT_RIG = {
 # int64 bin numbers, row * (columns) + column, cannot overflow
 MAX_BINS = 2**62
 
+# numpy's normal draws lie within +/-14 (the ziggurat's tail returns
+# r + -ln(u)/r for r ~ 3.654 and u >= 2^-53), and a sensed ray is at
+# least min_range long. With sigma at most MAX_DEPTH_NOISE_SIGMA and
+# min_range at least MIN_RANGE, a perturbed range, its ratio to the ray's
+# length (below 1.4e307) and the moved point all stay finite
+MAX_DEPTH_NOISE_SIGMA = 1e300
+MIN_RANGE = 1e-6
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -128,12 +139,12 @@ class CameraModel:
             raise ValueError("h_fov must lie in (0, 180) degrees")
         if not 0 < self.v_fov < math.pi:
             raise ValueError("v_fov must lie in (0, 180) degrees")
-        if self.min_range <= 0:
-            raise ValueError("min_range must be > 0")
+        if not self.min_range >= MIN_RANGE:
+            raise ValueError(f"min_range must be at least {MIN_RANGE:g} m")
         if self.min_range >= self.max_range:
             raise ValueError("min_range must be < max_range")
-        if self.depth_noise_sigma < 0:
-            raise ValueError("depth_noise_sigma must be >= 0")
+        if not 0 <= self.depth_noise_sigma <= MAX_DEPTH_NOISE_SIGMA:
+            raise ValueError(f"depth_noise_sigma must be in [0, {MAX_DEPTH_NOISE_SIGMA:g}] m, so that noisy rays stay finite")
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError("dropout_rate must be in [0, 1]")
         if self.bin_res <= 0:
@@ -301,13 +312,13 @@ def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np
 
 def _sense(
     q: np.ndarray, rgb: np.ndarray, ranges: np.ndarray, cam: CameraModel, seed: int,
-    red: LocalizationParams | None = None,
+    red: tuple[np.ndarray, tuple[int, int, int]] | None = None,
 ) -> ColoredPointCloud:
     """The cloud one camera reports for a view: depth noise along each ray,
-    then dropout, from two streams derived from `seed`; given localization
-    params `red`, its `RedCloud` instead, the rows that pass red's colour
-    thresholds. Only the selected rows, those that survive dropout or of
-    those the red ones, are gathered, once, and perturbed, in place, each
+    then dropout, from two streams derived from `seed`; given `red`, the
+    view's red rows and the colour thresholds that picked them, its
+    `RedCloud` instead. Only the selected rows, those that survive dropout
+    or of those the red ones, are gathered, once, and perturbed, in place, each
     by the draw at its own index. The normals are drawn only up to the
     last selected row, a prefix of the whole view's, and the dropout
     uniforms over the whole view (see the module docstring).
@@ -323,8 +334,7 @@ def _sense(
     if red is None:
         rows = np.flatnonzero(survives)
     else:
-        rows = red_rows(rgb, red)
-        rows = rows.compress(survives.take(rows))
+        rows = red[0].compress(survives.take(red[0]))
     dr = noise_rng.standard_normal(int(rows[-1]) + 1 if len(rows) else 0)
 
     ranges = ranges.take(rows)
@@ -337,7 +347,7 @@ def _sense(
     rgb = rgb.take(rows, axis=0)
     if red is None:
         return ColoredPointCloud(cam.frame, q, rgb)
-    return RedCloud(cam.frame, q, rgb, int(np.count_nonzero(survives)), (red.r_th, red.g_th, red.b_th))
+    return RedCloud(cam.frame, q, rgb, int(np.count_nonzero(survives)), red[1])
 
 
 # CameraModel fields that only perturb a view; every other field shapes it
@@ -356,8 +366,9 @@ def _view_key(cam: CameraModel) -> tuple:
     )
 
 
-# (key, views) of the last capture; see the module docstring
-_last_views: tuple | None = None
+# [key, views, reds] of the last capture, reds as `_reds` gives them (None
+# until a capture asks for red rows); see the module docstring
+_last_views: list | None = None
 
 
 def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -371,8 +382,22 @@ def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, 
         return _last_views[1]
     surf = _surfaces(scene)
     views = tuple(_view(surf, cam) for cam in cams)
-    _last_views = (key, views)
+    _last_views = [key, views, None]
     return views
+
+
+def _reds(p: LocalizationParams) -> tuple[tuple[np.ndarray, tuple[int, int, int]], ...]:
+    """(red rows, thresholds) of each kept view for p's colour thresholds,
+    as `_sense` takes them: found once for the last thresholds asked and
+    kept with the views, the rows read-only."""
+    rgb_th = (p.r_th, p.g_th, p.b_th)
+    reds = _last_views[2]
+    if reds is None or reds[0][1] != rgb_th:
+        reds = tuple((red_rows(rgb, p), rgb_th) for _, rgb, _ in _last_views[1])
+        for rows, _ in reds:
+            rows.setflags(write=False)
+        _last_views[2] = reds
+    return reds
 
 
 # the sensing worker: one thread, started by the first capture and shut
@@ -414,14 +439,15 @@ def capture_rig(
     global _sensor
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     v1, v2 = _views(scene, rig)
+    r1, r2 = (None, None) if red is None else _reds(red)
     if _sensor is None:
         # imported here, so that a process that never captures starts no thread
         from concurrent.futures import ThreadPoolExecutor
 
         _sensor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="berrypick-sense")
-    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2), red)
+    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2), r2)
     try:
-        cloud1 = _sense(*v1, rig.cam1, int(s1), red)
+        cloud1 = _sense(*v1, rig.cam1, int(s1), r1)
     finally:
         cam2.exception()  # waits, and leaves cam2's error to result()
     return cloud1, cam2.result()

@@ -4,7 +4,9 @@ A harvest pass starts at the HOME pose (clear of both camera views), runs
 localization exactly once, computes the global descent height, then visits
 every box in ascending-y order: descend, align in x/y, ascend around the
 fruit, trap the stem, burn until a photo interrupter reports the falling
-fruit, release, and move on. The trailing move returns to HOME.
+fruit, release, and move on. The trailing move returns to HOME. Every
+fruit falls the same height to the interrupter, so a run finds the fall
+time once, at its first cut.
 
 A run reads one `BuiltScenario`, which `config.build_scenario` assembles
 from a resolved config and a run seed. Its ripe set is the ripe fruit
@@ -33,7 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import replace, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +57,10 @@ from .scene import Scene, StrawberryTruth
 
 LOG_SCHEMA_VERSION = 3
 
-# encodes every event record; one encoder spares building one per record
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# encodes every event record; one encoder spares building one per record.
+# The records are flat dicts of scalars and short lists, so none can hold a
+# cycle, and the encoder skips the check for one
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 class ControllerPhase(enum.Enum):
@@ -139,7 +143,7 @@ def truth_boxes(fruits: list[StrawberryTruth], params: LocalizationParams) -> li
 
 def inject_localization_error(boxes: list[StrawberryBox], offset: Vec3) -> list[StrawberryBox]:
     """Translate every box by `offset`; ground truth is untouched."""
-    return [replace(b, box=b.box.translate(offset)) for b in boxes]
+    return [StrawberryBox(b.index, b.box.translate(offset), b.point_count) for b in boxes]
 
 
 class _PhaseTracker:
@@ -236,6 +240,7 @@ def run_harvest(
     tool = ToolState()
 
     hanging = list(ripe)
+    fall_t = None  # the fall time, found at the first cut
     for box in boxes:
         fruit = _match_fruit(hanging, box)
         fid = fruit.id if fruit is not None else -1
@@ -267,12 +272,13 @@ def run_harvest(
             ctl.advance(ControllerPhase.CUT)
             cut = built.cut
             if built.derive_duty:
-                cut = replace(cut, duty=duty_for_stem(fruit.stem_diameter, built.geom))
+                cut = CutModel(cut.laser_power, cut.cut_energy_per_area, duty_for_stem(fruit.stem_diameter, built.geom))
             tool.set_laser(True)
             log.append(t, "laser_on", fruit=fid, energy=0.0)
             steps, acc, done = laser_step(cut, fruit, dt, int(round(laser_timeout / dt)))
             burn = steps * dt
-            fall_t = free_fall_detect(fruit, built.geom, dt) if done else 0.0
+            if done and fall_t is None:
+                fall_t = free_fall_detect(built.geom, dt)
             if done and burn + fall_t <= laser_timeout:
                 t_cut = t + burn
                 log.append(t_cut, "cut_done", fruit=fid, energy=acc)

@@ -9,10 +9,17 @@ energy constant is calibrated so a 3 mm stem under the default 50 W source
 severs in 2.3 s; cut time then scales inversely with power. A detached
 fruit falls from rest and is reported when it crosses the photo
 interrupter beams below the groove.
+
+A burn depends on nothing but the energy the stem needs, the energy one
+timestep adds and the step cap, so it is memoized on those three values:
+the stems of one diameter under one laser burn once per process, however
+many runs cut them. A hit returns the bits a miss computes, as equal
+non-negative floats have equal bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -24,6 +31,9 @@ from .geometry import Vec3
 from .scene import StrawberryTruth
 
 GRAVITY = 9.81
+
+# the longest fall the photo interrupter waits for, s
+MAX_FALL_S = 3600.0
 
 # guards exact-boundary lateral offsets against last-ulp rounding in the
 # box midpoint arithmetic; three orders of magnitude below any physical scale
@@ -47,6 +57,8 @@ class ToolGeometry:
                 raise ValueError(f"{name} must be positive")
         if self.trapper_width > self.groove_width:
             raise ValueError("trapper_width must be <= groove_width")
+        if 0.5 * GRAVITY * MAX_FALL_S * MAX_FALL_S < self.interrupter_drop:
+            raise ValueError(f"interrupter_drop must be at most {0.5 * GRAVITY * MAX_FALL_S**2:.4g} m, a fall of one hour")
 
 
 @dataclass(frozen=True)
@@ -117,32 +129,45 @@ def laser_step(
 
     The energy is, bit for bit, that of adding power * duty * dt once per
     step from zero: `np.add.accumulate` sums in order, and each chunk
-    starts from the last one's total.
+    starts from the last one's total. The burn is memoized on (energy
+    needed, power * duty * dt, max_steps), its whole input, so a stem like
+    one burned before costs a cache lookup; the values are >= 0, and equal
+    non-negative floats have equal bits, so a hit returns what the burn
+    would compute.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    need = required_cut_energy(cut, stem)
-    inc = cut.laser_power * cut.duty * dt
+    return _burn(required_cut_energy(cut, stem), cut.laser_power * cut.duty * dt, max_steps)
+
+
+@functools.lru_cache(maxsize=256)
+def _burn(need: float, inc: float, max_steps: int) -> tuple[int, float, bool]:
+    """`laser_step`'s burn: steps of `inc` from zero until the sum reaches
+    `need`, for at most `max_steps` steps."""
     steps, acc = 0, 0.0
-    while steps < max_steps:
-        burn = np.full(min(max_steps - steps, BURN_CHUNK), inc)
-        burn[0] += acc
-        burn = np.add.accumulate(burn)
-        # the sums never decrease, so this is the first step at or above need
-        k = int(np.searchsorted(burn, need))
-        if k < len(burn):
-            return steps + k + 1, float(burn[k]), True
-        steps += len(burn)
-        acc = float(burn[-1])
+    # sums past the severing step may overflow to inf, which still sorts at or above need
+    with np.errstate(over="ignore"):
+        while steps < max_steps:
+            burn = np.full(min(max_steps - steps, BURN_CHUNK), inc)
+            burn[0] += acc
+            burn = np.add.accumulate(burn)
+            # the sums never decrease, so this is the first step at or above need
+            k = int(np.searchsorted(burn, need))
+            if k < len(burn):
+                return steps + k + 1, float(burn[k]), True
+            steps += len(burn)
+            acc = float(burn[-1])
     return steps, acc, False
 
 
-def free_fall_detect(fruit: StrawberryTruth, geom: ToolGeometry, dt: float) -> float:
-    """Drop the severed fruit from rest and sample the interrupter at dt.
+def free_fall_detect(geom: ToolGeometry, dt: float) -> float:
+    """Drop a severed fruit from rest and sample the interrupter at dt.
 
     Returns the detection time: the first multiple of dt at which the fall
     reaches interrupter_drop, within one dt of the closed form
-    sqrt(2 * interrupter_drop / g).
+    sqrt(2 * interrupter_drop / g). The fruit does not enter it, so a run
+    finds it once for all its cuts. `ToolGeometry` bounds the drop to a
+    fall of `MAX_FALL_S`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -152,8 +177,6 @@ def free_fall_detect(fruit: StrawberryTruth, geom: ToolGeometry, dt: float) -> f
         if 0.5 * GRAVITY * t * t >= geom.interrupter_drop:
             return t
         k += 1
-        if t > 3600.0:
-            raise StateError("free fall exceeded one hour of simulated time")
 
 
 class ToolState:

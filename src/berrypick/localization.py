@@ -229,7 +229,7 @@ def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             up = label.take(label)
-            if np.array_equal(up, label):
+            if (up == label).all():
                 break
             label = up
 
@@ -482,16 +482,16 @@ def _red_of(cloud: ColoredPointCloud, p: LocalizationParams) -> tuple[np.ndarray
 
 
 def _to_base(cloud: ColoredPointCloud, t: RigidTransform, rows: np.ndarray, n_whole: int, out: np.ndarray) -> None:
-    """Write the rows `rows` of a camera cloud, moved to the base frame,
-    into `out`: bit for bit the rows that moving the whole cloud of
-    `n_whole` rows gives them. numpy multiplies a lone row by another BLAS
-    routine than it does two or more rows, and the two can round apart,
-    so a lone row of a larger cloud moves as a pair."""
+    """Write the rows `rows` (ascending, distinct) of a camera cloud,
+    moved to the base frame, into `out`: bit for bit the rows that moving
+    the whole cloud of `n_whole` rows gives them. numpy multiplies a lone
+    row by another BLAS routine than it does two or more rows, and the two
+    can round apart, so a lone row of a larger cloud moves as a pair."""
     t.check_maps(cloud.frame, "base")
     if len(rows) == 1 < n_whole:
         out[:] = t.apply_to(cloud.xyz.take(np.repeat(rows, 2), axis=0))[:1]
     else:
-        t.apply_to(cloud.xyz.take(rows, axis=0), out)
+        t.apply_to(cloud.xyz if len(rows) == len(cloud) else cloud.xyz.take(rows, axis=0), out)
 
 
 def localize(

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import subprocess
@@ -51,6 +52,19 @@ class TestCameraModel:
             replace(cam, dropout_rate=1.5)
         with pytest.raises(ValueError):
             replace(cam, depth_noise_sigma=-0.1)
+
+    def test_noisy_rays_stay_finite(self):
+        # at the largest sigma every noisy point is finite, the cloud's own
+        # check; one ulp above it, and one below the shortest min_range, is refused
+        cam = replace(default_rig().cam1, depth_noise_sigma=camera.MAX_DEPTH_NOISE_SIGMA)
+        rig = CameraRig(cam, replace(default_rig().cam2, depth_noise_sigma=camera.MAX_DEPTH_NOISE_SIGMA))
+        c1, c2 = capture_rig(_paper9(), rig, 3)
+        assert len(c1) > 0 and len(c2) > 0
+        replace(cam, min_range=camera.MIN_RANGE)
+        with pytest.raises(ValueError, match="^depth_noise_sigma "):
+            replace(cam, depth_noise_sigma=math.nextafter(camera.MAX_DEPTH_NOISE_SIGMA, math.inf))
+        with pytest.raises(ValueError, match="^min_range "):
+            replace(cam, min_range=math.nextafter(camera.MIN_RANGE, 0.0))
 
     def test_rig_frames(self):
         rig = default_rig()
@@ -525,8 +539,12 @@ def _assert_red_as_whole(whole, red, rig, params):
 
 
 def _sense_both(views, rig, seed, params=None):
+    """Both views sensed as `capture_rig` senses them: whole, or given
+    `params`, each as the red rows for its colour thresholds."""
     s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    return tuple(camera._sense(*v, cam, s, params) for v, cam, s in zip(views, (rig.cam1, rig.cam2), (s1, s2)))
+    reds = [None if params is None else (localization.red_rows(v[1], params), (params.r_th, params.g_th, params.b_th))
+            for v in views]
+    return tuple(camera._sense(*v, cam, s, r) for v, cam, s, r in zip(views, (rig.cam1, rig.cam2), (s1, s2), reds))
 
 
 def _recoloured(views, red_at):
@@ -603,6 +621,24 @@ class TestRedCapture:
             lone[1] = views[1]
             whole, red = _sense_both(lone, rig, 6), _sense_both(lone, rig, 6, p)
             _assert_red_as_whole(whole, red, rig, p)
+
+    def test_thresholds_switch_on_a_kept_view(self):
+        # a kept view keeps its red rows for the last thresholds asked;
+        # other thresholds find them again, and going back finds A's again
+        scene, rig = _paper9(), default_rig()
+        a, b = LocalizationParams(), LocalizationParams(r_th=200, g_th=40)
+        whole = capture_rig(scene, rig, 2)
+        sizes = []
+        for p in (a, b, a):
+            red = capture_rig(scene, rig, 2, p)
+            rgb_th = (p.r_th, p.g_th, p.b_th)
+            assert [kept[1] for kept in camera._last_views[2]] == [rgb_th, rgb_th]
+            for w, r in zip(whole, red):
+                assert r.rgb_th == rgb_th and r.n_whole == len(w)
+                assert _same_bytes(r, threshold_red(w, p))
+            sizes.append([len(r) for r in red])
+        assert sizes[0] == sizes[2] and all(n_b < n_a for n_a, n_b in zip(sizes[0], sizes[1]))
+        assert all(not rows.flags.writeable for rows, _ in camera._last_views[2])
 
     def test_other_thresholds_are_refused(self):
         rig = default_rig()

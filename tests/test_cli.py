@@ -79,7 +79,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("case", sorted(UNSAFE_CONFIGS))
     def test_unsafe_config_is_config_error(self, tmp_path, monkeypatch, capsys, command, case):
         payload, key = UNSAFE_CONFIGS[case]
-        cfg_path = write_cfg(tmp_path, {**payload, "sweep": {"offsets_mm": [0]}})
+        cfg_path = write_cfg(tmp_path, {**payload, "sweep": {"offsets_mm": [0], **payload.get("sweep", {})}})
         # no --out: the output directory comes from `name` or `out`, under the working directory
         monkeypatch.chdir(tmp_path)
         argv = [command, "--config", cfg_path] + (["--axis", "offset"] if command == "sweep" else [])
@@ -103,6 +103,11 @@ class TestRunCommand:
         assert "localization_ms" not in metrics  # wall data only in the sidecar
         wall = json.loads((run_dir / "wallclock.json").read_text())
         assert wall["localization_ms"] > 0
+
+    def test_largest_depth_noise_runs(self, tmp_path):
+        # 1e300 m of depth noise is allowed, and every noisy ray stays finite
+        payload = {"scene": FAST_SCENE, "rig": {cam: {"depth_noise_sigma": 1e300} for cam in ("cam1", "cam2")}}
+        assert main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
 
     def test_truth_boxes_have_no_localization_time(self, tmp_path):
         payload = {"name": "mini", "scene": FAST_SCENE, "boxes": {"source": "truth"}, "seeds": [5]}

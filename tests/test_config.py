@@ -28,8 +28,9 @@ PAPER9_SCENE = {"seed": 7, "n_straw": 9, "ripe_fraction": 1.0, "bend_sigma": 0.0
 # configs a run could not survive, and the key each is rejected by: a
 # scene whose surface sampling would allocate terabytes or more (at a
 # high density, around a huge occluder, or along stems 1e300 m long), a
-# directory name holding a NUL byte, and a box offset so large that the
-# distance from a box to its fruit leaves the float range
+# directory name holding a NUL byte, a box offset so large that the
+# distance from a box to its fruit leaves the float range, and a depth
+# noise so large that a noisy ray leaves it
 UNSAFE_CONFIGS = {
     "density": ({"scene": {"seed": 7, "surface_density": 1e15}}, "scene.surface_density"),
     "vast_occluder": ({"scene": {"occluders": [[[-1e150] * 3, [-0.9, 1e150, 1e150]]]}}, "scene.surface_density"),
@@ -49,6 +50,10 @@ UNSAFE_CONFIGS = {
     # each value is > 0, but the speed, their product, underflows to 0 or to a subnormal
     "zero_speed": ({"robot": {"velocity_scale": 5e-324}}, "robot.velocity_scale"),
     "subnormal_speed": ({"robot": {"velocity_scale": 1e-300, "max_speed": 1e-20}}, "robot.velocity_scale"),
+    # each once ended in "cloud contains non-finite positions"
+    "noisy_cam1": ({"rig": {"cam1": {"depth_noise_sigma": 1e308}}}, "rig.cam1.depth_noise_sigma"),
+    "noisy_cam2": ({"rig": {"cam2": {"depth_noise_sigma": 1e308}}}, "rig.cam2.depth_noise_sigma"),
+    "noisy_sweep": ({"sweep": {"noise_sigmas": [1e308]}}, "sweep.noise_sigmas[0]"),
 }
 
 

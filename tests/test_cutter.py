@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from berrypick import cutter
+from berrypick.cli import main
 from berrypick.cutter import (
     DEFAULT_CUT_ENERGY_PER_AREA,
     CutModel,
@@ -76,6 +77,13 @@ class TestToolGeometry:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             ToolGeometry(lens_stroke=0.0)
+
+    def test_drop_bounded_by_a_fall_of_one_hour(self):
+        # at the limit the fall ends at MAX_FALL_S; one ulp more is refused
+        limit = 0.5 * GRAVITY * cutter.MAX_FALL_S * cutter.MAX_FALL_S
+        assert free_fall_detect(ToolGeometry(interrupter_drop=limit), 100.0) == cutter.MAX_FALL_S
+        with pytest.raises(ValueError, match="^interrupter_drop "):
+            ToolGeometry(interrupter_drop=math.nextafter(limit, math.inf))
 
 
 class TestTrapStem:
@@ -216,23 +224,86 @@ class TestBurnEqualsStepLoop:
         assert same_bits(got, (0, 0.0, False))
 
 
+class TestBurnMemo:
+    """`laser_step` memoizes its burn on (energy needed, energy a step,
+    max_steps); a hit gives the bits that the burn computes uncached."""
+
+    @staticmethod
+    def uncached(need, inc, max_steps):
+        # the chunked accumulate of `laser_step`, with no memo
+        steps, acc = 0, 0.0
+        while steps < max_steps:
+            burn = np.full(min(max_steps - steps, cutter.BURN_CHUNK), inc)
+            burn[0] += acc
+            burn = np.add.accumulate(burn)
+            k = int(np.searchsorted(burn, need))
+            if k < len(burn):
+                return steps + k + 1, float(burn[k]), True
+            steps += len(burn)
+            acc = float(burn[-1])
+        return steps, acc, False
+
+    @pytest.mark.parametrize("chunk", [cutter.BURN_CHUNK, 7])
+    def test_hits_equal_the_uncached_burn(self, monkeypatch, chunk):
+        # caps and severing steps on either side of each chunk boundary,
+        # every call made twice: a miss, then a hit
+        monkeypatch.setattr(cutter, "BURN_CHUNK", chunk)
+        fruit, dt = fruit_with_lateral(0.0), 0.0037
+        inc = CUT.laser_power * CUT.duty * dt
+        edges = sorted({max(0, m + d) for m in (0, 1, chunk, 2 * chunk, 3 * chunk) for d in (-1, 0, 1)})
+        calls = 0
+        for cut_at in edges[1:]:
+            need = sequential_burn(CUT, fruit, dt, cut_at, need=math.inf)[1]
+            monkeypatch.setattr(cutter, "required_cut_energy", lambda _cut, _stem: need)
+            for max_steps in edges:
+                want = self.uncached(need, inc, max_steps)
+                assert same_bits(want, sequential_burn(CUT, fruit, dt, max_steps, need=need))
+                for _ in range(2):
+                    assert same_bits(laser_step(CUT, fruit, dt, max_steps), want)
+                calls += 1
+        info = cutter._burn.cache_info()
+        assert (info.misses, info.hits) == (calls, calls)
+
+    def test_key_tells_every_input_apart(self):
+        # power (so the energy a step), dt, stem and cap each change the burn
+        fruit = fruit_with_lateral(0.0)
+        base = laser_step(CUT, fruit, 0.01, 1000)
+        for got in (
+            laser_step(CutModel(laser_power=100.0), fruit, 0.01, 1000),
+            laser_step(CUT, fruit, 0.02, 1000),
+            laser_step(CUT, fruit_with_lateral(0.0, stem_diameter=0.004), 0.01, 1000),
+            laser_step(CUT, fruit, 0.01, 100),
+        ):
+            assert got[0] != base[0]
+        assert laser_step(CUT, fruit, 0.01, 1000) == base
+
+    def test_paper9_stems_burn_once(self, tmp_path):
+        # the nine stems of a paper9 run share one key, and a second run hits it for all nine
+        assert main(["run", "--config", "paper9", "--seed", "1", "--out", str(tmp_path / "a")]) == 0
+        info = cutter._burn.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        assert main(["run", "--config", "paper9", "--seed", "2", "--out", str(tmp_path / "b")]) == 0
+        info = cutter._burn.cache_info()
+        assert (info.misses, info.hits) == (1, 17)
+
+
 class TestFreeFall:
     def test_detect_time_near_closed_form(self):
-        t = free_fall_detect(fruit_with_lateral(0.0), GEOM, 0.01)
+        t = free_fall_detect(GEOM, 0.01)
         exact = fall_time_closed_form(GEOM.interrupter_drop)
         assert exact == pytest.approx(0.10096, abs=1e-4)
         assert 0.0 <= t - exact <= 0.01
 
     def test_tiny_drop_detects_immediately(self):
         geom = ToolGeometry(interrupter_drop=1e-9)
-        t = free_fall_detect(fruit_with_lateral(0.0), geom, 0.01)
+        t = free_fall_detect(geom, 0.01)
         assert t <= 0.01
 
     def test_trace_shape(self):
         # t is on the dt grid and is its first time at which the fall
         # reaches the interrupter
         dt = 0.01
-        t = free_fall_detect(fruit_with_lateral(0.0), GEOM, dt)
+        t = free_fall_detect(GEOM, dt)
         k = int(round(t / dt))
         assert t == k * dt
 
@@ -246,7 +317,7 @@ class TestFreeFall:
         for drop in (0.01, 0.03, 0.05, 0.12):
             geom = ToolGeometry(interrupter_drop=drop)
             for dt in (0.01, 0.005):
-                t = free_fall_detect(fruit_with_lateral(0.0), geom, dt)
+                t = free_fall_detect(geom, dt)
                 assert 0.0 <= t - fall_time_closed_form(drop) <= dt
 
 
