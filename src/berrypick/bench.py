@@ -23,6 +23,8 @@ RED_NOISE_FRACTION = 0.01
 IN_WINDOW_FRACTION = 0.25
 # untimed `localize` calls before the timed reps
 WARMUP = 2
+# the largest merged cloud `berrypick bench --size` builds, ~0.9 GB at its peak
+MAX_SIZE = 10**7
 
 
 def blob_centers(params: LocalizationParams) -> list[Vec3]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import run_bench
+from .bench import MAX_SIZE, run_bench
 from .camera import capture_rig
 from .config import (
     SWEEP_AXES,
@@ -337,16 +337,17 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo (1 for counts, 0 for seeds)."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo (1 for counts, 0 for seeds), and <= hi if given."""
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi:,}]"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = lo - 1
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
         return value
 
     return parse
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_bench = sub.add_parser("bench", help="time the localization pipeline on synthetic clouds")
-    p_bench.add_argument("--size", type=_int_at_least(1), required=True, help="total merged cloud size")
+    p_bench.add_argument("--size", type=_int_at_least(1, MAX_SIZE), required=True, help="total merged cloud size")
     p_bench.add_argument("--reps", type=_int_at_least(1), default=20)
     p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--config", default=None)

@@ -49,9 +49,6 @@ CONFIG_VERSION = 1
 
 _UNIT_SCALE = {"m": 1.0, "cm": 0.01, "mm": 0.001}
 
-# timesteps a laser cut may take, laser_timeout / dt
-MAX_TIMESTEPS = 10**7
-
 _ROBOT = inspect.signature(RobotState).parameters
 
 # Each default below is read from the component that consumes it; only
@@ -77,13 +74,7 @@ DEFAULTS: dict = {
         "workspace_margin": 0.10,
     },
     "tool": asdict(ToolGeometry()),
-    "cut": {
-        "laser_power": CutModel().laser_power,
-        "cut_energy_per_area": None,
-        "duty": None,
-        "dt": 0.01,  # simulation timestep, s
-        "laser_timeout": 10.0,  # s
-    },
+    "cut": asdict(CutModel()),
     "boxes": {
         "source": "cameras",
         "offset": [0.0, 0.0, 0.0],
@@ -237,16 +228,8 @@ def _validate(cfg: dict) -> None:
 
     _require(cfg["robot"]["workspace_margin"] >= 0, "robot.workspace_margin", "must be >= 0")
 
-    ct = cfg["cut"]
     for key in ("cut_energy_per_area", "duty"):
-        _require(ct[key] is None or _is_finite(ct[key]), f"cut.{key}", "must be a finite number or null")
-    for key in ("dt", "laser_timeout"):
-        _require(ct[key] > 0, f"cut.{key}", "must be > 0")
-    # `laser_step` burns up to this many timesteps a cut, so `dt` sets a run's cost
-    _require(
-        ct["laser_timeout"] / ct["dt"] <= MAX_TIMESTEPS, "cut.dt",
-        f"must leave laser_timeout / dt at most {MAX_TIMESTEPS:,} timesteps (laser_timeout {ct['laser_timeout']:g} s)",
-    )
+        _require(cfg["cut"][key] is None or _is_finite(cfg["cut"][key]), f"cut.{key}", "must be a finite number or null")
 
     _require(cfg["boxes"]["source"] in ("cameras", "truth"), "boxes.source", "must be 'cameras' or 'truth'")
 
@@ -398,11 +381,9 @@ def build_tool(cfg: dict) -> ToolGeometry:
         return ToolGeometry(**cfg["tool"])
 
 
-def build_cut(cfg: dict) -> tuple[CutModel, bool]:
-    ct = cfg["cut"]
-    kwargs = {key: ct[key] for key in ("laser_power", "cut_energy_per_area", "duty") if ct[key] is not None}
+def build_cut(cfg: dict) -> CutModel:
     with _keyed("cut"):
-        return CutModel(**kwargs), ct["duty"] is None
+        return CutModel(**cfg["cut"])
 
 
 def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> None:
@@ -467,7 +448,7 @@ def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     _require_offset_in_workspace(box_offset, robot.workspace)
     scene = build_scene(cfg, run_seed)
     _require_ripe_in_view(cfg, scene, params)
-    cut, derive_duty = build_cut(cfg)
+    cut = build_cut(cfg)
     return BuiltScenario(
         scene=scene,
         rig=build_rig(cfg),
@@ -475,9 +456,6 @@ def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
         robot=robot,
         geom=build_tool(cfg),
         cut=cut,
-        derive_duty=derive_duty,
-        dt=cfg["cut"]["dt"],
-        laser_timeout=cfg["cut"]["laser_timeout"],
         box_source=cfg["boxes"]["source"],
         box_offset=box_offset,
     )

@@ -6,7 +6,7 @@ every box in ascending-y order: descend, align in x/y, ascend around the
 fruit, trap the stem, burn until a photo interrupter reports the falling
 fruit, release, and move on. The trailing move returns to HOME. Every
 fruit falls the same height to the interrupter, so a run finds the fall
-time once, at its first cut.
+time once, before its first cycle.
 
 A run reads one `BuiltScenario`, which `config.build_scenario` assembles
 from a resolved config and a run seed. Its ripe set is the ripe fruit
@@ -44,7 +44,6 @@ from .cutter import (
     CutModel,
     ToolGeometry,
     ToolState,
-    duty_for_stem,
     free_fall_detect,
     laser_step,
     trap_stem,
@@ -169,9 +168,6 @@ class BuiltScenario:
     robot: RobotState
     geom: ToolGeometry
     cut: CutModel
-    derive_duty: bool
-    dt: float
-    laser_timeout: float
     box_source: str
     box_offset: Vec3
 
@@ -186,7 +182,8 @@ def run_harvest(
     milliseconds of its `localize` call (None for ground-truth boxes). The
     fruit to harvest are the ripe ones inside the robot's workspace."""
     scene, robot, offset = built.scene, built.robot, built.box_offset
-    dt, laser_timeout = built.dt, built.laser_timeout
+    cut, geom = built.cut, built.geom
+    fall_t = free_fall_detect(geom, cut.dt)
     log = HarvestEventLog()
     ctl = _PhaseTracker()
     ripe = [s for s in scene.strawberries if s.ripe and robot.workspace.contains(s.center)]
@@ -240,7 +237,6 @@ def run_harvest(
     tool = ToolState()
 
     hanging = list(ripe)
-    fall_t = None  # the fall time, found at the first cut
     for box in boxes:
         fruit = _match_fruit(hanging, box)
         fid = fruit.id if fruit is not None else -1
@@ -263,23 +259,18 @@ def run_harvest(
             log.append(t, "trap", fruit=fid, outcome="missed", lateral_error=None)
             trapped = False
         else:
-            trap = trap_stem(pos, fruit, built.geom)
+            trap = trap_stem(pos, fruit, geom)
             log.append(t, "trap", fruit=fid, outcome=trap.outcome, lateral_error=trap.lateral_error)
             trapped = trap.outcome != "missed"
 
         cut_time, outcome = 0.0, "missed_trap"
         if trapped:
             ctl.advance(ControllerPhase.CUT)
-            cut = built.cut
-            if built.derive_duty:
-                cut = CutModel(cut.laser_power, cut.cut_energy_per_area, duty_for_stem(fruit.stem_diameter, built.geom))
             tool.set_laser(True)
             log.append(t, "laser_on", fruit=fid, energy=0.0)
-            steps, acc, done = laser_step(cut, fruit, dt, int(round(laser_timeout / dt)))
-            burn = steps * dt
-            if done and fall_t is None:
-                fall_t = free_fall_detect(built.geom, dt)
-            if done and burn + fall_t <= laser_timeout:
+            steps, acc, done = laser_step(cut, fruit, geom)
+            burn = steps * cut.dt
+            if done and burn + fall_t <= cut.laser_timeout:
                 t_cut = t + burn
                 log.append(t_cut, "cut_done", fruit=fid, energy=acc)
                 t = t_cut + fall_t
@@ -287,7 +278,7 @@ def run_harvest(
                 log.append(t, "detach_detect", fruit=fid, energy=acc, ir=[False, True])
                 cut_time, outcome = burn, "harvested"
             else:
-                t += laser_timeout
+                t += cut.laser_timeout
                 log.append(t, "laser_timeout", fruit=fid, energy=acc)
                 cut_time, outcome = (burn if done else 0.0), "not_detected"
             tool.set_laser(False)

@@ -8,7 +8,8 @@ once the accumulated energy reaches an area-scaled threshold. The default
 energy constant is calibrated so a 3 mm stem under the default 50 W source
 severs in 2.3 s; cut time then scales inversely with power. A detached
 fruit falls from rest and is reported when it crosses the photo
-interrupter beams below the groove.
+interrupter beams below the groove; its detection time has a closed form,
+so a run finds it once, in O(1), for all its cuts.
 
 A burn depends on nothing but the energy the stem needs, the energy one
 timestep adds and the step cap, so it is memoized on those three values:
@@ -42,6 +43,9 @@ TRAP_EPS = 1e-12
 # calibration anchor: 3 mm stem, 50 W, duty 0.5 severs in 2.3 s
 DEFAULT_CUT_ENERGY_PER_AREA = 2.3 * 50.0 * 0.5 / (math.pi * 0.0015**2)
 
+# timesteps a laser cut may take, laser_timeout / dt
+MAX_TIMESTEPS = 10**7
+
 
 @dataclass(frozen=True)
 class ToolGeometry:
@@ -63,28 +67,48 @@ class ToolGeometry:
 
 @dataclass(frozen=True)
 class CutModel:
+    """The laser cut, the config's `cut` section field for field. A null
+    `cut_energy_per_area` is `DEFAULT_CUT_ENERGY_PER_AREA`, and a null
+    `duty` is derived per stem (`stem_duty`)."""
+
     laser_power: float = 50.0
-    cut_energy_per_area: float = DEFAULT_CUT_ENERGY_PER_AREA
-    duty: float = 0.5
+    cut_energy_per_area: float | None = None
+    duty: float | None = None
+    dt: float = 0.01  # simulation timestep, s
+    laser_timeout: float = 10.0  # s
 
     def __post_init__(self):
         if self.laser_power <= 0:
             raise ValueError("laser_power must be positive")
-        if not 0.0 < self.duty <= 1.0:
+        if self.duty is not None and not 0.0 < self.duty <= 1.0:
             raise ValueError(f"duty must be in (0, 1], got {self.duty}")
-        if self.cut_energy_per_area <= 0:
+        if self.cut_energy_per_area is not None and self.cut_energy_per_area <= 0:
             raise ValueError("cut_energy_per_area must be positive")
+        for name in ("dt", "laser_timeout"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        # `laser_step` burns up to this many timesteps a cut, so `dt` sets a run's cost
+        if self.laser_timeout / self.dt > MAX_TIMESTEPS:
+            raise ValueError(
+                f"dt must leave laser_timeout / dt at most {MAX_TIMESTEPS:,} timesteps"
+                f" (laser_timeout {self.laser_timeout:g} s)"
+            )
+
+    @property
+    def max_steps(self) -> int:
+        """The timesteps a cut burns at most."""
+        return int(round(self.laser_timeout / self.dt))
+
+    def stem_duty(self, stem: StrawberryTruth, geom: ToolGeometry) -> float:
+        """`duty`, or where it is null the fraction of each lens stroke spent
+        crossing the stem cross-section."""
+        return min(1.0, stem.stem_diameter / geom.lens_stroke) if self.duty is None else self.duty
 
 
 @dataclass(frozen=True)
 class TrapResult:
     outcome: Literal["trapped", "missed"]
     lateral_error: float
-
-
-def duty_for_stem(stem_diameter: float, geom: ToolGeometry) -> float:
-    """Fraction of each lens stroke spent crossing the stem cross-section."""
-    return min(1.0, stem_diameter / geom.lens_stroke)
 
 
 def stem_y_at_height(fruit: StrawberryTruth, z: float) -> float:
@@ -112,7 +136,8 @@ def trap_stem(tool_pos: Vec3, fruit: StrawberryTruth, geom: ToolGeometry) -> Tra
 
 def required_cut_energy(cut: CutModel, stem: StrawberryTruth) -> float:
     """Energy needed to sever the stem, scaled by its cross-section area."""
-    return cut.cut_energy_per_area * math.pi * (stem.stem_diameter / 2.0) ** 2
+    per_area = DEFAULT_CUT_ENERGY_PER_AREA if cut.cut_energy_per_area is None else cut.cut_energy_per_area
+    return per_area * math.pi * (stem.stem_diameter / 2.0) ** 2
 
 
 # timesteps one accumulate of `laser_step` sums at most; a longer burn
@@ -120,24 +145,18 @@ def required_cut_energy(cut: CutModel, stem: StrawberryTruth) -> float:
 BURN_CHUNK = 4096
 
 
-def laser_step(
-    cut: CutModel, stem: StrawberryTruth, dt: float, max_steps: int
-) -> tuple[int, float, bool]:
-    """Burn the stem for at most `max_steps` timesteps of `dt`, stopping at
-    the first step whose accumulated energy reaches `required_cut_energy`;
-    returns (steps burned, energy, severed).
+def laser_step(cut: CutModel, stem: StrawberryTruth, geom: ToolGeometry) -> tuple[int, float, bool]:
+    """Burn the stem at its duty for at most `cut.max_steps` timesteps of
+    `cut.dt`, stopping at the first step whose accumulated energy reaches
+    `required_cut_energy`; returns (steps burned, energy, severed).
 
     The energy is, bit for bit, that of adding power * duty * dt once per
     step from zero: `np.add.accumulate` sums in order, and each chunk
     starts from the last one's total. The burn is memoized on (energy
-    needed, power * duty * dt, max_steps), its whole input, so a stem like
-    one burned before costs a cache lookup; the values are >= 0, and equal
-    non-negative floats have equal bits, so a hit returns what the burn
-    would compute.
+    needed, power * duty * dt, max_steps), its whole input.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return _burn(required_cut_energy(cut, stem), cut.laser_power * cut.duty * dt, max_steps)
+    inc = cut.laser_power * cut.stem_duty(stem, geom) * cut.dt
+    return _burn(required_cut_energy(cut, stem), inc, cut.max_steps)
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,20 +182,24 @@ def _burn(need: float, inc: float, max_steps: int) -> tuple[int, float, bool]:
 def free_fall_detect(geom: ToolGeometry, dt: float) -> float:
     """Drop a severed fruit from rest and sample the interrupter at dt.
 
-    Returns the detection time: the first multiple of dt at which the fall
-    reaches interrupter_drop, within one dt of the closed form
-    sqrt(2 * interrupter_drop / g). The fruit does not enter it, so a run
-    finds it once for all its cuts. `ToolGeometry` bounds the drop to a
-    fall of `MAX_FALL_S`.
+    Returns the detection time: the first multiple k * dt at which the
+    fall 0.5 * g * t * t reaches interrupter_drop. The search starts at the
+    closed form sqrt(2 * interrupter_drop / g) / dt and steps to that k;
+    the test never turns false as k grows, so this is the k of sampling
+    from t = 0, found in a few steps. Past 2**53 steps, where k * dt no
+    longer tells steps apart, the closed form itself is returned. The
+    fruit does not enter it, so a run finds it once for all its cuts.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k = 0
-    while True:
-        t = k * dt
-        if 0.5 * GRAVITY * t * t >= geom.interrupter_drop:
-            return t
+    drop = geom.interrupter_drop
+    t_fall = math.sqrt(2.0 * drop / GRAVITY)
+    if not t_fall / dt <= 2**53:  # inf for a subnormal dt
+        return t_fall
+    k = int(t_fall / dt)
+    while k > 0 and 0.5 * GRAVITY * ((k - 1) * dt) * ((k - 1) * dt) >= drop:
+        k -= 1
+    while 0.5 * GRAVITY * (k * dt) * (k * dt) < drop:
         k += 1
+    return k * dt
 
 
 class ToolState:

@@ -58,7 +58,8 @@ class RobotState:
             h, lo, hi = self.home, self.workspace.min, self.workspace.max
             raise ValueError(
                 f"home ({h.x:g}, {h.y:g}, {h.z:g}) must lie within the workspace"
-                f" [{lo.x:g}, {hi.x:g}] x [{lo.y:g}, {hi.y:g}] x [{lo.z:g}, {hi.z:g}] m"
+                f" [{lo.x:g}, {hi.x:g}] x [{lo.y:g}, {hi.y:g}] x [{lo.z:g}, {hi.z:g}] m,"
+                " the localization crop window inflated by robot.workspace_margin"
             )
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written without reusing the package's
 algorithms: clustering runs a full O(n^2) pairwise union-find, filters are
-plain Python loops, and physics checks use closed forms. The camera
-reference is the straightforward renderer (slab-test every sample, then
-clip to the frustum) that the culling renderer must match bit for bit.
+plain Python loops, and physics checks use closed forms or step one
+timestep at a time. The camera reference is the straightforward renderer
+(slab-test every sample, then clip to the frustum) that the culling
+renderer must match bit for bit.
 Box face codes are read off each sample's coordinates, not off the face
 the sampler drew it on. The sensor reference keeps the out-of-place
 formula the in-place sensor must match, and the event log reference
@@ -94,6 +95,17 @@ def ray_hits_box(origin, direction, t_max, lo, hi) -> bool:
 
 def fall_time_closed_form(drop: float, g: float = 9.81) -> float:
     return math.sqrt(2.0 * drop / g)
+
+
+def fall_time_stepped(drop: float, dt: float, g: float = 9.81) -> float:
+    """The first multiple of dt at which a fall from rest reaches `drop`,
+    sampled one timestep at a time from t = 0."""
+    k = 0
+    while True:
+        t = k * dt
+        if 0.5 * g * t * t >= drop:
+            return t
+        k += 1
 
 
 def cut_time_closed_form(power: float, duty: float, energy_per_area: float, stem_diameter: float) -> float:

@@ -16,7 +16,6 @@ from berrypick.camera import capture_rig, default_rig
 from berrypick.cli import apply_sweep_value, resolve_config_arg, run_one
 from berrypick.config import build_scenario
 from berrypick.controller import cycle_metrics, run_harvest
-from berrypick.cutter import CutModel
 from berrypick.geometry import ColoredPointCloud
 from berrypick.localization import LocalizationParams, cluster_indices, localize
 
@@ -350,8 +349,8 @@ def test_c8_state_machine_safety(robustness_sweep, paper9_run):
     # config-abuse path: cut that cannot finish within the laser cap
     cfg = resolve_config_arg("robustness")
     built = build_scenario(cfg, 1)
-    weak = CutModel(laser_power=0.001)
-    timeout_log, _ = run_harvest(replace(built, cut=weak, laser_timeout=2.0), 1)
+    weak = replace(built.cut, laser_power=0.001, laser_timeout=2.0)
+    timeout_log, _ = run_harvest(replace(built, cut=weak), 1)
     violations.extend(_scan_safety(timeout_log))
     n_logs += 1
     if not all(c["outcome"] == "not_detected" for c in timeout_log.events("cycle")):

@@ -109,6 +109,16 @@ class TestRunCommand:
         payload = {"scene": FAST_SCENE, "rig": {cam: {"depth_noise_sigma": 1e300} for cam in ("cam1", "cam2")}}
         assert main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
 
+    def test_fall_past_the_cut_budget_finishes(self, tmp_path):
+        # 1e11 timesteps of fall at dt 1e-12 s, against a cut budget of 5e6:
+        # every stem severs at once, and no fall is seen within laser_timeout
+        payload = {"scene": {"seed": 7}, "cut": {"dt": 1e-12, "laser_timeout": 5e-6, "cut_energy_per_area": 1e-300}}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+        records = map(json.loads, (out / "seed1" / "events.jsonl").read_text().splitlines())
+        cycles = [r for r in records if r["event"] == "cycle"]
+        assert len(cycles) == 9 and all(c["outcome"] == "not_detected" for c in cycles)
+
     def test_truth_boxes_have_no_localization_time(self, tmp_path):
         payload = {"name": "mini", "scene": FAST_SCENE, "boxes": {"source": "truth"}, "seeds": [5]}
         out = tmp_path / "out"
@@ -577,6 +587,9 @@ class TestBenchCommand:
         (["--size", "10", "--reps", "0"], "--reps"),
         (["--size", "10", "--reps", "-1"], "--reps"),
         (["--size", "10", "--seed", "-1"], "--seed"),
+        # a cloud of more than 10**7 points, which could exhaust memory
+        (["--size", "10000001"], "--size"),
+        (["--size", "1000000000000000"], "--size"),
     ])
     def test_bad_count_flag_exits_2(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:

@@ -2,13 +2,13 @@ import copy
 import json
 import math
 import re
+from dataclasses import asdict
 
 import pytest
 
 from berrypick.camera import MAX_BINS, capture_rig
 from berrypick.config import (
     DEFAULTS,
-    MAX_TIMESTEPS,
     build_cut,
     build_localization,
     build_rig,
@@ -19,6 +19,7 @@ from berrypick.config import (
     load_config,
     resolve_config,
 )
+from berrypick.cutter import MAX_TIMESTEPS, CutModel
 from berrypick.errors import ConfigError
 from berrypick.scene import MAX_SURFACE_SAMPLES
 
@@ -313,6 +314,12 @@ class TestBuilders:
         p = build_localization(resolve_config({}))
         assert (p.s_min, p.s_max) == (20, 1000)
 
+    @pytest.mark.parametrize("payload", [{"localization": {"y_minus": 0}}, {"robot": {"workspace_margin": 0}}])
+    def test_home_outside_the_workspace_names_what_builds_it(self, payload):
+        # the rule is robot.home's, and the workspace is built from two other keys
+        with pytest.raises(ConfigError, match=r"^robot\.home .*, the localization crop window inflated by robot\.workspace_margin$"):
+            resolve_config(payload)
+
     def test_build_robot_workspace_margin(self):
         cfg = resolve_config({})
         robot = build_robot(cfg)
@@ -321,16 +328,15 @@ class TestBuilders:
         assert robot.workspace.max.z == pytest.approx(loc["z_plus"] + 0.10)
 
     def test_build_cut_duty_modes(self):
-        cut, derive = build_cut(resolve_config({}))
-        assert derive is True
-        cut2, derive2 = build_cut(resolve_config({"cut": {"duty": 0.8}}))
-        assert derive2 is False
-        assert cut2.duty == 0.8
+        # field for field: a null duty stays null, to be derived per stem
+        assert build_cut(resolve_config({})) == CutModel()
+        cfg = resolve_config({"cut": {"duty": 0.8, "dt": 0.02}})
+        assert asdict(build_cut(cfg)) == cfg["cut"]
+        assert DEFAULTS["cut"] == asdict(CutModel())
 
     def test_build_scenario_bundle(self):
         built = build_scenario(resolve_config({}), 1)
-        assert built.dt == 0.01
-        assert built.laser_timeout == 10.0
+        assert (built.cut.dt, built.cut.laser_timeout) == (0.01, 10.0)
         assert built.box_source == "cameras"
 
 

@@ -35,12 +35,8 @@ def quiet_rig():
     return CameraRig(*(replace(cam, depth_noise_sigma=0.0, dropout_rate=0.0) for cam in (rig.cam1, rig.cam2)))
 
 
-def built_for(scene, rig=None, robot=ROBOT, cut=CUT, box_source="cameras",
-              box_offset=Vec3(0.0, 0.0, 0.0), laser_timeout=10.0):
-    return BuiltScenario(
-        scene, rig or quiet_rig(), PARAMS, robot, GEOM, cut, derive_duty=True, dt=0.01,
-        laser_timeout=laser_timeout, box_source=box_source, box_offset=box_offset,
-    )
+def built_for(scene, rig=None, robot=ROBOT, cut=CUT, box_source="cameras", box_offset=Vec3(0.0, 0.0, 0.0)):
+    return BuiltScenario(scene, rig or quiet_rig(), PARAMS, robot, GEOM, cut, box_source, box_offset)
 
 
 def run(scene, seed=1, **kwargs):
@@ -140,8 +136,8 @@ class TestAccounting:
         # robustness offset_20_seed1: every trap misses
         missed, _ = run_harvest(build_scenario(apply_sweep_value(resolve_config_arg("robustness"), "offset", 20), 1), 1)
         assert outcomes(missed) == ["missed_trap"] * 5
-        timed_out = run(generate_scene(5, 3, 1.0, 0.0), cut=CutModel(laser_power=0.001), box_source="truth",
-                        laser_timeout=2.0)
+        timed_out = run(generate_scene(5, 3, 1.0, 0.0), cut=CutModel(laser_power=0.001, laser_timeout=2.0),
+                        box_source="truth")
         assert outcomes(timed_out) == ["not_detected"] * 3
         for log in (harvested, mixed, missed, timed_out):
             home_durs = sum(r["dur"] for r in log.events("home"))
@@ -226,8 +222,8 @@ class TestSafety:
 class TestNotDetected:
     def test_uncuttable_stem_times_out(self):
         scene = generate_scene(5, 1, 1.0, 0.0)
-        tough = CutModel(laser_power=0.001)
-        log = run(scene, cut=tough, box_source="truth", laser_timeout=2.0)
+        tough = CutModel(laser_power=0.001, laser_timeout=2.0)
+        log = run(scene, cut=tough, box_source="truth")
         assert outcomes(log) == ["not_detected"]
         assert len(log.events("laser_timeout")) == 1
         assert log.events("detach_detect") == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from berrypick import cutter
 from berrypick.cli import main
 from berrypick.cutter import (
     DEFAULT_CUT_ENERGY_PER_AREA,
-    CutModel,
     GRAVITY,
+    MAX_TIMESTEPS,
+    CutModel,
     ToolGeometry,
     ToolState,
-    duty_for_stem,
     free_fall_detect,
     laser_step,
     required_cut_energy,
@@ -22,10 +23,10 @@ from berrypick.errors import StateError
 from berrypick.geometry import Vec3
 from berrypick.scene import StrawberryTruth
 
-from oracles import cut_time_closed_form, fall_time_closed_form
+from oracles import cut_time_closed_form, fall_time_closed_form, fall_time_stepped
 
 GEOM = ToolGeometry()
-CUT = CutModel()
+CUT = CutModel(duty=0.5)
 
 
 def fruit_with_lateral(offset_y, stem_diameter=0.003):
@@ -41,8 +42,15 @@ def fruit_with_lateral(offset_y, stem_diameter=0.003):
     )
 
 
+def capped(cut, dt, max_steps):
+    """`cut` burning at most `max_steps` timesteps of `dt`."""
+    cut = replace(cut, dt=dt, laser_timeout=max_steps * dt if max_steps else dt / 4)
+    assert cut.max_steps == max_steps
+    return cut
+
+
 def run_cut_loop(cut, fruit, dt=0.01, cap=100.0):
-    steps, acc, done = laser_step(cut, fruit, dt, int(cap / dt) - 1)
+    steps, acc, done = laser_step(capped(cut, dt, int(cap / dt) - 1), fruit, GEOM)
     assert done and steps * dt < cap
     return steps * dt, acc
 
@@ -84,6 +92,21 @@ class TestToolGeometry:
         assert free_fall_detect(ToolGeometry(interrupter_drop=limit), 100.0) == cutter.MAX_FALL_S
         with pytest.raises(ValueError, match="^interrupter_drop "):
             ToolGeometry(interrupter_drop=math.nextafter(limit, math.inf))
+
+
+class TestCutModel:
+    @pytest.mark.parametrize("fields, field", [
+        ({"laser_power": 0.0}, "laser_power"),
+        ({"duty": 0.0}, "duty"),
+        ({"duty": 1.5}, "duty"),
+        ({"cut_energy_per_area": -1.0}, "cut_energy_per_area"),
+        ({"laser_timeout": 0.0}, "laser_timeout"),
+        ({"dt": 1.0, "laser_timeout": MAX_TIMESTEPS + 1.0}, "dt"),
+        ({"dt": 5e-324}, "dt"),
+    ])
+    def test_rules_name_their_field(self, fields, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            CutModel(**fields)
 
 
 class TestTrapStem:
@@ -135,36 +158,39 @@ class TestLaserCut:
         assert acc >= required_cut_energy(CUT, fruit_with_lateral(0.0))
 
     def test_double_power_halves_time(self):
-        t50, _ = run_cut_loop(CutModel(laser_power=50.0), fruit_with_lateral(0.0))
-        t100, _ = run_cut_loop(CutModel(laser_power=100.0), fruit_with_lateral(0.0))
+        t50, _ = run_cut_loop(replace(CUT, laser_power=50.0), fruit_with_lateral(0.0))
+        t100, _ = run_cut_loop(replace(CUT, laser_power=100.0), fruit_with_lateral(0.0))
         assert abs(t100 - 1.15) <= 0.01
         assert t50 == pytest.approx(2.0 * t100, abs=0.01)
 
     def test_stepped_matches_closed_form(self):
         for dt in (0.01, 0.002, 0.05):
             for power in (25.0, 50.0, 80.0):
-                cut = CutModel(laser_power=power)
+                cut = replace(CUT, laser_power=power)
                 t, _ = run_cut_loop(cut, fruit_with_lateral(0.0), dt=dt)
-                exact = cut_time_closed_form(power, cut.duty, cut.cut_energy_per_area, 0.003)
+                exact = cut_time_closed_form(power, cut.duty, DEFAULT_CUT_ENERGY_PER_AREA, 0.003)
                 assert 0.0 <= t - exact <= dt + 1e-12
 
     def test_accumulation_monotone(self):
         prev = 0.0
         for k in range(1, 101):
-            steps, acc, done = laser_step(CUT, fruit_with_lateral(0.0), 0.01, k)
+            steps, acc, done = laser_step(capped(CUT, 0.01, k), fruit_with_lateral(0.0), GEOM)
             assert (steps, done) == (k, False)
             assert acc > prev
             prev = acc
 
     def test_dt_validation(self):
         for dt in (0.0, -0.01):
-            for max_steps in (0, 10):
-                with pytest.raises(ValueError):
-                    laser_step(CUT, fruit_with_lateral(0.0), dt, max_steps)
+            with pytest.raises(ValueError, match="^dt must be > 0"):
+                CutModel(dt=dt)
 
     def test_duty_for_stem(self):
-        assert duty_for_stem(0.003, GEOM) == pytest.approx(0.5)
-        assert duty_for_stem(0.012, GEOM) == 1.0
+        # a null duty is the stem's share of a lens stroke, at most 1 (a
+        # 2 mm stroke is shorter than a 3 mm stem); a set one is itself
+        fruit = fruit_with_lateral(0.0)
+        assert CutModel().stem_duty(fruit, GEOM) == pytest.approx(0.5)
+        assert CutModel().stem_duty(fruit, ToolGeometry(lens_stroke=0.002)) == 1.0
+        assert CutModel(duty=0.25).stem_duty(fruit, GEOM) == 0.25
 
     def test_default_energy_constant_calibration(self):
         # the shipped constant makes the nominal 3 mm stem need exactly
@@ -191,7 +217,7 @@ class TestBurnEqualsStepLoop:
             dt = float(10.0 ** rng.uniform(-3.5, -1.0))
             need_steps = required_cut_energy(cut, fruit) / (cut.laser_power * cut.duty * dt)
             max_steps = int(rng.integers(0, int(2 * need_steps) + 2))
-            got = laser_step(cut, fruit, dt, max_steps)
+            got = laser_step(capped(cut, dt, max_steps), fruit, GEOM)
             assert same_bits(got, sequential_burn(cut, fruit, dt, max_steps))
             outcomes.add(got[2])
         assert outcomes == {True, False}
@@ -207,20 +233,20 @@ class TestBurnEqualsStepLoop:
             energy = sequential_burn(CUT, fruit, dt, k, need=math.inf)[1]
             for need, steps in ((energy, k), (math.nextafter(energy, 0.0), k), (math.nextafter(energy, math.inf), k + 1)):
                 monkeypatch.setattr(cutter, "required_cut_energy", lambda _cut, _stem: need)
-                got = laser_step(CUT, fruit, dt, 5000)
+                got = laser_step(capped(CUT, dt, 5000), fruit, GEOM)
                 assert got[0] == steps and got[2]
                 assert same_bits(got, sequential_burn(CUT, fruit, dt, 5000, need=need))
 
     def test_timeout(self):
         fruit = fruit_with_lateral(0.0)
-        got = laser_step(CUT, fruit, 0.01, 229)
+        got = laser_step(capped(CUT, 0.01, 229), fruit, GEOM)
         assert got[0] == 229 and not got[2]
         assert got[1] < required_cut_energy(CUT, fruit)
         assert same_bits(got, sequential_burn(CUT, fruit, 0.01, 229))
-        assert laser_step(CUT, fruit, 0.01, 230)[2]
+        assert laser_step(capped(CUT, 0.01, 230), fruit, GEOM)[2]
 
     def test_zero_steps(self):
-        got = laser_step(CUT, fruit_with_lateral(0.0), 0.01, 0)
+        got = laser_step(capped(CUT, 0.01, 0), fruit_with_lateral(0.0), GEOM)
         assert same_bits(got, (0, 0.0, False))
 
 
@@ -259,7 +285,7 @@ class TestBurnMemo:
                 want = self.uncached(need, inc, max_steps)
                 assert same_bits(want, sequential_burn(CUT, fruit, dt, max_steps, need=need))
                 for _ in range(2):
-                    assert same_bits(laser_step(CUT, fruit, dt, max_steps), want)
+                    assert same_bits(laser_step(capped(CUT, dt, max_steps), fruit, GEOM), want)
                 calls += 1
         info = cutter._burn.cache_info()
         assert (info.misses, info.hits) == (calls, calls)
@@ -267,15 +293,15 @@ class TestBurnMemo:
     def test_key_tells_every_input_apart(self):
         # power (so the energy a step), dt, stem and cap each change the burn
         fruit = fruit_with_lateral(0.0)
-        base = laser_step(CUT, fruit, 0.01, 1000)
+        base = laser_step(capped(CUT, 0.01, 1000), fruit, GEOM)
         for got in (
-            laser_step(CutModel(laser_power=100.0), fruit, 0.01, 1000),
-            laser_step(CUT, fruit, 0.02, 1000),
-            laser_step(CUT, fruit_with_lateral(0.0, stem_diameter=0.004), 0.01, 1000),
-            laser_step(CUT, fruit, 0.01, 100),
+            laser_step(capped(replace(CUT, laser_power=100.0), 0.01, 1000), fruit, GEOM),
+            laser_step(capped(CUT, 0.02, 1000), fruit, GEOM),
+            laser_step(capped(CUT, 0.01, 1000), fruit_with_lateral(0.0, stem_diameter=0.004), GEOM),
+            laser_step(capped(CUT, 0.01, 100), fruit, GEOM),
         ):
             assert got[0] != base[0]
-        assert laser_step(CUT, fruit, 0.01, 1000) == base
+        assert laser_step(capped(CUT, 0.01, 1000), fruit, GEOM) == base
 
     def test_paper9_stems_burn_once(self, tmp_path):
         # the nine stems of a paper9 run share one key, and a second run hits it for all nine
@@ -312,6 +338,40 @@ class TestFreeFall:
 
         assert fall(k) >= GEOM.interrupter_drop
         assert all(fall(j) < GEOM.interrupter_drop for j in range(k))
+
+    def test_equals_the_stepped_fall(self):
+        # the same bits as sampling every timestep from t = 0, on a grid of
+        # drops (the longest fall 1.4 s, 14,000 steps of 1e-4 s) and timesteps
+        for drop in (1e-9, 1e-4, 0.003, 0.01, 0.05, 0.1234, 1.0, 10.0):
+            geom = ToolGeometry(interrupter_drop=drop)
+            for dt in (1e-4, 3.7e-4, 0.001, 0.0037, 0.01, 0.02, 0.05, 0.3, 1.0, 100.0):
+                assert free_fall_detect(geom, dt).hex() == fall_time_stepped(drop, dt).hex(), (drop, dt)
+
+    def test_first_reaching_step_of_long_falls(self):
+        # up to 2**53 timesteps, too many to step through: the time is that of
+        # the first step whose fall reaches the drop. Near 2**53 the closed
+        # form can start past that step, and neighbouring steps share a time
+        def fall(k, dt):
+            return 0.5 * GRAVITY * (k * dt) * (k * dt)
+
+        rng = np.random.default_rng(3)
+        for drop, dt in zip(10.0 ** rng.uniform(-6, 1, 20000), 10.0 ** rng.uniform(-16.5, -4, 20000)):
+            drop, dt = float(drop), float(dt)
+            if fall_time_closed_form(drop) / dt > 2**53:
+                continue
+            t = free_fall_detect(ToolGeometry(interrupter_drop=drop), dt)
+            near = round(t / dt)
+            k = min(j for j in range(near - 8, near + 9) if j * dt == t)
+            assert fall(k, dt) >= drop > fall(k - 1, dt), (drop, dt)
+
+    def test_tiny_dt_is_constant_time(self):
+        # 1e11 timesteps to the interrupter at dt 1e-12 s; below 2**53 steps
+        # the fall is still the first multiple of dt, past them the closed form
+        exact = fall_time_closed_form(GEOM.interrupter_drop)
+        k = round(free_fall_detect(GEOM, 1e-12) / 1e-12)
+        assert 0.5 * GRAVITY * (k * 1e-12) ** 2 >= GEOM.interrupter_drop > 0.5 * GRAVITY * ((k - 1) * 1e-12) ** 2
+        for dt in (1e-17, 1e-300, 1e-310, 5e-324):
+            assert free_fall_detect(GEOM, dt) == exact
 
     def test_various_drops_within_one_dt(self):
         for drop in (0.01, 0.03, 0.05, 0.12):
