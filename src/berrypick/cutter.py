@@ -33,9 +33,6 @@ from .scene import StrawberryTruth
 
 GRAVITY = 9.81
 
-# the longest fall the photo interrupter waits for, s
-MAX_FALL_S = 3600.0
-
 # guards exact-boundary lateral offsets against last-ulp rounding in the
 # box midpoint arithmetic; three orders of magnitude below any physical scale
 TRAP_EPS = 1e-12
@@ -61,8 +58,6 @@ class ToolGeometry:
                 raise ValueError(f"{name} must be positive")
         if self.trapper_width > self.groove_width:
             raise ValueError("trapper_width must be <= groove_width")
-        if 0.5 * GRAVITY * MAX_FALL_S * MAX_FALL_S < self.interrupter_drop:
-            raise ValueError(f"interrupter_drop must be at most {0.5 * GRAVITY * MAX_FALL_S**2:.4g} m, a fall of one hour")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ reproducible across platforms; every log records the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -231,69 +232,100 @@ class SurfaceBatch(NamedTuple):
     face: np.ndarray   # (n,) int8; box sample: face of its own box (see _box_points), fruit/stem: -1
 
 
-def draw_rgb(rng: np.random.Generator, n: int, bands) -> np.ndarray:
+def draw_rgb(rng: np.random.Generator, n: int, bands, out: np.ndarray | None = None) -> np.ndarray:
     """`n` uint8 colours, each channel drawn uniformly from its inclusive
     (low, high) band in `bands`, one channel after another: red, green,
-    blue."""
-    rgb = np.empty((n, 3), dtype=np.uint8)
+    blue; written into `out` when one is given."""
+    rgb = np.empty((n, 3), dtype=np.uint8) if out is None else out
     for c, (lo, hi) in enumerate(bands):
         rgb[:, c] = rng.integers(lo, hi + 1, size=n)
     return rgb
 
 
-def _sphere_points(rng, center: Vec3, radius: float, n: int) -> np.ndarray:
-    dirs = rng.normal(size=(n, 3))
+def _sphere_points(rng, center: Vec3, radius: float, out: np.ndarray) -> None:
+    """Fill `out` with samples on the sphere, bit for bit
+    `center + radius * dirs / norms`."""
+    dirs = rng.normal(size=out.shape)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return center.to_array() + radius * dirs / norms
+    np.multiply(dirs, radius, out=out)
+    out /= norms
+    out += center.to_array()
 
 
-def _cylinder_points(rng, a: Vec3, b: Vec3, diameter: float, n: int) -> np.ndarray:
+def _cross(a, b) -> list[float]:
+    """a x b as np.cross computes it, a1*b2 - a2*b1 and so on, in Python
+    floats, which round alike, signed zeros included."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _stem_frame(a: Vec3, b: Vec3) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
+    """The stem's unit axis from a to b, its length and two unit vectors
+    across it, or None for a stem of zero length."""
     axis = b.to_array() - a.to_array()
     length = np.linalg.norm(axis)
     if length == 0:
-        return np.empty((0, 3))
+        return None
     axis = axis / length
-    ref = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(axis, ref)
+    w = axis.tolist()
+    u = np.array(_cross(w, (1.0, 0.0, 0.0) if abs(w[0]) < 0.9 else (0.0, 1.0, 0.0)))
     u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
+    return axis, length, u, np.array(_cross(w, u.tolist()))
+
+
+def _cylinder_points(rng, a: Vec3, frame, diameter: float, out: np.ndarray) -> None:
+    """Fill `out` with samples on the stem wall from `a`, along `frame`
+    as `_stem_frame` gives it."""
+    axis, length, u, v = frame
+    n = len(out)
     t = rng.random(n)[:, None]
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)[:, None]
     radial = (diameter / 2.0) * (np.cos(theta) * u + np.sin(theta) * v)
-    return a.to_array() + t * (length * axis) + radial
+    np.multiply(t, length * axis, out=out)
+    out += a.to_array()
+    out += radial
 
 
-def _box_points(rng, box: Aabb, density: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples on the six faces of `box`, drawn face by face, and the face
-    each lies on: 2*axis for the face at the box's min on that axis,
-    2*axis + 1 for the face at its max. A sample within `FACE_MARGIN` of
-    an edge of its face gets -1, and so does every sample of a box no
-    thicker than twice the margin on some axis: a zero-thickness box
-    blocks nothing, so none of its samples may be culled."""
+def _face_counts(box: Aabb, density: float) -> list[int]:
+    """Samples on each face of `box` at `density`, one count per axis, for
+    each of the two faces at that axis's ends."""
+    size = box.max.to_array() - box.min.to_array()
+    counts = []
+    for axis in range(3):
+        i, j = (k for k in range(3) if k != axis)
+        counts.append(int(round(density * (size[i] * size[j]))))
+    return counts
+
+
+def _box_points(rng, box: Aabb, density: float, xyz: np.ndarray, face: np.ndarray) -> None:
+    """Fill `xyz` with samples on the six faces of `box`, drawn face by
+    face, and `face` with the face each lies on: 2*axis for the face at
+    the box's min on that axis, 2*axis + 1 for the face at its max; both
+    hold 2 * sum(_face_counts(box, density)) rows. A sample within
+    `FACE_MARGIN` of an edge of its face gets -1, and so does every sample
+    of a box no thicker than twice the margin on some axis: a
+    zero-thickness box blocks nothing, so none of its samples may be
+    culled."""
     lo = box.min.to_array()
     hi = box.max.to_array()
-    size = hi - lo
-    thick = bool((size > 2 * FACE_MARGIN).all())
-    chunks = [np.empty((0, 3))]
-    faces = [np.empty(0, dtype=np.int8)]
-    for axis in range(3):
+    thick = bool((hi - lo > 2 * FACE_MARGIN).all())
+    start = 0
+    for axis, n_face in enumerate(_face_counts(box, density)):
         others = [i for i in range(3) if i != axis]
-        area = size[others[0]] * size[others[1]]
-        n_face = int(round(density * area))
         for side, fixed in enumerate((lo[axis], hi[axis])):
             if n_face == 0:
                 continue
-            pts = np.empty((n_face, 3))
+            pts = xyz[start:start + n_face]
             pts[:, axis] = fixed
             inner = np.full(n_face, thick)
             for i in others:
                 u = rng.uniform(lo[i], hi[i], size=n_face)
                 pts[:, i] = u
                 inner &= (u >= lo[i] + FACE_MARGIN) & (u <= hi[i] - FACE_MARGIN)
-            chunks.append(pts)
-            faces.append(np.where(inner, np.int8(2 * axis + side), np.int8(-1)))
-    return np.concatenate(chunks), np.concatenate(faces)
+            face[start:start + n_face] = np.where(inner, np.int8(2 * axis + side), np.int8(-1))
+            start += n_face
 
 
 def sample_surface_arrays(scene: Scene) -> SurfaceBatch:
@@ -302,36 +334,42 @@ def sample_surface_arrays(scene: Scene) -> SurfaceBatch:
 
     The draws come from one stream of the scene seed, in a fixed order:
     each fruit, then each stem, then each box in `Scene.boxes` order. So a
-    scene's samples are a pure function of the scene.
+    scene's samples are a pure function of the scene. So is every part's
+    size, so the output arrays are allocated once and each part is drawn
+    straight into its rows: no part is copied.
     """
     density = scene.surface_density
     rng = _scene_rng(scene.rng_seed, 1)
-    # an empty part first, so that a scene with no surfaces concatenates too
-    parts = [(
-        np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8),
-        np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8),
-    )]
+    fruit, boxes = scene.strawberries, scene.boxes
+    frames = [_stem_frame(s.stem_top, s.stem_attach) for s in fruit]
+    sizes = (
+        [int(round(density * 4.0 * math.pi * s.radius**2)) for s in fruit]
+        + [0 if f is None else int(round(density * math.pi * s.stem_diameter * s.stem_length))
+           for s, f in zip(fruit, frames)]
+        + [2 * sum(_face_counts(box, density)) for box in boxes]
+    )
+    kinds = [KIND_FRUIT] * len(fruit) + [KIND_STEM] * len(fruit) + [KIND_TROUGH] + [KIND_OCCLUDER] * (len(boxes) - 1)
+    owners = [s.id for s in fruit] * 2 + list(range(len(boxes)))
+    n = sum(sizes)
+    batch = SurfaceBatch(
+        np.empty((n, 3)),
+        np.empty((n, 3), dtype=np.uint8),
+        np.repeat(np.array(kinds, dtype=np.int8), sizes),
+        np.repeat(np.array(owners, dtype=np.int32), sizes),
+        np.full(n, -1, dtype=np.int8),
+    )
+    parts = [(slice(end - size, end), size) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
-    def add(xyz: np.ndarray, rgb: np.ndarray, kind: int, owner: int, face: np.ndarray | int = -1) -> None:
-        n = len(xyz)
-        parts.append((
-            xyz, rgb, np.full(n, kind, dtype=np.int8), np.full(n, owner, dtype=np.int32), np.full(n, face, dtype=np.int8),
-        ))
+    for s, (rows, size) in zip(fruit, parts):
+        _sphere_points(rng, s.center, s.radius, batch.xyz[rows])
+        draw_rgb(rng, size, RIPE if s.ripe else UNRIPE, batch.rgb[rows])
 
-    for s in scene.strawberries:
-        n = int(round(density * 4.0 * math.pi * s.radius**2))
-        pts = _sphere_points(rng, s.center, s.radius, n)
-        add(pts, draw_rgb(rng, n, RIPE if s.ripe else UNRIPE), KIND_FRUIT, s.id)
+    for s, frame, (rows, size) in zip(fruit, frames, parts[len(fruit):]):
+        if frame is not None:
+            _cylinder_points(rng, s.stem_top, frame, s.stem_diameter, batch.xyz[rows])
+        draw_rgb(rng, size, UNRIPE, batch.rgb[rows])
 
-    for s in scene.strawberries:
-        n = int(round(density * math.pi * s.stem_diameter * s.stem_length))
-        pts = _cylinder_points(rng, s.stem_top, s.stem_attach, s.stem_diameter, n)
-        add(pts, draw_rgb(rng, len(pts), UNRIPE), KIND_STEM, s.id)
-
-    for b, box in enumerate(scene.boxes):
-        pts, face = _box_points(rng, box, density)
-        grey = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=len(pts)).astype(np.uint8)
-        kind = KIND_TROUGH if b == 0 else KIND_OCCLUDER
-        add(pts, np.stack([grey, grey, grey], axis=1), kind, b, face)
-
-    return SurfaceBatch(*(np.concatenate(column) for column in zip(*parts)))
+    for box, (rows, size) in zip(boxes, parts[2 * len(fruit):]):
+        _box_points(rng, box, density, batch.xyz[rows], batch.face[rows])
+        batch.rgb[rows] = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=size)[:, None]
+    return batch
