@@ -8,33 +8,36 @@ each view with a seed derived from the capture seed: cam1's on the
 calling thread and, at the same time, cam2's on the sensing worker.
 
 Viewing runs four visibility passes, cheapest first. The first three
-only drop points, so the z-buffer sees the survivors in sampling order:
+only drop points, so the z-buffer sees the survivors in sampling order.
+The scene sampler gives each box sample the scene-wide code of the face
+it is drawn on, 6*box + face (`SurfaceBatch.face`), and each camera
+builds one table over those codes (`_face_roles`) that both of the first
+and third passes read:
 
 1. Back-face cull. A box sample (trough, occluder) on a face of its own
    box that is turned away from the eye is provably blocked by that box,
-   so it is dropped before any ray is cast. The scene sampler tags each
-   box sample with the face it draws it on; each camera only decides
-   which faces are turned away from it.
+   so it is dropped before any ray is cast.
 2. Frustum. Points outside the range band or the field of view go. The
    frustum stage's arrays then keep only the rows that go on.
 3. Slab test. Box-shaped geometry blocks rays exactly via a vectorized
    slab test, so anything behind a box is absent regardless of sampling
    density. A box's test skips its own samples on the faces that look at
-   the eye, which it provably cannot block (`_view`), so each box is
-   tested only against what another box may hide: on `paper9`, the ~2,100
-   fruit, stem and edge samples of cam1's ~21,000 in the frustum.
+   the eye, which it provably cannot block, so each box is tested only
+   against what another box may hide: on `paper9`, the ~2,100 fruit,
+   stem and edge samples of cam1's ~21,000 in the frustum.
 4. Angular z-buffer. The nearest sample per (azimuth, elevation) bin
    wins, which handles curved-surface self-occlusion at cloud granularity
-   without ray tracing. Two scatters over a table of every bin find it,
-   ties going to the earliest sample; a grid too fine for the table sorts
-   the samples instead (`_nearest_per_bin`).
+   without ray tracing. Two scatters over a table of every bin
+   (`CameraModel.grid`) find it, ties going to the earliest sample; a
+   grid too fine for the table sorts the samples instead
+   (`_nearest_per_bin`).
 
 The scene sampler draws every part of a scene straight into one set of
 output arrays, as each part's size is a function of the scene, and each
-box's six faces into its rows of them. A cold `paper9` capture, both views
-included, peaks at ~5.3 MB of traced allocations: the 81,293 samples as
-the cameras keep them (2.5 MB), cam1's view, and cam2's 38,095 culled
-rows moved to its frame.
+box's six faces into its rows of them; both cameras view that one batch.
+A cold `paper9` capture, both views included, peaks at ~5.3 MB of traced
+allocations: the 81,293 samples as the sampler draws them (2.5 MB),
+cam1's view, and cam2's 38,095 culled rows moved to its frame.
 
 Sensing applies depth noise along each visible ray, and dropout removes
 points independently. Both randomness streams derive from the capture
@@ -95,13 +98,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import ColoredPointCloud, RigidTransform, Vec3, sq_lengths
 from .localization import LocalizationParams, RedCloud, red_rows
-from .scene import Scene, sample_surface_arrays
+from .scene import Scene, SurfaceBatch, sample_surface_arrays
 
 
 # The default rig in scenario-config units (degrees for angles): both
@@ -163,8 +165,14 @@ class CameraModel:
         if self.bin_res <= 0:
             raise ValueError("bin_res must be > 0")
         per_axis = (self.h_fov / self.bin_res, self.v_fov / self.bin_res)
-        if not all(map(math.isfinite, per_axis)) or math.prod(math.ceil(n) + 1 for n in per_axis) >= MAX_BINS:
+        if not all(map(math.isfinite, per_axis)) or math.prod(self.grid) >= MAX_BINS:
             raise ValueError("bin_res must leave the z-buffer fewer than 2^62 angular bins over the field of view")
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """Columns and rows of the angular z-buffer: the azimuth and the
+        elevation bins over the field of view."""
+        return math.ceil(self.h_fov / self.bin_res) + 1, math.ceil(self.v_fov / self.bin_res) + 1
 
 
 @dataclass(frozen=True)
@@ -235,56 +243,51 @@ def _occluded_by_box(eye: np.ndarray, pts: np.ndarray, lo: np.ndarray, hi: np.nd
     return (entry <= exit_) & (exit_ > 1e-9) & (entry < 1.0 - 1e-9) & ~(miss[:, 0] | miss[:, 1] | miss[:, 2])
 
 
-def _back_faces(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) -> np.ndarray:
-    """Lookup table over face codes 6*box + face (box in `Scene.boxes`
-    order, face as `SurfaceBatch.face` numbers it), with a final False
-    entry for code -1: True where the face is turned away from the eye.
+# roles of a face in a camera's face table (`_face_roles`); a face that
+# is neither culled nor tested has role b, the index of its box
+CULLED = -2
+TESTED = -1
 
-    The slab test of a box blocks every sample of such a face that lies at
-    least `scene.FACE_MARGIN` inside each of its edges, as every sample
-    with a face code does: the eye->sample segment enters the box at
+
+def _face_roles(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) -> np.ndarray:
+    """The role of each face for a camera at `eye`, as a table over face
+    codes 6*b + face (box b of `bounds`, in `Scene.boxes` order, face as
+    `SurfaceBatch.face` numbers it) with a final entry for code -1:
+
+    - `CULLED`: box b holds the eye strictly outside and the face is
+      turned away from it. b's slab test blocks each of the face's samples.
+    - b: the face's plane has the eye strictly on its outer side. b's slab
+      test blocks none of the face's samples, so b's pass skips them.
+    - `TESTED`: everything else. That is code -1 (fruit, stems, samples
+      within `scene.FACE_MARGIN` of a face edge, boxes too thin to cull),
+      every face of a box that holds the eye, and a face whose plane holds
+      the eye, where its samples' rays run in the plane and b blocks them
+      edge-on.
+
+    Both proofs rest on `_occluded_by_box` and on the sampler setting a
+    face sample's coordinate on the face's axis to the plane's, say
+    p_x = lo_x. A turned-away face (eye_x > lo_x, the eye outside on
+    another axis) holds only samples at least `scene.FACE_MARGIN` inside
+    each of its edges, so the eye->sample segment enters the box at
     t <= 1 - margin/|eye - p|, below the slab test's 1 - 1e-9 cut-off for
     any sample nearer than 1 km, and leaves it through the face at t = 1.
-    Faces of a box that does not hold the eye strictly outside stay False.
+    For a face whose plane has the eye outside (eye_x < lo_x), d_x = p_x -
+    eye_x is the bits of lo_x - eye_x, so the plane's t is exactly 1 and
+    the farther plane's t is at least 1: the segment stays on the eye's
+    side of the plane until t = 1, `entry` is at least 1 and the test's
+    `entry < 1 - 1e-9` is False. Where |d_x| < 1e-15 the axis counts as
+    parallel with the eye outside the slab, a miss.
     """
-    table = np.zeros(6 * len(bounds) + 1, dtype=bool)
+    roles = np.full(6 * len(bounds) + 1, TESTED, dtype=np.int64)
     for b, (lo, hi) in enumerate(bounds):
-        if ((eye < lo) | (eye > hi)).any():
-            # the face at lo has outward normal -e_axis, the face at hi +e_axis
-            table[6 * b:6 * b + 6:2] = eye > lo
-            table[6 * b + 1:6 * b + 6:2] = eye < hi
-    return table
-
-
-def _front_faces(bounds: list[tuple[np.ndarray, np.ndarray]], eye: np.ndarray) -> np.ndarray:
-    """Lookup table over face codes, as `_back_faces` indexes it: the box
-    of each face whose plane has the eye strictly on its outer side, and -1
-    for every other face and for code -1. The slab pass of that box skips
-    the face's samples (see `_view`); a face whose plane holds the eye is
-    not one of them, nor is any face of a box that holds the eye."""
-    table = np.full(6 * len(bounds) + 1, -1, dtype=np.int64)
-    for b, (lo, hi) in enumerate(bounds):
-        table[6 * b:6 * b + 6:2] = np.where(eye < lo, b, -1)
-        table[6 * b + 1:6 * b + 6:2] = np.where(eye > hi, b, -1)
-    return table
-
-
-class _Surfaces(NamedTuple):
-    """A scene sampled once for any number of cameras."""
-
-    xyz: np.ndarray      # (n, 3) samples
-    rgb: np.ndarray      # (n, 3) uint8
-    face: np.ndarray     # (n,) code 6*box + face into the _back_faces table, or -1
-    bounds: list         # (lo, hi) of each box in Scene.boxes, in slab-test order
-
-
-def _surfaces(scene: Scene) -> _Surfaces:
-    """Sample the scene and number each box sample's face across all the
-    boxes; none of this depends on the camera."""
-    batch = sample_surface_arrays(scene)
-    face = np.where(batch.face < 0, -1, 6 * batch.owner + batch.face)
-    bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
-    return _Surfaces(batch.xyz, batch.rgb, face, bounds)
+        # face 2*axis lies at lo[axis], outward normal -e_axis, and face
+        # 2*axis + 1 at hi[axis], outward normal +e_axis
+        outer = np.stack([eye < lo, eye > hi], axis=1).ravel()
+        faces = roles[6 * b:6 * b + 6]
+        faces[outer] = b
+        if outer.any():
+            faces[np.stack([eye > lo, eye < hi], axis=1).ravel()] = CULLED
+    return roles
 
 
 def _frustum(cam: CameraModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,63 +338,51 @@ def _nearest_per_bin(bins: np.ndarray, z: np.ndarray, n_bins: int) -> np.ndarray
     return order.compress(first)
 
 
-def _unblocked(surf: _Surfaces, eye: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _unblocked(batch: SurfaceBatch, bounds: list, roles: np.ndarray, eye: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Mask of the surface samples `rows` that no box blocks from `eye`:
-    the slab passes of `_view`, which skip what a box cannot block."""
-    front = _front_faces(surf.bounds, eye).take(surf.face.take(rows))
+    the slab passes of `_view`, box b's skipping the faces whose role is b.
+    A sample one box blocks is not tested again."""
+    role = roles.take(batch.face.take(rows))
     clear = np.ones(len(rows), dtype=bool)
-    for b, (lo, hi) in enumerate(surf.bounds):
-        tested = np.flatnonzero(clear & (front != b))
+    for b, (lo, hi) in enumerate(bounds):
+        tested = np.flatnonzero(clear & (role != b))
         if len(tested):
-            pts = surf.xyz.take(rows.take(tested), axis=0)
+            pts = batch.xyz.take(rows.take(tested), axis=0)
             clear[tested.compress(_occluded_by_box(eye, pts, lo, hi))] = False
     return clear
 
 
-def _view(surf: _Surfaces, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _view(batch: SurfaceBatch, bounds: list, cam: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Camera-frame positions, colours and ray lengths of the samples one
     camera sees, one per angular bin in bin order; read-only, as they may
-    be reused.
+    be reused. `bounds` holds (lo, hi) of each box in `Scene.boxes`.
 
-    Box b's slab pass skips b's own samples on faces whose plane has the
-    eye strictly on its outer side (`_front_faces`), as b cannot block
-    them; the cull of the faces turned away from the eye rests on the slab
-    test too (`_back_faces`). Such a sample p lies on the plane, say
-    x = lo_x with eye_x < lo_x, as the sampler sets that coordinate to the
-    plane's. So d_x = p_x - eye_x is the bits of lo_x - eye_x, the plane's
-    t is exactly 1 and the farther plane's t is at least 1: the segment
-    stays on the eye's side of the plane until t = 1, so `entry` is at
-    least 1 and the test's `entry < 1 - 1e-9` is False. Where
-    |d_x| < 1e-15 the axis counts as parallel with the eye outside the
-    slab, a miss. Every other sample is tested: code -1, every sample of a
-    box that holds the eye, and a sample on a face whose plane holds the
-    eye, where d_x is 0 and none of this holds. A sample one box blocks is
-    not tested again.
-
-    Before the z-buffer, the frustum stage's arrays (q, az, el) keep only
-    the rows that passed the frustum and the slabs.
+    The camera's face table (`_face_roles`) culls the faces turned away
+    from the eye, and each box's slab pass skips the faces it cannot
+    block. Before the z-buffer, the frustum stage's arrays (q, az, el)
+    keep only the rows that passed the frustum and the slabs.
     """
     eye = cam.pose.translation.to_array()
-    kept = np.flatnonzero((~_back_faces(surf.bounds, eye)).take(surf.face))
-    q = cam.pose.inverse().apply_to(surf.xyz.take(kept, axis=0))
+    roles = _face_roles(bounds, eye)
+    kept = np.flatnonzero((roles != CULLED).take(batch.face))
+    q = cam.pose.inverse().apply_to(batch.xyz.take(kept, axis=0))
     az, el, inside = _frustum(cam, q)
     # `idx` indexes the culled rows (q, az, el), `rows` the surface samples
     idx = np.flatnonzero(inside)
     rows = kept.take(idx)
     del kept, inside  # before the copies below, which set cam1's peak
-    clear = _unblocked(surf, eye, rows)
+    clear = _unblocked(batch, bounds, roles, eye, rows)
     idx, rows = idx.compress(clear), rows.compress(clear)
     q = q.take(idx, axis=0)
     az = az.take(idx)
     el = el.take(idx)
 
-    n_az = int(math.ceil(cam.h_fov / cam.bin_res)) + 1
-    n_el = int(math.ceil(cam.v_fov / cam.bin_res)) + 1
+    n_az, n_el = cam.grid
     bi = np.floor((az + cam.h_fov / 2) / cam.bin_res).astype(np.int64)
     bj = np.floor((el + cam.v_fov / 2) / cam.bin_res).astype(np.int64)
     sel = _nearest_per_bin(bj * n_az + bi, q[:, 2], n_az * n_el)
     q = q.take(sel, axis=0)
-    rgb = surf.rgb.take(rows.take(sel), axis=0)
+    rgb = batch.rgb.take(rows.take(sel), axis=0)
     ranges = np.sqrt(sq_lengths(q))
     for a in (q, rgb, ranges):
         a.setflags(write=False)
@@ -468,8 +459,9 @@ def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, 
     key = (scene, tuple(_view_key(cam) for cam in cams))
     if _last_views is not None and _last_views[0] == key:
         return _last_views[1]
-    surf = _surfaces(scene)
-    views = tuple(_view(surf, cam) for cam in cams)
+    batch = sample_surface_arrays(scene)
+    bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
+    views = tuple(_view(batch, bounds, cam) for cam in cams)
     _last_views = [key, views, None]
     return views
 

@@ -46,12 +46,6 @@ FRUIT_X_JITTER = 0.005
 # the smallest fruit radius a StrawberryTruth accepts
 MIN_RADIUS = 0.005
 
-# owner kinds for sampled surface points
-KIND_FRUIT = 0
-KIND_STEM = 1
-KIND_TROUGH = 2
-KIND_OCCLUDER = 3
-
 # a box sample within this distance of an edge of its face is on no face
 # (SurfaceBatch.face -1); the cameras cull only samples on a face
 FACE_MARGIN = 1e-6
@@ -118,7 +112,7 @@ class Scene:
     @property
     def boxes(self) -> tuple[Aabb, ...]:
         """The trough, then each occluder: the order in which boxes are
-        sampled and numbered (`SurfaceBatch.owner`)."""
+        sampled and numbered (`SurfaceBatch.face`)."""
         return (self.trough,) + self.occluders
 
     @property
@@ -227,9 +221,7 @@ class SurfaceBatch(NamedTuple):
 
     xyz: np.ndarray    # (n, 3) float64
     rgb: np.ndarray    # (n, 3) uint8
-    kind: np.ndarray   # (n,) int8
-    owner: np.ndarray  # (n,) int32; fruit/stem: fruit id, trough/occluder: index in Scene.boxes
-    face: np.ndarray   # (n,) int8; box sample: face of its own box (see _box_points), fruit/stem: -1
+    face: np.ndarray   # (n,) int32; sample of box b: 6*b + its face (see _box_points), fruit/stem: -1
 
 
 def draw_rgb(rng: np.random.Generator, n: int, bands, out: np.ndarray | None = None) -> np.ndarray:
@@ -299,15 +291,15 @@ def _face_counts(box: Aabb, density: float) -> list[int]:
     return counts
 
 
-def _box_points(rng, box: Aabb, density: float, xyz: np.ndarray, face: np.ndarray) -> None:
+def _box_points(rng, box: Aabb, density: float, xyz: np.ndarray, face: np.ndarray, code: int) -> None:
     """Fill `xyz` with samples on the six faces of `box`, drawn face by
-    face, and `face` with the face each lies on: 2*axis for the face at
-    the box's min on that axis, 2*axis + 1 for the face at its max; both
-    hold 2 * sum(_face_counts(box, density)) rows. A sample within
-    `FACE_MARGIN` of an edge of its face gets -1, and so does every sample
-    of a box no thicker than twice the margin on some axis: a
-    zero-thickness box blocks nothing, so none of its samples may be
-    culled."""
+    face, and `face` with the code of the face each lies on: `code` plus
+    2*axis for the face at the box's min on that axis, plus 2*axis + 1 for
+    the face at its max; both hold 2 * sum(_face_counts(box, density))
+    rows. A sample within `FACE_MARGIN` of an edge of its face gets -1,
+    and so does every sample of a box no thicker than twice the margin on
+    some axis: a zero-thickness box blocks nothing, so none of its samples
+    may be culled."""
     lo = box.min.to_array()
     hi = box.max.to_array()
     thick = bool((hi - lo > 2 * FACE_MARGIN).all())
@@ -324,7 +316,7 @@ def _box_points(rng, box: Aabb, density: float, xyz: np.ndarray, face: np.ndarra
                 u = rng.uniform(lo[i], hi[i], size=n_face)
                 pts[:, i] = u
                 inner &= (u >= lo[i] + FACE_MARGIN) & (u <= hi[i] - FACE_MARGIN)
-            face[start:start + n_face] = np.where(inner, np.int8(2 * axis + side), np.int8(-1))
+            face[start:start + n_face] = np.where(inner, code + 2 * axis + side, -1)
             start += n_face
 
 
@@ -348,16 +340,8 @@ def sample_surface_arrays(scene: Scene) -> SurfaceBatch:
            for s, f in zip(fruit, frames)]
         + [2 * sum(_face_counts(box, density)) for box in boxes]
     )
-    kinds = [KIND_FRUIT] * len(fruit) + [KIND_STEM] * len(fruit) + [KIND_TROUGH] + [KIND_OCCLUDER] * (len(boxes) - 1)
-    owners = [s.id for s in fruit] * 2 + list(range(len(boxes)))
     n = sum(sizes)
-    batch = SurfaceBatch(
-        np.empty((n, 3)),
-        np.empty((n, 3), dtype=np.uint8),
-        np.repeat(np.array(kinds, dtype=np.int8), sizes),
-        np.repeat(np.array(owners, dtype=np.int32), sizes),
-        np.full(n, -1, dtype=np.int8),
-    )
+    batch = SurfaceBatch(np.empty((n, 3)), np.empty((n, 3), dtype=np.uint8), np.full(n, -1, dtype=np.int32))
     parts = [(slice(end - size, end), size) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
     for s, (rows, size) in zip(fruit, parts):
@@ -369,7 +353,7 @@ def sample_surface_arrays(scene: Scene) -> SurfaceBatch:
             _cylinder_points(rng, s.stem_top, frame, s.stem_diameter, batch.xyz[rows])
         draw_rgb(rng, size, UNRIPE, batch.rgb[rows])
 
-    for box, (rows, size) in zip(boxes, parts[2 * len(fruit):]):
-        _box_points(rng, box, density, batch.xyz[rows], batch.face[rows])
+    for b, (box, (rows, size)) in enumerate(zip(boxes, parts[2 * len(fruit):])):
+        _box_points(rng, box, density, batch.xyz[rows], batch.face[rows], 6 * b)
         batch.rgb[rows] = rng.integers(NEUTRAL_GREY[0], NEUTRAL_GREY[1] + 1, size=size)[:, None]
     return batch

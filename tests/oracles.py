@@ -7,7 +7,7 @@ timestep at a time. The camera reference is the straightforward renderer
 (slab-test every sample, then clip to the frustum) that the culling
 renderer must match bit for bit.
 Box face codes are read off each sample's coordinates, not off the face
-the sampler drew it on. The sensor reference keeps the out-of-place
+the sampler drew it on, and each part's rows off its area. The sensor reference keeps the out-of-place
 formula the in-place sensor must match, and the event log reference
 encodes one record at a time.
 """
@@ -145,6 +145,36 @@ def face_codes(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         codes[face_interior & (pts[:, axis] == lo[axis])] = 2 * axis
         codes[face_interior & (pts[:, axis] == hi[axis])] = 2 * axis + 1
     return codes
+
+
+def surface_rows(scene, batch) -> dict[str, list[np.ndarray]]:
+    """Row indices, into `batch` as `sample_surface_arrays(scene)` returns
+    it, of each part of the scene: "fruit" and "stem" list one array per
+    fruit of `scene.strawberries`, "box" one per box of `scene.boxes`.
+
+    The parts come in the sampler's order (every fruit, every stem, then
+    the boxes), each with as many rows as its area at the scene's density
+    rounds to: a sphere's 4 pi r^2, a stem's pi d L, and each face of a
+    box its own. The parts must tile the batch exactly.
+    """
+    density = scene.surface_density
+    counts = {"fruit": [], "stem": [], "box": []}
+    for s in scene.strawberries:
+        r = s.radius
+        counts["fruit"].append(round(density * 4.0 * math.pi * r * r))
+        top, attach = s.stem_top.to_array(), s.center.to_array() + [0.0, 0.0, r]
+        counts["stem"].append(round(density * math.pi * s.stem_diameter * math.dist(top, attach)))
+    for box in scene.boxes:
+        x, y, z = box.max.to_array() - box.min.to_array()
+        counts["box"].append(2 * sum(round(density * a) for a in (y * z, x * z, x * y)))
+    rows, start = {}, 0
+    for part, sizes in counts.items():
+        rows[part] = []
+        for size in sizes:
+            rows[part].append(np.arange(start, start + size))
+            start += size
+    assert start == len(batch.xyz) == len(batch.rgb) == len(batch.face), (start, len(batch.xyz))
+    return rows
 
 
 def _reference_occluded_by_box(eye, pts, lo, hi):

@@ -17,13 +17,11 @@ from berrypick.cli import resolve_config_arg
 from berrypick.config import apply_sweep_value, build_scenario, build_scene
 from berrypick.localization import LocalizationParams, RedCloud, cluster_indices, localize, threshold_red
 from berrypick.geometry import Aabb, Vec3, sq_lengths, transform_cloud
-from berrypick.scene import (
-    KIND_FRUIT, KIND_OCCLUDER, KIND_TROUGH, Scene, SurfaceBatch, generate_scene, sample_surface_arrays,
-    _box_points,
-)
+from berrypick.scene import Scene, SurfaceBatch, generate_scene, sample_surface_arrays, _box_points
 
 import oracles
-from oracles import ray_hits_box, point_to_segment_distance, reference_capture
+from oracles import ray_hits_box, point_to_segment_distance, reference_capture, surface_rows
+from test_scene import _random_box
 
 
 def noisy_rig(sigma, rate):
@@ -136,8 +134,9 @@ class TestCaptureGeometry:
         eye2 = rig.cam2.pose.translation.to_array()
         lo = occluder.min.to_array()
         hi = occluder.max.to_array()
-        batch = sample_surface_arrays(replace(scene, surface_density=2000.0))
-        fruit_samples = batch.xyz[batch.kind == KIND_FRUIT]
+        sparse = replace(scene, surface_density=2000.0)
+        batch = sample_surface_arrays(sparse)
+        fruit_samples = batch.xyz[surface_rows(sparse, batch)["fruit"][0]]
         assert len(fruit_samples)
         for s in fruit_samples:
             assert ray_hits_box(eye1, s - eye1, 1.0, lo, hi)
@@ -338,18 +337,20 @@ EDGE_SAMPLES = np.array([[0.50, y, 0.48] for y in (-0.04, -0.013, 0.0, 0.021, 0.
 def _with_edge_samples(scene):
     """The scene's samples, then each of EDGE_SAMPLES twice: once as a
     sample of the trough (box 0) and once as one of the occluder (box 1),
-    each with the face code the oracle gives it on that box."""
+    each with the scene-wide face code the oracle gives it on that box."""
     batch = sample_surface_arrays(scene)
-    n = len(EDGE_SAMPLES)
-    grey = np.full((2 * n, 3), 150, dtype=np.uint8)
+    grey = np.full((2 * len(EDGE_SAMPLES), 3), 150, dtype=np.uint8)
     faces = [oracles.face_codes(EDGE_SAMPLES, box.min.to_array(), box.max.to_array()) for box in scene.boxes]
     return SurfaceBatch(
         np.concatenate([batch.xyz, EDGE_SAMPLES, EDGE_SAMPLES]),
         np.concatenate([batch.rgb, grey]),
-        np.concatenate([batch.kind, np.full(n, KIND_TROUGH, np.int8), np.full(n, KIND_OCCLUDER, np.int8)]),
-        np.concatenate([batch.owner, np.zeros(n, np.int32), np.ones(n, np.int32)]),
-        np.concatenate([batch.face, *faces]).astype(np.int8),
+        np.concatenate([batch.face, *(np.where(f < 0, -1, 6 * b + f) for b, f in enumerate(faces))]).astype(np.int32),
     )
+
+
+def _bounds(scene):
+    """(lo, hi) of each box of the scene, as `_view` takes them."""
+    return [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
 
 
 class _Draws:
@@ -382,13 +383,13 @@ class TestCullingEquivalence:
     @pytest.mark.parametrize("name", sorted(CULL_SCENES))
     def test_culled_samples_are_blocked(self, name):
         scene = replace(CULL_SCENES[name](), surface_density=6000.0)
-        surf = camera._surfaces(scene)
+        batch = sample_surface_arrays(scene)
         boxes = [scene.trough, *scene.occluders]
         for cam in (default_rig().cam1, default_rig().cam2):
             eye = cam.pose.translation.to_array()
-            culled = camera._back_faces(surf.bounds, eye)[surf.face]
-            assert culled.sum() > len(surf.xyz) // 4
-            for p in surf.xyz[culled]:
+            culled = camera._face_roles(_bounds(scene), eye)[batch.face] == camera.CULLED
+            assert culled.sum() > len(batch.xyz) // 4
+            for p in batch.xyz[culled]:
                 # the segment stopped just short of the sample still meets a box
                 assert any(
                     ray_hits_box(eye, p - eye, 1.0 - 1e-7, b.min.to_array(), b.max.to_array())
@@ -406,20 +407,23 @@ class TestCullingEquivalence:
         # at this density the x faces get two samples each and the far one
         # is drawn second, y before z; every other face gets samples on edges
         box = Aabb(Vec3(*lo), Vec3(*hi))
-        drawn, face = np.empty((6, 3)), np.empty(6, dtype=np.int8)
-        _box_points(_Draws([0.0, 0.0], [0.3, 0.3], pts[:, 1], pts[:, 2]), box, 2 / 0.36, drawn, face)
+        drawn, face = np.empty((6, 3)), np.empty(6, dtype=np.int32)
+        _box_points(_Draws([0.0, 0.0], [0.3, 0.3], pts[:, 1], pts[:, 2]), box, 2 / 0.36, drawn, face, 6)
         assert drawn[2:4].tolist() == pts.tolist()
-        assert face.tolist() == oracles.face_codes(drawn, lo, hi).tolist() == [0, 0, -1, 1, -1, -1]
-        culled = camera._back_faces([(lo, hi)], eye)[face[2:4]]
+        assert oracles.face_codes(drawn, lo, hi).tolist() == [0, 0, -1, 1, -1, -1]
+        assert face.tolist() == [6, 6, -1, 7, -1, -1]
+        # drawn as box 1, after a box of no size at the eye, which holds the
+        # eye and so culls none of its own faces
+        culled = camera._face_roles([(eye, eye), (lo, hi)], eye)[face[2:4]] == camera.CULLED
         assert culled.tolist() == blocked
 
     def test_flat_occluder_samples_are_not_culled(self):
         scene = CULL_SCENES["flat_occluder"]()
-        occ = sample_surface_arrays(scene).kind == KIND_OCCLUDER
-        surf = camera._surfaces(scene)
+        batch = sample_surface_arrays(scene)
+        occ = batch.face[surface_rows(scene, batch)["box"][1]]
         for cam in (default_rig().cam1, default_rig().cam2):
-            culled = camera._back_faces(surf.bounds, cam.pose.translation.to_array())[surf.face]
-            assert occ.any() and not culled[occ].any()
+            roles = camera._face_roles(_bounds(scene), cam.pose.translation.to_array())
+            assert len(occ) and (roles[occ] == camera.TESTED).all()
 
 
     @pytest.mark.parametrize("occluded", [False, True])
@@ -428,7 +432,7 @@ class TestCullingEquivalence:
         # turned cameras give rotations without zero entries
         for scene_seed in range(6):
             scene = _lone_sample_scene(scene_seed, occluded)
-            surf = camera._surfaces(scene)
+            face = sample_surface_arrays(scene).face
             for noise in ({"depth_noise_sigma": 0.0, "dropout_rate": 0.0}, {}):
                 cam1 = camera.make_camera("cam1", **{**camera.DEFAULT_RIG["cam1"], "target": target, **noise})
                 rig = CameraRig(cam1, camera.make_camera("cam2", **{**camera.DEFAULT_RIG["cam2"], **noise}))
@@ -440,8 +444,8 @@ class TestCullingEquivalence:
                         assert _same_bytes(c1, refs[0]) and _same_bytes(c2, refs[1])
                         assert len(c1) <= 1 if noise else len(c1) == 1
                 if not noise:
-                    moved = ~camera._back_faces(surf.bounds, cam1.pose.translation.to_array())[surf.face]
-                    assert moved.sum() == (2 if occluded else 1)
+                    roles = camera._face_roles(_bounds(scene), cam1.pose.translation.to_array())
+                    assert (roles[face] != camera.CULLED).sum() == (2 if occluded else 1)
 
     def test_z_ties_go_to_the_earliest_sample(self, monkeypatch):
         # cam1 looks along +x, so each sample of a face x = const has the same
@@ -475,15 +479,15 @@ class TestCullingEquivalence:
         monkeypatch.setattr(oracles, "sample_surface_arrays", _with_edge_samples)
         monkeypatch.setattr(camera, "_last_views", None)
 
-        surf = camera._surfaces(scene)
+        batch = _with_edge_samples(scene)
+        edge = slice(len(batch.xyz) - 2 * len(EDGE_SAMPLES), None)
         for cam in (default_rig().cam1, default_rig().cam2):
             eye = cam.pose.translation.to_array()
-            edge = slice(len(surf.xyz) - 2 * len(EDGE_SAMPLES), None)
-            # on an edge of both boxes: neither culled nor blocked by either
-            assert (surf.face[edge] == -1).all()
-            assert not camera._back_faces(surf.bounds, eye)[surf.face[edge]].any()
-            for lo, hi in surf.bounds:
-                assert not camera._occluded_by_box(eye, surf.xyz[edge], lo, hi).any()
+            # on an edge of both boxes: tested, and blocked by neither
+            assert (batch.face[edge] == -1).all()
+            assert (camera._face_roles(_bounds(scene), eye)[batch.face[edge]] == camera.TESTED).all()
+            for lo, hi in _bounds(scene):
+                assert not camera._occluded_by_box(eye, batch.xyz[edge], lo, hi).any()
 
         for rig in (noiseless_rig(), default_rig()):
             for seed in (0, 7, 123456):
@@ -495,6 +499,53 @@ class TestCullingEquivalence:
         q = rig.cam1.pose.inverse().apply_to(EDGE_SAMPLES)
         view = camera._last_views[1][0][0]
         assert (view[:, None, :] == q[None]).all(axis=2).any()
+
+
+class TestFaceRoles:
+    """A camera's face table over random thick, thin and flat boxes, seen
+    from outside a box, from inside it and from the plane of one of its
+    faces: a culled face's samples are blocked by their own box, a box
+    blocks none of the samples its pass skips, and a face whose plane
+    holds the eye stays tested, as does every face of a box that holds it."""
+
+    def test_roles_on_random_boxes(self):
+        rng = np.random.default_rng(47)
+        culled_n = skipped_n = in_plane_blocked = 0
+        for seed in range(120):
+            scale = 10 ** rng.uniform(-3.0, -1.0)
+            boxes = [_random_box(rng, scale, rng.choice(["box", "thin", "flat"])) for _ in range(1 + seed % 3)]
+            scene = Scene((), seed, boxes[0], tuple(boxes[1:]), 30 / scale**2)
+            batch = sample_surface_arrays(scene)
+            bounds = _bounds(scene)
+            b = int(rng.integers(len(bounds)))
+            lo, hi = bounds[b]
+            axis, side = int(rng.integers(3)), int(rng.integers(2))
+            in_plane = rng.uniform(lo - 2 * scale, hi + 2 * scale)
+            in_plane[axis] = (lo, hi)[side][axis]
+            eyes = (rng.uniform(lo - 5 * scale, hi + 5 * scale), lo + rng.random(3) * (hi - lo), in_plane)
+            for eye in eyes:
+                roles = camera._face_roles(bounds, eye)
+                assert roles[-1] == camera.TESTED
+                role = roles[batch.face]
+                culled = np.flatnonzero(role == camera.CULLED)
+                culled_n += len(culled)
+                for p, code in zip(batch.xyz[culled], batch.face[culled]):
+                    c_lo, c_hi = bounds[code // 6]
+                    assert ray_hits_box(eye, p - eye, 1.0 - 1e-9, c_lo, c_hi)
+                for c, (c_lo, c_hi) in enumerate(bounds):
+                    skipped = batch.xyz[role == c]
+                    skipped_n += len(skipped)
+                    assert not camera._occluded_by_box(eye, skipped, c_lo, c_hi).any()
+                    if ((c_lo <= eye) & (eye <= c_hi)).all():
+                        assert (roles[6 * c:6 * c + 6] == camera.TESTED).all()
+                    for a in range(3):
+                        for s, plane in enumerate((c_lo[a], c_hi[a])):
+                            if eye[a] == plane:
+                                assert roles[6 * c + 2 * a + s] == camera.TESTED
+            # the in-plane face's own samples, which its box blocks edge-on
+            own = batch.face == 6 * b + 2 * axis + side
+            in_plane_blocked += int(camera._occluded_by_box(in_plane, batch.xyz[own], lo, hi).sum())
+        assert culled_n > 10_000 and skipped_n > 10_000 and in_plane_blocked > 1000
 
 
 def _cam1_at(rig, eye, target):

@@ -5,16 +5,14 @@ from berrypick.config import build_scenario, resolve_config
 from berrypick.errors import ConfigError
 from berrypick.geometry import Aabb, Vec3
 from berrypick.scene import (
-    KIND_FRUIT,
-    KIND_OCCLUDER,
-    KIND_STEM,
-    KIND_TROUGH,
     MAX_STEM_BEND,
     Scene,
     StrawberryTruth,
     generate_scene,
     sample_surface_arrays,
 )
+
+from oracles import surface_rows
 
 
 # the trough `generate_scene` builds at the default heights
@@ -112,12 +110,17 @@ def assert_batches_equal(a, b):
         assert np.array_equal(x, y)
 
 
+def rows_of(scene, batch, part):
+    """Every row of `batch` that one kind of part of `scene` holds."""
+    return np.concatenate(surface_rows(scene, batch)[part])
+
+
 class TestSampleSurfaces:
     def test_fruit_points_on_sphere(self):
         scene = generate_scene(2, 1, surface_density=30000.0)
         fruit = scene.strawberries[0]
         batch = sample_surface_arrays(scene)
-        fruit_pts = batch.xyz[batch.kind == KIND_FRUIT]
+        fruit_pts = batch.xyz[rows_of(scene, batch, "fruit")]
         assert len(fruit_pts)
         d = np.linalg.norm(fruit_pts - fruit.center.to_array(), axis=1)
         assert np.abs(d - fruit.radius).max() <= 1e-9
@@ -128,38 +131,38 @@ class TestSampleSurfaces:
         scene = generate_scene(2, 1, radius_band=(0.0175, 0.0175))
         fruit = scene.strawberries[0]
         batch = sample_surface_arrays(scene)
-        front = (batch.kind == KIND_FRUIT) & (batch.xyz[:, 0] <= fruit.center.x)
+        front = batch.xyz[rows_of(scene, batch, "fruit"), 0] <= fruit.center.x
         assert front.sum() >= 20
 
     def test_tiny_density_no_error(self):
         scene = generate_scene(2, 1, surface_density=0.001)
         batch = sample_surface_arrays(scene)
-        assert len(batch.xyz) == len(batch.rgb) == len(batch.kind) == len(batch.owner) == len(batch.face)
+        assert len(batch.xyz) == len(batch.rgb) == len(batch.face)
+        surface_rows(scene, batch)
 
     def test_ripe_and_unripe_color_bands(self):
         scene = generate_scene(4, 6, ripe_fraction=0.5, surface_density=20000.0)
-        ripe_ids = [s.id for s in scene.strawberries if s.ripe]
         batch = sample_surface_arrays(scene)
         red = is_red(batch.rgb)
-        fruit = batch.kind == KIND_FRUIT
-        ripe = fruit & np.isin(batch.owner, ripe_ids)
-        assert ripe.any() and (fruit & ~ripe).any()
+        parts = surface_rows(scene, batch)
+        ripe = np.concatenate([rows for s, rows in zip(scene.strawberries, parts["fruit"]) if s.ripe])
+        unripe = np.concatenate([rows for s, rows in zip(scene.strawberries, parts["fruit"]) if not s.ripe])
+        assert len(ripe) and len(unripe)
         assert red[ripe].all()
-        assert not red[fruit & ~ripe].any()
-        assert not red[(batch.kind == KIND_STEM) | (batch.kind == KIND_TROUGH)].any()
+        assert not red[unripe].any()
+        assert not red[np.concatenate(parts["stem"] + parts["box"])].any()
 
     def test_stem_points_near_segment(self):
         scene = generate_scene(6, 2, surface_density=40000.0)
-        by_id = {s.id: s for s in scene.strawberries}
         from oracles import point_to_segment_distance
 
         batch = sample_surface_arrays(scene)
-        stem = batch.kind == KIND_STEM
-        assert stem.any()
-        for p, owner in zip(batch.xyz[stem], batch.owner[stem]):
-            s = by_id[int(owner)]
-            d = point_to_segment_distance(p, s.stem_top.to_array(), s.stem_attach.to_array())
-            assert d == pytest.approx(s.stem_diameter / 2, abs=1e-9)
+        stems = surface_rows(scene, batch)["stem"]
+        assert all(len(rows) for rows in stems)
+        for s, rows in zip(scene.strawberries, stems):
+            for p in batch.xyz[rows]:
+                d = point_to_segment_distance(p, s.stem_top.to_array(), s.stem_attach.to_array())
+                assert d == pytest.approx(s.stem_diameter / 2, abs=1e-9)
 
     def test_sampling_deterministic(self):
         scene = generate_scene(2, 3, surface_density=5000.0)
@@ -195,24 +198,24 @@ class TestFaceCodes:
             scene = Scene((), seed, boxes[0], tuple(boxes[1:]), 100 / scale**2)
             batch = sample_surface_arrays(scene)
             assert len(scene.boxes) == len(boxes)
-            for b, box in enumerate(scene.boxes):
-                own = batch.owner == b
+            for b, (box, own) in enumerate(zip(scene.boxes, surface_rows(scene, batch)["box"])):
                 lo, hi = box.min.to_array(), box.max.to_array()
                 want = face_codes(batch.xyz[own], lo, hi)
-                assert batch.face[own].tolist() == want.tolist()
-                assert (batch.kind[own] == (KIND_TROUGH if b == 0 else KIND_OCCLUDER)).all()
+                # the scene-wide code of box b's face f is 6*b + f
+                assert batch.face[own].tolist() == np.where(want < 0, -1, 6 * b + want).tolist()
                 if (hi - lo > 2e-6).all():
                     margin += int((want < 0).sum())
                     interior += int((want >= 0).sum())
                 elif (hi - lo > 0).all():
-                    thin += int(own.sum())
+                    thin += len(own)
         # samples fall inside the margin, on faces and on boxes thin but not flat
         assert margin > 1000 and interior > 1000 and thin > 1000
 
     def test_fruit_and_stem_samples_are_on_no_face(self):
         scene = generate_scene(3, 4)
         batch = sample_surface_arrays(scene)
-        fruit_or_stem = (batch.kind == KIND_FRUIT) | (batch.kind == KIND_STEM)
-        assert fruit_or_stem.any() and (batch.face[fruit_or_stem] == -1).all()
-        assert (batch.owner[batch.kind == KIND_TROUGH] == 0).all()
-        assert (batch.face[batch.kind == KIND_TROUGH] >= 0).mean() > 0.99
+        parts = surface_rows(scene, batch)
+        fruit_or_stem = np.concatenate(parts["fruit"] + parts["stem"])
+        assert len(fruit_or_stem) and (batch.face[fruit_or_stem] == -1).all()
+        (trough,) = parts["box"]
+        assert (batch.face[trough] >= 0).mean() > 0.99 and batch.face[trough].max() <= 5
