@@ -13,13 +13,14 @@ import time
 import numpy as np
 
 from .camera import CameraRig, default_rig
-from .geometry import ColoredPointCloud, Vec3
+from .geometry import ColoredPointCloud, Vec3, sq_lengths
 from .localization import LocalizationParams, localize
 from .scene import RIPE, draw_rgb
 
 N_BLOBS = 9
+BLOB_RADIUS = 0.0165
 RED_FRACTION = 0.08
-RED_NOISE_FRACTION = 0.01
+RED_NOISE_FRACTION = 0.013
 IN_WINDOW_FRACTION = 0.25
 # untimed `localize` calls before the timed reps
 WARMUP = 2
@@ -48,6 +49,11 @@ def make_bench_clouds(
     noise, non-red in-window clutter, and a broad non-red background. The
     clustering stage therefore sees the worst realistic load while the
     colour threshold scans both whole camera clouds.
+
+    The red noise lies at least BLOB_RADIUS + 2 * tol from every blob
+    centre, so no noise point comes within 2 * tol of a blob: noise never
+    joins a blob's cluster or bridges two, and each blob is a cluster of
+    its own. A clump of noise may still hold s_min points and give a box.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -56,7 +62,6 @@ def make_bench_clouds(
     n_blob_pts = max(0, int(size * RED_FRACTION / N_BLOBS))
     n_red_noise = int(size * RED_NOISE_FRACTION)
     n_window = int(size * IN_WINDOW_FRACTION)
-    n_background = size - N_BLOBS * n_blob_pts - n_red_noise - n_window
 
     chunks_xyz = []
     chunks_rgb = []
@@ -65,15 +70,22 @@ def make_bench_clouds(
             break
         dirs = rng.normal(size=(n_blob_pts, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        chunks_xyz.append(center.to_array() + 0.0165 * dirs)
+        chunks_xyz.append(center.to_array() + BLOB_RADIUS * dirs)
         chunks_rgb.append(draw_rgb(rng, n_blob_pts, RIPE))
 
     window_lo = np.array([params.x_minus, params.y_minus, params.z_minus])
     window_hi = np.array([params.x_plus, params.y_plus, params.z_plus])
 
     if n_red_noise:
-        chunks_xyz.append(rng.uniform(window_lo, window_hi, size=(n_red_noise, 3)))
-        chunks_rgb.append(draw_rgb(rng, n_red_noise, RIPE))
+        # the first n_red_noise of twice as many draws that clear the blobs;
+        # fewer where the blobs leave less than half the window clear
+        noise = rng.uniform(window_lo, window_hi, size=(2 * n_red_noise, 3))
+        gap2 = np.min([sq_lengths(noise - c.to_array()) for c in blob_centers(params)], axis=0)
+        noise = noise[gap2 >= (BLOB_RADIUS + 2.0 * params.tol) ** 2][:n_red_noise]
+        chunks_xyz.append(noise)
+        chunks_rgb.append(draw_rgb(rng, len(noise), RIPE))
+    # the background takes up any noise the blobs left no room for
+    n_background = size - sum(map(len, chunks_xyz)) - n_window
 
     if n_window:
         chunks_xyz.append(rng.uniform(window_lo, window_hi, size=(n_window, 3)))

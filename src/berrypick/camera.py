@@ -46,10 +46,8 @@ seed, so a capture is a pure function of (scene, rig, seed).
 A harvest run senses only what `localize` reads: given localization
 params, `capture_rig` returns each camera's red rows alone, as a
 `RedCloud`, with the bits of the whole cloud's red rows. A view's colours
-do not depend on the seed, so its red rows are found before sensing, and
-a kept view keeps them: each view's red rows for the last colour
-thresholds asked, found once for all the runs that reuse the view; other
-thresholds find them again.
+do not depend on the seed, so its red rows are found before sensing
+(`view_reds`), once for all the runs that sense the view.
 Each row is perturbed on its own by the draws at its own index, and
 Philox fills draws in sequence, so drawing normals only up to the last
 red row gives a prefix of the whole view's draws and every red row the
@@ -69,35 +67,36 @@ positions and colours once, at the end. A view also holds the length of
 each of its rays, which sensing needs and which does not depend on the
 seed: a row's length is the same bits whichever rows are gathered with it.
 
-The views of the last capture are kept, one entry only, and reused when
-the next capture has an equal key: the frozen `Scene` (fruit, trough,
-occluders, surface density, scene seed) and, for each of the rig's
-cameras, every `CameraModel` field but depth noise and dropout, the pose
-as bytes. Within one process, then, a scene is
-viewed once for the runs of a fixed scene over several run seeds, for
-each seed's points of a sweep (`berrypick sweep` runs them one after
-another, and gives each worker whole seeds), and for the
-`--dump-clouds` re-capture of a run; a scene that changes with every
-run is viewed every time. The kept arrays (positions, colours, ray
-lengths and red rows) are read-only.
+Views live on the build. A view is a pure function of the scene and of
+one camera's geometry, and a `controller.BuiltScenario` holds both: it
+makes its views (`rig_views`) and their red rows for its own colour
+thresholds (`view_reds`) on first use and keeps them, and a harvest run
+and its `--dump-clouds` re-capture sense those. Within one process,
+then, a scene is viewed once for the runs of a fixed scene over several
+run seeds (`cli.run_one` keeps the last build), and once for each seed
+of a sweep, whose points `config.sweep_point` derives from that seed's
+build: no sweep axis changes the scene or a camera's geometry. Any
+other build views its scene anew, one that `dataclasses.replace` makes
+included, as does `capture_rig` when it is given no views. The kept
+arrays (positions, colours, ray lengths and red rows) are read-only.
 
 The sensing worker is one thread, started by the first capture in a
 process, with `concurrent.futures` imported only then; a process that
 never captures starts no thread. It runs nothing but `_sense`, a pure
-function of read-only view arrays, a camera and a seed; the views, the
-kept-view entry and everything else stay on the calling thread. Each
-camera draws from its own Philox streams, so the clouds are the bits a
-serial capture gives. Before any `os.fork()` the worker is shut down
-and joined, so no thread crosses a fork (a `sweep` with workers forks
-them); the next capture, in parent or child, starts a new one. Like
-the kept views, the worker assumes one capture at a time per process.
+function of read-only view arrays, a camera and a seed; the views and
+everything else stay on the calling thread. Each camera draws from its
+own Philox streams, so the clouds are the bits a serial capture gives.
+Before any `os.fork()` the worker is shut down and joined, so no thread
+crosses a fork (a `sweep` with workers forks them); the next capture, in
+parent or child, starts a new one. The worker assumes one capture at a
+time per process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -429,54 +428,21 @@ def _sense(
     return RedCloud(cam.frame, q, rgb, int(np.count_nonzero(survives)), red[1])
 
 
-# CameraModel fields that only perturb a view; every other field shapes it
-_SENSOR_FIELDS = ("depth_noise_sigma", "dropout_rate")
-
-
-def _view_key(cam: CameraModel) -> tuple:
-    """What a camera's view depends on: each CameraModel field but the
-    sensor's, the pose as the bytes of its rotation and translation."""
-    return tuple(
-        cam.pose.rotation.tobytes() + cam.pose.translation.to_array().tobytes()
-        if f.name == "pose"
-        else getattr(cam, f.name)
-        for f in fields(CameraModel)
-        if f.name not in _SENSOR_FIELDS
-    )
-
-
-# [key, views, reds] of the last capture, reds as `_reds` gives them (None
-# until a capture asks for red rows); see the module docstring
-_last_views: list | None = None
-
-
-def _views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def rig_views(scene: Scene, rig: CameraRig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The view of `scene` from each of the rig's cameras, from one surface
-    sampling, or the last capture's views when scene and camera geometry
-    are equal."""
-    global _last_views
-    cams = (rig.cam1, rig.cam2)
-    key = (scene, tuple(_view_key(cam) for cam in cams))
-    if _last_views is not None and _last_views[0] == key:
-        return _last_views[1]
+    sampling, as `_view` gives it."""
     batch = sample_surface_arrays(scene)
     bounds = [(box.min.to_array(), box.max.to_array()) for box in scene.boxes]
-    views = tuple(_view(batch, bounds, cam) for cam in cams)
-    _last_views = [key, views, None]
-    return views
+    return tuple(_view(batch, bounds, cam) for cam in (rig.cam1, rig.cam2))
 
 
-def _reds(p: LocalizationParams) -> tuple[tuple[np.ndarray, tuple[int, int, int]], ...]:
-    """(red rows, thresholds) of each kept view for p's colour thresholds,
-    as `_sense` takes them: found once for the last thresholds asked and
-    kept with the views, the rows read-only."""
+def view_reds(views: tuple, p: LocalizationParams) -> tuple[tuple[np.ndarray, tuple[int, int, int]], ...]:
+    """(red rows, thresholds) of each view for p's colour thresholds, as
+    `_sense` takes them; the rows are read-only."""
     rgb_th = (p.r_th, p.g_th, p.b_th)
-    reds = _last_views[2]
-    if reds is None or reds[0][1] != rgb_th:
-        reds = tuple((red_rows(rgb, p), rgb_th) for _, rgb, _ in _last_views[1])
-        for rows, _ in reds:
-            rows.setflags(write=False)
-        _last_views[2] = reds
+    reds = tuple((red_rows(rgb, p), rgb_th) for _, rgb, _ in views)
+    for rows, _ in reds:
+        rows.setflags(write=False)
     return reds
 
 
@@ -499,7 +465,8 @@ os.register_at_fork(before=_drop_sensor)
 
 
 def capture_rig(
-    scene: Scene, rig: CameraRig, seed: int, red: LocalizationParams | None = None
+    scene: Scene, rig: CameraRig, seed: int, red: LocalizationParams | None = None, *,
+    views: tuple | None = None, reds: tuple | None = None,
 ) -> tuple[ColoredPointCloud, ColoredPointCloud]:
     """Capture both cameras from one surface sampling, each as a cloud in
     its own frame, with independent noise streams derived from `seed`.
@@ -510,16 +477,22 @@ def capture_rig(
     Each cloud's order follows the angular bin index, which is
     deterministic for a fixed (scene, rig, seed).
 
-    The views are made here; cam2 is then sensed on the sensing worker
-    while this thread senses cam1. The two draw from separate streams and
-    numpy fills them without the GIL, so they run side by side with the
-    bits a serial capture gives. cam2's sensing is waited for even when
-    cam1's raises, and an error from either reaches the caller.
+    `views` and `reds`, when given, must be what `rig_views(scene, rig)`
+    and `view_reds(views, red)` return; each is made here when it is not
+    given (a `BuiltScenario` keeps both). cam2 is then sensed on the
+    sensing worker while this thread senses cam1. The two draw from
+    separate streams and numpy fills them without the GIL, so they run
+    side by side with the bits a serial capture gives. cam2's sensing is
+    waited for even when cam1's raises, and an error from either reaches
+    the caller.
     """
     global _sensor
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    v1, v2 = _views(scene, rig)
-    r1, r2 = (None, None) if red is None else _reds(red)
+    if views is None:
+        views = rig_views(scene, rig)
+    if reds is None:
+        reds = (None, None) if red is None else view_reds(views, red)
+    (v1, v2), (r1, r2) = views, reds
     if _sensor is None:
         # imported here, so that a process that never captures starts no thread
         from concurrent.futures import ThreadPoolExecutor

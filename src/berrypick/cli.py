@@ -33,8 +33,9 @@ from .config import (
     config_hash,
     load_config,
     resolve_config,
+    sweep_point,
 )
-from .controller import HarvestEventLog, cycle_metrics, run_harvest
+from .controller import BuiltScenario, HarvestEventLog, cycle_metrics, run_harvest
 from .errors import BerrypickError, CloudFormatError, ConfigError
 from .geometry import ColoredPointCloud, RigidTransform, dump_cloud, load_cloud, merge_clouds, transform_cloud
 from .localization import localize
@@ -115,28 +116,43 @@ def resolve_config_arg(arg: str) -> dict:
     raise ConfigError(f"config not found: {arg!r} (no such file or packaged scenario)")
 
 
-# (key, scenario) of the last run; see run_one
+# ((config hash, scene seed), scenario) of the last build; see _kept_build
 _last_built: tuple | None = None
 
 
-def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None) -> tuple[dict, dict]:
-    """Execute one harvest run and write its artifacts; returns (metrics, wallclock).
+def _kept_build(cfg: dict, chash: str, seed: int) -> BuiltScenario:
+    """The `BuiltScenario` of resolved config `cfg`, whose hash is `chash`,
+    for run seed `seed`.
 
-    The last run's `BuiltScenario` is kept, one entry only, and reused when
-    the next run has the same config hash and scene seed (`scene.seed`, or
-    the run seed where that is null); nothing else in it depends on the run
-    seed. So the runs of a fixed scene over several run seeds build it once.
-    The key is the hash, not the dict: JSON tells -0.0 from 0.0 and 1 from
-    1.0, where `==` does not. Sharing is safe, as every component is frozen
-    and `run_harvest` only reads it: it keeps the fruit still hanging in a
-    list of its own."""
+    The last build is kept, one entry only, and reused when the next has
+    the same config hash and scene seed (`scene.seed`, or the run seed
+    where that is null); nothing else in it depends on the run seed. So
+    the runs of a fixed scene over several run seeds build it once, as do
+    a sweep's points of one seed, and with it the views it keeps. The key
+    is the hash, not the dict: JSON tells -0.0 from 0.0 and 1 from 1.0,
+    where `==` does not. Sharing is safe, as every component is frozen,
+    the kept views are read-only and `run_harvest` only reads the build:
+    it keeps the fruit still hanging in a list of its own."""
     global _last_built
-    chash = config_hash(cfg)
     scene_seed = cfg["scene"]["seed"]
     key = (chash, seed if scene_seed is None else scene_seed)
     if _last_built is None or _last_built[0] != key:
         _last_built = (key, build_scenario(cfg, seed))
-    built = _last_built[1]
+    return _last_built[1]
+
+
+def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None) -> tuple[dict, dict]:
+    """Execute one harvest run and write its artifacts; returns (metrics,
+    wallclock). The scenario is built once for the runs that share it
+    (`_kept_build`)."""
+    chash = config_hash(cfg)
+    return _run_built(_kept_build(cfg, chash, seed), chash, seed, run_dir, dump_clouds)
+
+
+def _run_built(
+    built: BuiltScenario, chash: str, seed: int, run_dir: Path, dump_clouds: Path | None = None
+) -> tuple[dict, dict]:
+    """`run_one` for a built scenario whose config hash is `chash`."""
     wall_start = time.perf_counter()
     log, localization_ms = run_harvest(built, seed, config_hash=chash)
     wall_s = time.perf_counter() - wall_start
@@ -169,7 +185,7 @@ def run_one(cfg: dict, seed: int, run_dir: Path, dump_clouds: Path | None = None
 
     if dump_clouds is not None and built.box_source == "cameras":
         # capture_rig is pure in (scene, rig, seed): these are the whole clouds whose red rows the run localized
-        c1, c2 = capture_rig(built.scene, built.rig, seed)
+        c1, c2 = capture_rig(built.scene, built.rig, seed, views=built.views)
         dump_clouds.mkdir(parents=True, exist_ok=True)
         dump_cloud(c1, dump_clouds / "cam1.txt")
         dump_cloud(c2, dump_clouds / "cam2.txt")
@@ -216,8 +232,11 @@ WALL_COLUMNS = ("localization_ms", "wall_s")
 
 
 def _sweep_job(job) -> tuple:
-    cfg_point, axis, value, seed, run_dir = job
-    metrics, wallclock = run_one(cfg_point, seed, Path(run_dir))
+    """One sweep point for one seed, derived from the sweep config's build
+    for that seed (`config.sweep_point`)."""
+    (cfg, chash, axis), (point, point_hash), value, seed, run_dir = job
+    built = sweep_point(_kept_build(cfg, chash, seed), point, axis)
+    metrics, wallclock = _run_built(built, point_hash, seed, Path(run_dir))
     return axis, value, seed, metrics, wallclock
 
 
@@ -241,15 +260,17 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out or cfg["out"] or f"out/{cfg['name']}_sweep_{axis}")
     out_root.mkdir(parents=True, exist_ok=True)
 
-    # Seed-major: no sweep axis changes the scene, so a seed's points run
-    # one after another and view its scene once (camera.py keeps the last
-    # view). The rows are then put back in value-major order.
-    points = [apply_sweep_value(cfg, axis, value) for value in values]
+    # Seed-major: a seed's points run one after another, each derived from
+    # the one build of the sweep config for that seed, which views its
+    # scene once (`_kept_build` keeps it). Each point keeps its own config
+    # hash. The rows are then put back in value-major order.
+    sweep = (cfg, config_hash(cfg), axis)
+    points = [(point, config_hash(point)) for point in (apply_sweep_value(cfg, axis, value) for value in values)]
     jobs = []
     for seed in cfg["seeds"]:
         for point, value in zip(points, values):
             run_dir = out_root / f"{axis}_{value}_seed{seed}"
-            jobs.append((point, axis, value, seed, str(run_dir)))
+            jobs.append((sweep, point, value, seed, str(run_dir)))
 
     n_values, n_seeds = len(values), len(cfg["seeds"])
     workers = max(1, min(threads, len(jobs)))

@@ -386,6 +386,28 @@ def build_cut(cfg: dict) -> CutModel:
         return CutModel(**cfg["cut"])
 
 
+# sweep axis -> the BuiltScenario field its value sets, and that field's
+# builder from a sweep point's config
+_SWEEP_FIELDS = {
+    "offset": ("box_offset", lambda point: Vec3(*point["boxes"]["offset"])),
+    "velocity": ("robot", build_robot),
+    "power": ("cut", build_cut),
+    "noise": ("rig", build_rig),
+}
+
+
+def sweep_point(built: BuiltScenario, point: dict, axis: str) -> BuiltScenario:
+    """The build of a sweep point, `point` being `apply_sweep_value`'s
+    config: `built`, the sweep config's build for the run seed, with the
+    one component `axis` sets built from `point`. `resolve_config` has
+    built every point, so its rules hold, and every other component is
+    the point's own. No axis changes the scene or a camera's geometry, so
+    a camera point keeps the views of `built` (`BuiltScenario.derive`), and
+    a seed's points view its scene once."""
+    field, build = _SWEEP_FIELDS[axis]
+    return built.derive(**{field: build(point)})
+
+
 def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> None:
     """The scene rules that keep ripe fruit where the boxes are found.
     Where any fruit is ripe, `fruit_x` (give or take its jitter),

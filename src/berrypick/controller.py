@@ -35,11 +35,12 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .camera import CameraRig, capture_rig
+from .camera import CameraRig, capture_rig, rig_views, view_reds
 from .cutter import (
     CutModel,
     ToolGeometry,
@@ -160,7 +161,12 @@ class BuiltScenario:
     """Everything one harvest run reads, built from a resolved config by
     `config.build_scenario`. `box_source` is "cameras" (localize camera
     clouds) or "truth" (perfect boxes from ground truth); `box_offset`
-    translates the boxes to emulate a systematic localization error."""
+    translates the boxes to emulate a systematic localization error.
+
+    The cameras' views of the scene and their red rows for `params`, which
+    no run seed changes, are made on first use and kept with the build
+    (see the `camera` module docstring). A copy from `dataclasses.replace`
+    starts without them; one from `derive` keeps them."""
 
     scene: Scene
     rig: CameraRig
@@ -170,6 +176,26 @@ class BuiltScenario:
     cut: CutModel
     box_source: str
     box_offset: Vec3
+
+    @cached_property
+    def views(self) -> tuple:
+        """Each camera's view of the scene, as `camera.rig_views` gives it."""
+        return rig_views(self.scene, self.rig)
+
+    @cached_property
+    def reds(self) -> tuple:
+        """Each view's red rows for `params`, as `camera.view_reds` gives them."""
+        return view_reds(self.views, self.params)
+
+    def derive(self, **changes) -> BuiltScenario:
+        """`dataclasses.replace(self, **changes)` with this build's views and
+        red rows, made here first where the cameras make the boxes. For
+        changes that no view depends on: none to the scene, the params or
+        a camera's geometry (every field but depth noise and dropout)."""
+        derived = replace(self, **changes)
+        if self.box_source == "cameras":
+            vars(derived).update(views=self.views, reds=self.reds)
+        return derived
 
 
 def run_harvest(
@@ -215,7 +241,7 @@ def run_harvest(
     else:
         rig = built.rig
         # the red rows of each camera's cloud, all that localize reads of it
-        c1, c2 = capture_rig(scene, rig, seed, built.params)
+        c1, c2 = capture_rig(scene, rig, seed, built.params, views=built.views, reds=built.reds)
         start = time.perf_counter()
         boxes = localize(c1, c2, rig.cam1.pose, rig.cam2.pose, built.params, counts)
         localization_ms = (time.perf_counter() - start) * 1e3

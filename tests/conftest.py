@@ -6,10 +6,9 @@ from berrypick.scene import sample_surface_arrays
 
 @pytest.fixture(autouse=True)
 def cold_view_cache():
-    """Start every test with no kept camera view, no kept scenario and no
-    memoized burn, so no test depends on what an earlier one rendered,
-    built or burned."""
-    camera._last_views = None
+    """Start every test with no kept scenario, and so none of the camera
+    views a build keeps, and no memoized burn, so no test depends on what
+    an earlier one rendered, built or burned."""
     cli._last_built = None
     cutter._burn.cache_clear()
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import signal
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from berrypick import camera, localization
 from berrypick.camera import CameraModel, CameraRig, capture_rig, default_rig, look_at_pose
 from berrypick.cli import resolve_config_arg
-from berrypick.config import apply_sweep_value, build_scenario, build_scene
+from berrypick.config import apply_sweep_value, build_scenario, build_scene, sweep_point
 from berrypick.localization import LocalizationParams, RedCloud, cluster_indices, localize, threshold_red
 from berrypick.geometry import Aabb, Vec3, sq_lengths, transform_cloud
 from berrypick.scene import Scene, SurfaceBatch, generate_scene, sample_surface_arrays, _box_points
@@ -244,18 +245,18 @@ class TestCaptureRig:
         # cut before the z-buffer; the bound allows 4.9 % more
         built = build_scenario(resolve_config_arg("paper9"), 0)
         capture_rig(built.scene, built.rig, 0, built.params)  # starts the sensing worker
-        camera._last_views = None
+        assert "views" not in vars(built)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            capture_rig(built.scene, built.rig, 1, built.params)
+            capture_rig(built.scene, built.rig, 1, built.params, views=built.views, reds=built.reds)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert camera._last_views is not None
+        assert "views" in vars(built) and "reds" in vars(built)
         assert peak <= COLD_CAPTURE_PEAK_BOUND, f"{peak:,} bytes"
 
     def test_samples_surfaces_once(self, sample_calls):
@@ -288,10 +289,10 @@ CULL_SCENES = {
 def each_zbuffer_path(monkeypatch):
     """Force `_view`'s z-buffer onto each way of finding the nearest sample
     per bin in turn, yielding its name: the scatter into dense tables, then
-    the sort. Each path starts with no kept view, so each renders anew."""
+    the sort. A capture given no views renders them, so each path renders
+    anew."""
     for path, fits in (("table", True), ("sort", False)):
         monkeypatch.setattr(camera, "_zbuffer_fits", lambda n_bins, n, fits=fits: fits)
-        monkeypatch.setattr(camera, "_last_views", None)
         yield path
 
 
@@ -477,7 +478,6 @@ class TestCullingEquivalence:
         scene = replace(_paper9(), occluders=(EDGE_OCCLUDER,))
         monkeypatch.setattr(camera, "sample_surface_arrays", _with_edge_samples)
         monkeypatch.setattr(oracles, "sample_surface_arrays", _with_edge_samples)
-        monkeypatch.setattr(camera, "_last_views", None)
 
         batch = _with_edge_samples(scene)
         edge = slice(len(batch.xyz) - 2 * len(EDGE_SAMPLES), None)
@@ -497,7 +497,7 @@ class TestCullingEquivalence:
                     assert all(map(_same_bytes, capture_rig(scene, rig, seed), refs))
         # some edge sample wins its bin in cam1's noiseless view
         q = rig.cam1.pose.inverse().apply_to(EDGE_SAMPLES)
-        view = camera._last_views[1][0][0]
+        view = camera.rig_views(scene, rig)[0][0]
         assert (view[:, None, :] == q[None]).all(axis=2).any()
 
 
@@ -569,50 +569,66 @@ VIEW_CHANGES = {
 }
 
 
+def _paper9_built():
+    """The paper9 build of run seed 1, whose scene is `_paper9()`."""
+    return build_scenario(resolve_config_arg("paper9"), 1)
+
+
 class TestViewCache:
-    """`capture_rig` reuses the last views only for an equal scene and
-    equal camera geometry."""
+    """A `BuiltScenario` keeps the views of its scene and rig; a sweep
+    point carries them where only depth noise and dropout change, and any
+    other build views its scene anew."""
 
     def test_same_scene_is_not_sampled_again(self, sample_calls):
-        scene, rig = _paper9(), default_rig()
-        first = capture_rig(scene, rig, 1)
+        built = _paper9_built()
+        first = capture_rig(built.scene, built.rig, 1, views=built.views)
         assert len(sample_calls) == 1
-        again = capture_rig(_paper9(), default_rig(), 1)
+        again = capture_rig(built.scene, built.rig, 1, views=built.views)
         assert len(sample_calls) == 1
         assert all(_same_bytes(a, b) for a, b in zip(first, again))
+        assert all(_same_bytes(a, b) for a, b in zip(first, capture_rig(_paper9(), default_rig(), 1)))
 
     @pytest.mark.parametrize("sigma, rate", [(0.0, 0.0), (0.004, 0.1), (0.002, 0.5)])
     def test_noise_and_dropout_reuse_the_view(self, sample_calls, sigma, rate):
-        scene = _paper9()
-        capture_rig(scene, default_rig(), 1)
-        rig = noisy_rig(sigma, rate)
+        cfg = resolve_config_arg("paper9")
+        built = build_scenario(cfg, 1)
+        capture_rig(built.scene, built.rig, 1, views=built.views)
+        point = copy.deepcopy(cfg)
+        for cam in ("cam1", "cam2"):
+            point["rig"][cam].update(depth_noise_sigma=sigma, dropout_rate=rate)
+        noisy = sweep_point(built, point, "noise")
+        rig = noisy.rig
+        assert [(cam.depth_noise_sigma, cam.dropout_rate) for cam in (rig.cam1, rig.cam2)] == [(sigma, rate)] * 2
         seed = 5
-        c1, c2 = capture_rig(scene, rig, seed)
+        c1, c2 = capture_rig(noisy.scene, rig, seed, views=noisy.views)
         assert len(sample_calls) == 1
         s1, s2 = (int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64))
-        assert _same_bytes(c1, reference_capture(scene, rig.cam1, s1))
-        assert _same_bytes(c2, reference_capture(scene, rig.cam2, s2))
+        assert _same_bytes(c1, reference_capture(noisy.scene, rig.cam1, s1))
+        assert _same_bytes(c2, reference_capture(noisy.scene, rig.cam2, s2))
 
     @pytest.mark.parametrize("change", sorted(VIEW_CHANGES))
-    def test_changed_view_input_misses(self, sample_calls, monkeypatch, change):
-        scene, rig = VIEW_CHANGES[change](_paper9(), default_rig())
-        capture_rig(_paper9(), default_rig(), 1)
-        warm = capture_rig(scene, rig, 2)
+    def test_changed_view_input_misses(self, sample_calls, change):
+        built = _paper9_built()
+        capture_rig(built.scene, built.rig, 1, views=built.views)
+        scene, rig = VIEW_CHANGES[change](built.scene, built.rig)
+        changed = replace(built, scene=scene, rig=rig)
+        warm = capture_rig(scene, rig, 2, views=changed.views)
         assert len(sample_calls) == 2
-        monkeypatch.setattr(camera, "_last_views", None)
         cold = capture_rig(scene, rig, 2)
         assert all(_same_bytes(a, b) for a, b in zip(warm, cold))
 
     def test_key_is_every_field_but_noise_and_dropout(self):
-        cam = default_rig().cam1
-        key = camera._view_key(cam)
-        assert len(key) == len(fields(CameraModel)) - 2
-        assert camera._view_key(replace(cam, depth_noise_sigma=0.01, dropout_rate=0.5)) == key
+        # a view reads no sensor field: cameras that differ only in depth
+        # noise and dropout view the scene alike, bit for bit
+        scene = _paper9()
+        views = camera.rig_views(scene, default_rig())
+        for a, b in zip(views, camera.rig_views(scene, noisy_rig(0.01, 0.5))):
+            assert [x.tobytes() for x in a] == [y.tobytes() for y in b]
 
     def test_cached_arrays_are_read_only(self, sample_calls):
-        capture_rig(generate_scene(2, 3), default_rig(), 1)
-        views = camera._last_views[1]
-        assert len(views) == 2
+        built = replace(_paper9_built(), scene=generate_scene(2, 3))
+        views = built.views
+        assert len(views) == 2 and len(sample_calls) == 1
         for q, rgb, ranges in views:
             assert len(q) and not q.flags.writeable and not rgb.flags.writeable
             assert not ranges.flags.writeable
@@ -630,7 +646,7 @@ class TestSensor:
     @pytest.mark.parametrize("sigma, rate", [(0.002, 0.02), (0.0, 0.02), (0.002, 0.0), (0.002, 1.0), (0.0, 0.0)])
     def test_matches_reference_sense(self, sigma, rate):
         rig = noisy_rig(sigma, rate)
-        views = camera._views(_paper9(), rig)
+        views = camera.rig_views(_paper9(), rig)
         for cam, (q, rgb, ranges) in zip((rig.cam1, rig.cam2), views):
             for seed in range(10):
                 cloud = camera._sense(q, rgb, ranges, cam, seed)
@@ -726,7 +742,7 @@ class TestRedCapture:
 
     def test_view_with_no_red_row(self):
         rig = default_rig()
-        views = _recoloured(camera._views(_paper9(), rig), lambda n: [])
+        views = _recoloured(camera.rig_views(_paper9(), rig), lambda n: [])
         whole, red = _sense_both(views, rig, 4), _sense_both(views, rig, 4, LocalizationParams())
         assert [len(c) for c in red] == [0, 0] and all(len(c) > 0 for c in whole)
         _assert_red_as_whole(whole, red, rig, LocalizationParams())
@@ -734,7 +750,7 @@ class TestRedCapture:
     def test_red_last_row(self):
         # the last row draws the view's last normal
         rig, p = default_rig(), LocalizationParams(s_min=1)
-        views = _recoloured(camera._views(_paper9(), rig), lambda n: [n // 3, n - 1])
+        views = _recoloured(camera.rig_views(_paper9(), rig), lambda n: [n // 3, n - 1])
         last_sensed = 0
         for seed in range(5):
             whole, red = _sense_both(views, rig, seed), _sense_both(views, rig, seed, p)
@@ -749,7 +765,7 @@ class TestRedCapture:
         # 2.4.6 on x86-64, about one red row in six rounds apart under this
         # cam1, which looks across the row rather than along y = 0
         rig, p = _cam1_at(default_rig(), (-0.05, 0.13, 0.47), (0.45, -0.02, 0.41)), LocalizationParams(s_min=1)
-        views = camera._views(_paper9(), rig)
+        views = camera.rig_views(_paper9(), rig)
         for row in localization.red_rows(views[0][1], p)[::20].tolist():
             lone = _recoloured(views, lambda n: [row])
             lone[1] = views[1]
@@ -757,22 +773,26 @@ class TestRedCapture:
             _assert_red_as_whole(whole, red, rig, p)
 
     def test_thresholds_switch_on_a_kept_view(self):
-        # a kept view keeps its red rows for the last thresholds asked;
-        # other thresholds find them again, and going back finds A's again
-        scene, rig = _paper9(), default_rig()
+        # a build keeps its views' red rows for its own thresholds; a build
+        # of the same views with other thresholds finds its own, and going
+        # back to A's finds A's again
+        built = _paper9_built()
+        scene, rig = built.scene, built.rig
         a, b = LocalizationParams(), LocalizationParams(r_th=200, g_th=40)
         whole = capture_rig(scene, rig, 2)
         sizes = []
         for p in (a, b, a):
-            red = capture_rig(scene, rig, 2, p)
+            kept = replace(built, params=p)
+            vars(kept)["views"] = built.views
+            red = capture_rig(scene, rig, 2, p, views=kept.views, reds=kept.reds)
             rgb_th = (p.r_th, p.g_th, p.b_th)
-            assert [kept[1] for kept in camera._last_views[2]] == [rgb_th, rgb_th]
+            assert [rows[1] for rows in kept.reds] == [rgb_th, rgb_th]
             for w, r in zip(whole, red):
                 assert r.rgb_th == rgb_th and r.n_whole == len(w)
                 assert _same_bytes(r, threshold_red(w, p))
             sizes.append([len(r) for r in red])
+            assert all(not rows.flags.writeable for rows, _ in kept.reds)
         assert sizes[0] == sizes[2] and all(n_b < n_a for n_a, n_b in zip(sizes[0], sizes[1]))
-        assert all(not rows.flags.writeable for rows, _ in camera._last_views[2])
 
     def test_other_thresholds_are_refused(self):
         rig = default_rig()

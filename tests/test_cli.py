@@ -1,13 +1,14 @@
 import copy
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from berrypick import camera, cli
-from berrypick.bench import N_BLOBS, make_bench_clouds
-from berrypick.camera import capture_rig, default_rig
+from berrypick import camera, cli, config
+from berrypick.bench import N_BLOBS, RED_FRACTION, make_bench_clouds
+from berrypick.camera import CameraModel, capture_rig, default_rig
 from berrypick.cli import (
     apply_sweep_value,
     cycles_to_csv,
@@ -16,8 +17,8 @@ from berrypick.cli import (
     resolve_config_arg,
     run_one,
 )
-from berrypick.config import build_rig, build_scenario, load_config, resolve_config
-from berrypick.controller import HarvestEventLog
+from berrypick.config import SWEEP_AXES, build_rig, build_scenario, load_config, resolve_config, sweep_point
+from berrypick.controller import BuiltScenario, HarvestEventLog, run_harvest
 from berrypick.errors import ConfigError
 from berrypick.geometry import dump_cloud
 from berrypick.localization import LocalizationParams, localize
@@ -524,10 +525,17 @@ class TestKeptScenario:
         assert len(builds) == n_builds
         for seed in seeds:
             monkeypatch.setattr(cli, "_last_built", None)
-            monkeypatch.setattr(camera, "_last_views", None)
             run_one(cfg, seed, tmp_path / "cold" / f"seed{seed}", tmp_path / "cold" / f"clouds{seed}")
         warm, cold = _artifacts(tmp_path / "warm"), _artifacts(tmp_path / "cold")
         assert len(warm) == 7 * len(seeds) and warm == cold
+
+    def test_warm_run_samples_nothing(self, tmp_path, sample_calls):
+        cfg = resolve_config_arg("paper9")
+        run_one(cfg, 1, tmp_path / "a")
+        assert len(sample_calls) == 1
+        # a new run seed of the fixed scene: the kept build holds the views
+        run_one(cfg, 2, tmp_path / "b", tmp_path / "clouds")
+        assert len(sample_calls) == 1 and (tmp_path / "clouds" / "merged_base.txt").exists()
 
     def test_same_config_and_scene_seed_hit(self, tmp_path, builds):
         cfg = resolve_config(TRUTH_MINI)
@@ -577,6 +585,81 @@ class TestKeptScenario:
             with pytest.raises(ConfigError, match="^localization.s_min "):
                 run_one(bad, 1, tmp_path / run)
         assert builds == [1, 1, 1]
+
+
+def _same_build(a, b) -> bool:
+    """Two builds equal component by component, each camera's pose
+    compared as the bytes of its rotation and translation."""
+    for f in fields(BuiltScenario):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name != "rig":
+            if x != y:
+                return False
+            continue
+        for c, d in ((x.cam1, y.cam1), (x.cam2, y.cam2)):
+            if (c.pose.rotation.tobytes(), c.pose.translation.to_array().tobytes()) != (
+                    d.pose.rotation.tobytes(), d.pose.translation.to_array().tobytes()):
+                return False
+            if (c.pose.source_frame, c.pose.target_frame) != (d.pose.source_frame, d.pose.target_frame):
+                return False
+            if any(getattr(c, g.name) != getattr(d, g.name) for g in fields(CameraModel) if g.name != "pose"):
+                return False
+    return True
+
+
+# paper9 with one value on every sweep axis, and a scene per run seed
+EVERY_AXIS = {"name": "every_axis", "scene": {"seed": None, "n_straw": 9, "ripe_fraction": 1.0, "bend_sigma": 0.001},
+              "sweep": {"offsets_mm": [5], "velocity_scales": [0.25], "powers": [25.0], "noise_sigmas": [0.01]},
+              "seeds": [2, 3]}
+
+
+class TestSweepDerivation:
+    """A sweep builds each seed once and derives each point from that
+    build: the point is what building it anew gives, and a camera point
+    senses the views of the seed's build."""
+
+    @pytest.mark.parametrize("name, axis, counts", [
+        # 42 validation builds (the config and its 41 points) and one build per seed
+        ("robustness", "offset", (52, 10, 0)),
+        ("noise", "noise", (12, 5, 5)),
+    ])
+    def test_sweep_builds_each_seed_once(self, tmp_path, monkeypatch, builds, sample_calls, name, axis, counts):
+        monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
+        scenes = []
+
+        def counting(*args, **kwargs):
+            scenes.append(kwargs["seed"])
+            return generate_scene(*args, **kwargs)
+
+        monkeypatch.setattr(config, "generate_scene", counting)
+        assert main(["sweep", "--config", name, "--axis", axis, "--out", str(tmp_path / "s")]) == 0
+        assert (len(scenes), len(builds), len(sample_calls)) == counts
+        assert builds == resolve_config_arg(name)["seeds"]
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_point_is_its_fresh_build(self, sample_calls, axis):
+        cfg = resolve_config(EVERY_AXIS)
+        for seed in cfg["seeds"]:
+            built = build_scenario(cfg, seed)
+            for value in cfg["sweep"][SWEEP_AXES[axis]]:
+                point = apply_sweep_value(cfg, axis, value)
+                derived, fresh = sweep_point(built, point, axis), build_scenario(point, seed)
+                assert _same_build(derived, fresh) and not _same_build(derived, built)
+                # the views of the seed's build, carried, and the bits a fresh render gives
+                assert derived.views is built.views and derived.reds is built.reds
+                rendered = camera.rig_views(fresh.scene, fresh.rig)
+                for kept, anew in zip(derived.views, rendered):
+                    assert [a.tobytes() for a in kept] == [a.tobytes() for a in anew]
+                for kept, anew in zip(derived.reds, camera.view_reds(rendered, fresh.params)):
+                    assert (kept[0].tobytes(), kept[1]) == (anew[0].tobytes(), anew[1])
+        assert len(sample_calls) == 2 * len(cfg["seeds"])
+
+    def test_truth_point_views_nothing(self, sample_calls):
+        cfg = resolve_config_arg("robustness")
+        built = build_scenario(cfg, 1)
+        point = sweep_point(built, apply_sweep_value(cfg, "offset", 5), "offset")
+        run_harvest(point, 1)
+        assert "views" not in vars(point) and "views" not in vars(built) and sample_calls == []
 
 
 class TestBenchCommand:
@@ -633,6 +716,16 @@ class TestBenchCommand:
                           (params.z_minus + params.z_plus) / 2])
             found += any(np.all(c >= b.box.min.to_array()) and np.all(c <= b.box.max.to_array()) for b in boxes)
         assert report["blob_recall"] == found == N_BLOBS
+
+    def test_noise_where_the_blobs_leave_no_room(self):
+        # a tol so wide that no red noise clears the blobs: the background
+        # takes its points, and every red point left is a blob's
+        params, rig = LocalizationParams(tol=0.3), default_rig()
+        c1, c2 = make_bench_clouds(20_000, 0, params, rig)
+        assert len(c1) + len(c2) == 20_000
+        load = {}
+        localize(c1, c2, rig.cam1.pose, rig.cam2.pose, params, load)
+        assert load["n_red"] == N_BLOBS * int(20_000 * RED_FRACTION / N_BLOBS)
 
 
 class TestLocalizeCommand:
