@@ -253,7 +253,7 @@ def cmd_sweep(args) -> int:
     threads = _env_threads()
     cfg = resolve_config_arg(args.config)
     axis = args.axis
-    key = SWEEP_AXES[axis]
+    key, _, _ = SWEEP_AXES[axis]
     values = cfg["sweep"][key]
     if not values:
         raise ConfigError(f"sweep.{key} is empty; nothing to sweep")

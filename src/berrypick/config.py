@@ -13,13 +13,14 @@ gives each value the file sets inside a section the type of its default,
 and only then rescales it if it is a length; the first fault in walk
 order is the one named. This module also checks the keys no component
 consumes. Every range rule belongs to its component: resolving a config
-builds the components for it and for each sweep point, and a rejected
-value becomes a `ConfigError` naming its dotted key. The robot
-workspace, the localization crop window inflated by
-`robot.workspace_margin`, is built here only. So are the scene rules
-that read the crop window or the trough: where any fruit is ripe, the
-layout must hang every fruit inside the window and, where the cameras
-make the boxes, in front of the trough.
+builds its components once, then checks each sweep point by building
+the one component that the point's axis sets, and a rejected value
+becomes a `ConfigError` naming its dotted key. The robot workspace, the
+localization crop window inflated by `robot.workspace_margin`, is built
+here only. So are the rules that read it or the crop window: a box
+offset is at most the workspace's size (`build_box_offset`), and where
+any fruit is ripe, the layout must hang every fruit inside the window
+and, where the cameras make the boxes, in front of the trough.
 
 The resolved (defaulted, meter-converted) dictionary is hashed with
 SHA-256 and the hash is embedded in every artifact, so artifacts can be
@@ -245,15 +246,6 @@ def _validate(cfg: dict) -> None:
     _require(cfg["out"] is None or "\0" not in cfg["out"], "out", "must not contain a NUL byte")
 
 
-# sweep axis -> the `sweep` list holding its values
-SWEEP_AXES = {
-    "offset": "offsets_mm",
-    "velocity": "velocity_scales",
-    "power": "powers",
-    "noise": "noise_sigmas",
-}
-
-
 def apply_sweep_value(cfg: dict, axis: str, value) -> dict:
     """A copy of `cfg` with one sweep axis set to `value`."""
     point = copy.deepcopy(cfg)
@@ -276,9 +268,13 @@ def resolve_config(raw: dict) -> dict:
     way), validate. Returns the canonical resolved dictionary (units
     always 'm').
 
-    Validation builds the components for the first seed, once for the
-    config and once for every sweep point, so every range rule is the
-    component's own."""
+    Validation builds the components for the first seed once, and checks
+    each sweep point with the builder of the one component its axis sets,
+    so every range rule is the component's own. That builder alone
+    checks the point as a whole build would: no axis changes the scene,
+    the crop window, the workspace, the box source or a camera's
+    geometry, and the rules that read two components read only these
+    and the component they check."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     units = raw.get("units", "m")
@@ -289,10 +285,10 @@ def resolve_config(raw: dict) -> dict:
     _validate(cfg)
     seed = cfg["seeds"][0]
     build_scenario(cfg, seed)
-    for axis, key in SWEEP_AXES.items():
+    for axis, (key, _, build) in SWEEP_AXES.items():
         for i, value in enumerate(cfg["sweep"][key]):
             try:
-                build_scenario(apply_sweep_value(cfg, axis, value), seed)
+                build(apply_sweep_value(cfg, axis, value))
             except ConfigError as e:
                 raise ConfigError(f"sweep.{key}[{i}] = {value}: {e}") from e
     return cfg
@@ -386,25 +382,45 @@ def build_cut(cfg: dict) -> CutModel:
         return CutModel(**cfg["cut"])
 
 
-# sweep axis -> the BuiltScenario field its value sets, and that field's
-# builder from a sweep point's config
-_SWEEP_FIELDS = {
-    "offset": ("box_offset", lambda point: Vec3(*point["boxes"]["offset"])),
-    "velocity": ("robot", build_robot),
-    "power": ("cut", build_cut),
-    "noise": ("rig", build_rig),
+def build_box_offset(cfg: dict) -> Vec3:
+    """The box offset. Every box lies in the workspace, so an offset
+    larger than the workspace on some axis moves every box out of reach.
+    With the workspace at most MAX_WORKSPACE_SPAN wide, which the crop
+    window already is, the bound also keeps the distance from a box to
+    its fruit within the float range."""
+    offset = Vec3(*cfg["boxes"]["offset"])
+    ws = _workspace(cfg)
+    size = (ws.max.x - ws.min.x, ws.max.y - ws.min.y, ws.max.z - ws.min.z)
+    _require(
+        all(s <= MAX_WORKSPACE_SPAN for s in size), "robot.workspace_margin",
+        f"must leave the workspace at most {MAX_WORKSPACE_SPAN:.4g} m wide on each axis",
+    )
+    _require(
+        all(abs(o) <= s for o, s in zip((offset.x, offset.y, offset.z), size)), "boxes.offset",
+        f"must be at most the workspace's size on each axis, ({size[0]:g}, {size[1]:g}, {size[2]:g}) m",
+    )
+    return offset
+
+
+# sweep axis -> the `sweep` list holding its values, the BuiltScenario
+# field a value sets, and that field's builder from a sweep point's config
+SWEEP_AXES = {
+    "offset": ("offsets_mm", "box_offset", build_box_offset),
+    "velocity": ("velocity_scales", "robot", build_robot),
+    "power": ("powers", "cut", build_cut),
+    "noise": ("noise_sigmas", "rig", build_rig),
 }
 
 
 def sweep_point(built: BuiltScenario, point: dict, axis: str) -> BuiltScenario:
     """The build of a sweep point, `point` being `apply_sweep_value`'s
     config: `built`, the sweep config's build for the run seed, with the
-    one component `axis` sets built from `point`. `resolve_config` has
-    built every point, so its rules hold, and every other component is
-    the point's own. No axis changes the scene or a camera's geometry, so
-    a camera point keeps the views of `built` (`BuiltScenario.derive`), and
+    one component `axis` sets built from `point` by the builder that
+    `resolve_config` checked the point with. Every other component is the
+    point's own. No axis changes the scene or a camera's geometry, so a
+    camera point keeps the views of `built` (`BuiltScenario.derive`), and
     a seed's points view its scene once."""
-    field, build = _SWEEP_FIELDS[axis]
+    _, field, build = SWEEP_AXES[axis]
     return built.derive(**{field: build(point)})
 
 
@@ -442,32 +458,13 @@ def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> Non
     )
 
 
-def _require_offset_in_workspace(offset: Vec3, workspace: Aabb) -> None:
-    """Every box lies in the workspace, so an offset larger than the
-    workspace on some axis moves every box out of reach. With the
-    workspace at most MAX_WORKSPACE_SPAN wide, which the crop window
-    already is, the bound also keeps the distance from a box to its fruit
-    within the float range."""
-    lo, hi = workspace.min, workspace.max
-    size = (hi.x - lo.x, hi.y - lo.y, hi.z - lo.z)
-    _require(
-        all(s <= MAX_WORKSPACE_SPAN for s in size), "robot.workspace_margin",
-        f"must leave the workspace at most {MAX_WORKSPACE_SPAN:.4g} m wide on each axis",
-    )
-    _require(
-        all(abs(o) <= s for o, s in zip((offset.x, offset.y, offset.z), size)), "boxes.offset",
-        f"must be at most the workspace's size on each axis, ({size[0]:g}, {size[1]:g}, {size[2]:g}) m",
-    )
-
-
 def build_scenario(cfg: dict, run_seed: int) -> BuiltScenario:
     """Build every component of a resolved config for one run seed. A
     component that rejects a value raises a ConfigError naming its key."""
     # the crop window first: the workspace is built from it
     params = build_localization(cfg)
     robot = build_robot(cfg)
-    box_offset = Vec3(*cfg["boxes"]["offset"])
-    _require_offset_in_workspace(box_offset, robot.workspace)
+    box_offset = build_box_offset(cfg)
     scene = build_scene(cfg, run_seed)
     _require_ripe_in_view(cfg, scene, params)
     cut = build_cut(cfg)

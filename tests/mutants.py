@@ -137,9 +137,39 @@ MUTANTS = [
     Mutant(
         "sweep: a noise point replaces cam1 only, and cam2 keeps the default noise",
         "config.py",
-        '    "noise": ("rig", build_rig),\n',
-        '    "noise": ("rig", lambda point: CameraRig(build_rig(point).cam1, make_camera("cam2", **DEFAULT_RIG["cam2"]))),\n',
+        '    "noise": ("noise_sigmas", "rig", build_rig),\n',
+        '    "noise": ("noise_sigmas", "rig",'
+        ' lambda point: CameraRig(build_rig(point).cam1, make_camera("cam2", **DEFAULT_RIG["cam2"]))),\n',
         ("tests/test_cli.py::TestSweepDerivation::test_point_is_its_fresh_build",),
+    ),
+    Mutant(
+        "localize: a lone red row of a larger cloud moves by the one-row routine",
+        "localization.py",
+        "    if len(rows) == 1 < n_whole:\n",
+        "    if False:\n",
+        ("tests/test_localization.py::TestLocalize::test_lone_red_row_rounding_apart_moves_as_in_whole_cloud",),
+    ),
+    Mutant(
+        "sensing worker: a forked child inherits the parent's worker",
+        "camera.py",
+        "os.register_at_fork(before=_drop_sensor)\n",
+        "",
+        ("tests/test_camera.py::TestSensingWorker::test_fork_joins_the_worker",),
+    ),
+    Mutant(
+        "box offset: no bound by the workspace's size",
+        "config.py",
+        "        all(abs(o) <= s for o, s in zip((offset.x, offset.y, offset.z), size)), \"boxes.offset\",\n",
+        "        True, \"boxes.offset\",\n",
+        ("tests/test_config.py::TestResolve::test_box_offset_bounded_by_workspace_size",),
+    ),
+    Mutant(
+        "resolve: sweep points go unchecked",
+        "config.py",
+        "                build(apply_sweep_value(cfg, axis, value))\n",
+        "                pass\n",
+        ("tests/test_extremes.py::test_every_sweep_axis_at_extremes",
+         "tests/test_config.py::TestSweepPoints::test_point_refused_as_its_whole_build"),
     ),
 ]
 

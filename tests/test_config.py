@@ -8,7 +8,10 @@ import pytest
 
 from berrypick.camera import MAX_BINS, capture_rig
 from berrypick.config import (
+    _LENGTH_FIELDS,
     DEFAULTS,
+    SWEEP_AXES,
+    apply_sweep_value,
     build_cut,
     build_localization,
     build_rig,
@@ -22,6 +25,7 @@ from berrypick.config import (
 from berrypick.cutter import MAX_TIMESTEPS, CutModel
 from berrypick.errors import ConfigError
 from berrypick.scene import MAX_SURFACE_SAMPLES
+from test_extremes import BASE, EXTREMES
 
 # the paper9 scenario's scene
 PAPER9_SCENE = {"seed": 7, "n_straw": 9, "ripe_fraction": 1.0, "bend_sigma": 0.001}
@@ -216,6 +220,39 @@ class TestResolve:
     def test_non_numeric_length_named_in_scaled_units(self):
         with pytest.raises(ConfigError, match=r"rig\.cam1\.eye"):
             resolve_config({"units": "cm", "rig": {"cam1": {"eye": [0, "up", 40]}}})
+
+
+# a value each sweep axis accepts, in m and in mm
+SWEEP_VALID = {"offset": 5, "velocity": 0.5, "power": 50.0, "noise": 0.002}
+
+
+class TestSweepPoints:
+    """`resolve_config` checks each sweep point with the builder of the
+    component its axis sets; it refuses a point exactly where building
+    the whole point would, with that message."""
+
+    @pytest.mark.parametrize("units", ["m", "mm"])
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_point_refused_as_its_whole_build(self, axis, units):
+        key, _, _ = SWEEP_AXES[axis]
+        base = resolve_config({**BASE, "units": units})
+        refused = []
+        for value in (SWEEP_VALID[axis], *EXTREMES):
+            # the value in meters, as `resolve_config` rescales it
+            meters = value * 0.001 if units == "mm" and f"sweep.{key}" in _LENGTH_FIELDS else value
+            try:
+                build_scenario(apply_sweep_value(base, axis, meters), base["seeds"][0])
+                want = None
+            except ConfigError as e:
+                want = f"sweep.{key}[0] = {meters}: {e}"
+            try:
+                resolve_config({**BASE, "units": units, "sweep": {key: [value]}})
+                got = None
+            except ConfigError as e:
+                got = str(e)
+            assert got == want, (axis, units, value)
+            refused.append(want is not None)
+        assert not refused[0] and any(refused)
 
 
 class TestUnits:

@@ -91,7 +91,7 @@ def leaf_cases():
 
 
 def sweep_cases():
-    for axis, key in SWEEP_AXES.items():
+    for axis, (key, _, _) in SWEEP_AXES.items():
         for units in ("m", "mm"):
             for value in EXTREMES:
                 cfg = {**BASE, "units": units, "sweep": {key: [value]}}

@@ -742,6 +742,36 @@ class TestLocalize:
             assert localize(c1, c2, t1, t2, p) == boxes_from_clusters(red, p)
             assert seen[0].tobytes() == red.xyz.tobytes()
 
+    def test_lone_red_row_rounding_apart_moves_as_in_whole_cloud(self, monkeypatch):
+        # on a BLAS whose one-row move rounds apart from the whole-cloud
+        # move, here made to by one ulp, the lone red row still clusters
+        # at the whole cloud's bits
+        rng = np.random.default_rng(30)
+        _, c2, t1, t2 = make_scene_clouds(rng)
+        p = LocalizationParams(s_min=1)
+        rgb = np.full((5, 3), 90, dtype=np.uint8)
+        rgb[2] = (200, 30, 30)
+        base = rng.uniform([0.3, -0.2, 0.35], [0.5, 0.2, 0.45], size=(5, 3))
+        c1 = ColoredPointCloud("cam1", t1.inverse().apply_to(base), rgb)
+        merged = merge_clouds(transform_cloud(t1, c1, "base"), transform_cloud(t2, c2, "base"))
+        whole = threshold_red(crop_window(merged, p), p)
+        apply_to, seen = RigidTransform.apply_to, []
+
+        def one_row_apart(t, xyz, out=None):
+            moved = apply_to(t, xyz, out)
+            if len(xyz) == 1:
+                moved[:] = np.nextafter(moved, np.inf)
+            return moved
+
+        def recording(xyz, *args):
+            seen.append(xyz)
+            return cluster_indices(xyz, *args)
+
+        monkeypatch.setattr(RigidTransform, "apply_to", one_row_apart)
+        monkeypatch.setattr(localization, "cluster_indices", recording)
+        assert localize(c1, c2, t1, t2, p) == boxes_from_clusters(whole, p)
+        assert seen[0].tobytes() == whole.xyz.tobytes()
+
     def test_all_non_red_gives_empty(self):
         rng = np.random.default_rng(26)
         xyz = rng.uniform([0.3, -0.2, 0.35], [0.5, 0.2, 0.45], size=(300, 3))
