@@ -74,11 +74,12 @@ thresholds (`view_reds`) on first use and keeps them, and a harvest run
 and its `--dump-clouds` re-capture sense those. Within one process,
 then, a scene is viewed once for the runs of a fixed scene over several
 run seeds (`cli.run_one` keeps the last build), and once for each seed
-of a sweep, whose points `config.sweep_point` derives from that seed's
-build: no sweep axis changes the scene or a camera's geometry. Any
-other build views its scene anew, one that `dataclasses.replace` makes
-included, as does `capture_rig` when it is given no views. The kept
-arrays (positions, colours, ray lengths and red rows) are read-only.
+of a sweep, whose points run on that seed's build with their axis's one
+component replaced (`BuiltScenario.derive`): no sweep axis changes the
+scene or a camera's geometry. Any other build views its scene anew, one
+that `dataclasses.replace` makes included, as does `capture_rig` when it
+is given no views. The kept arrays (positions, colours, ray lengths and
+red rows) are read-only.
 
 The sensing worker is one thread, started by the first capture in a
 process, with `concurrent.futures` imported only then; a process that

@@ -33,7 +33,6 @@ from .config import (
     config_hash,
     load_config,
     resolve_config,
-    sweep_point,
 )
 from .controller import BuiltScenario, HarvestEventLog, cycle_metrics, run_harvest
 from .errors import BerrypickError, CloudFormatError, ConfigError
@@ -231,13 +230,19 @@ SWEEP_COLUMNS = {
 WALL_COLUMNS = ("localization_ms", "wall_s")
 
 
-def _sweep_job(job) -> tuple:
-    """One sweep point for one seed, derived from the sweep config's build
-    for that seed (`config.sweep_point`)."""
-    (cfg, chash, axis), (point, point_hash), value, seed, run_dir = job
-    built = sweep_point(_kept_build(cfg, chash, seed), point, axis)
-    metrics, wallclock = _run_built(built, point_hash, seed, Path(run_dir))
-    return axis, value, seed, metrics, wallclock
+def _sweep_seed(job) -> list:
+    """Every point of a sweep for one run seed; returns each point's
+    (metrics, wallclock). The sweep config is built once for the seed
+    (`_kept_build`), and each point runs on that build with the one
+    component its axis sets replaced by the point's (`BuiltScenario.derive`):
+    no axis changes the scene or a camera's geometry, so the seed's points
+    share the views of its scene."""
+    (cfg, chash, field, out_root, points), seed = job
+    built = _kept_build(cfg, chash, seed)
+    return [
+        _run_built(built.derive(**{field: component}), point_hash, seed, out_root / f"{name}_seed{seed}")
+        for component, point_hash, name in points
+    ]
 
 
 def _env_threads() -> int:
@@ -253,51 +258,45 @@ def cmd_sweep(args) -> int:
     threads = _env_threads()
     cfg = resolve_config_arg(args.config)
     axis = args.axis
-    key, _, _ = SWEEP_AXES[axis]
+    key, field, build = SWEEP_AXES[axis]
     values = cfg["sweep"][key]
     if not values:
         raise ConfigError(f"sweep.{key} is empty; nothing to sweep")
+    seeds = cfg["seeds"]
     out_root = Path(args.out or cfg["out"] or f"out/{cfg['name']}_sweep_{axis}")
     out_root.mkdir(parents=True, exist_ok=True)
 
-    # Seed-major: a seed's points run one after another, each derived from
-    # the one build of the sweep config for that seed, which views its
-    # scene once (`_kept_build` keeps it). Each point keeps its own config
-    # hash. The rows are then put back in value-major order.
-    sweep = (cfg, config_hash(cfg), axis)
-    points = [(point, config_hash(point)) for point in (apply_sweep_value(cfg, axis, value) for value in values)]
-    jobs = []
-    for seed in cfg["seeds"]:
-        for point, value in zip(points, values):
-            run_dir = out_root / f"{axis}_{value}_seed{seed}"
-            jobs.append((sweep, point, value, seed, str(run_dir)))
-
-    n_values, n_seeds = len(values), len(cfg["seeds"])
-    workers = max(1, min(threads, len(jobs)))
-    # Whole seeds per worker save renders only when each seed draws its own
-    # scene and the cameras make the boxes, and they idle workers when there
-    # are fewer seeds than workers; otherwise points go out one at a time.
-    by_seed = cfg["scene"]["seed"] is None and cfg["boxes"]["source"] == "cameras" and n_seeds >= workers
-    if workers == 1:
-        results = [_sweep_job(job) for job in jobs]
+    # Each point's component is built once, by the builder `resolve_config`
+    # checked the point with, and keeps the point's own config hash. A job
+    # is one run seed: it builds the sweep config once and runs every point
+    # on that build, so a worker's points share the seed's views.
+    points = []
+    for value in values:
+        point = apply_sweep_value(cfg, axis, value)
+        points.append((build(point), config_hash(point), f"{axis}_{value}"))
+    jobs = [((cfg, config_hash(cfg), field, out_root, points), seed) for seed in seeds]
+    workers = min(threads, len(seeds))
+    if workers < 2:
+        per_seed = [_sweep_seed(job) for job in jobs]
     else:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs, chunksize=n_values if by_seed else 1))
-    results = [results[s * n_values + v] for v in range(n_values) for s in range(n_seeds)]
+            per_seed = list(pool.map(_sweep_seed, jobs))
+    # sweep.csv's rows are value-major
+    results = [(value, seed, *per_seed[s][v]) for v, value in enumerate(values) for s, seed in enumerate(seeds)]
 
-    rows = [[a, v, seed, 0, *(metrics[c] for c in SWEEP_COLUMNS)] for a, v, seed, metrics, _ in results]
+    rows = [[axis, v, seed, 0, *(metrics[c] for c in SWEEP_COLUMNS)] for v, seed, metrics, _ in results]
     for value in values:
-        sub = [metrics for _, v, _, metrics, _ in results if v == value]
+        sub = [metrics for v, _, metrics, _ in results if v == value]
         rows.append([axis, value, "", 1, *(combine([m[c] for m in sub]) for c, combine in SWEEP_COLUMNS.items())])
     _write_text(out_root / "sweep.csv", _csv_text([*SWEEP_ROW_KEYS, "aggregate", *SWEEP_COLUMNS], rows))
 
-    wall_rows = [[a, v, seed, *(wallclock[c] for c in WALL_COLUMNS)] for a, v, seed, _, wallclock in results]
+    wall_rows = [[axis, v, seed, *(wallclock[c] for c in WALL_COLUMNS)] for v, seed, _, wallclock in results]
     _write_text(out_root / "sweep_wallclock.csv", _csv_text([*SWEEP_ROW_KEYS, *WALL_COLUMNS], wall_rows))
 
-    print(f"swept {axis} over {len(values)} values x {len(cfg['seeds'])} seeds -> {out_root}")
+    print(f"swept {axis} over {len(values)} values x {len(seeds)} seeds -> {out_root}")
     return 0
 
 

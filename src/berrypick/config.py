@@ -403,25 +403,15 @@ def build_box_offset(cfg: dict) -> Vec3:
 
 
 # sweep axis -> the `sweep` list holding its values, the BuiltScenario
-# field a value sets, and that field's builder from a sweep point's config
+# field a value sets, and that field's builder from a sweep point's config,
+# which checks the point (`resolve_config`) and builds its component for
+# every run seed of a sweep (`cli.cmd_sweep`)
 SWEEP_AXES = {
     "offset": ("offsets_mm", "box_offset", build_box_offset),
     "velocity": ("velocity_scales", "robot", build_robot),
     "power": ("powers", "cut", build_cut),
     "noise": ("noise_sigmas", "rig", build_rig),
 }
-
-
-def sweep_point(built: BuiltScenario, point: dict, axis: str) -> BuiltScenario:
-    """The build of a sweep point, `point` being `apply_sweep_value`'s
-    config: `built`, the sweep config's build for the run seed, with the
-    one component `axis` sets built from `point` by the builder that
-    `resolve_config` checked the point with. Every other component is the
-    point's own. No axis changes the scene or a camera's geometry, so a
-    camera point keeps the views of `built` (`BuiltScenario.derive`), and
-    a seed's points view its scene once."""
-    _, field, build = SWEEP_AXES[axis]
-    return built.derive(**{field: build(point)})
 
 
 def _require_ripe_in_view(cfg: dict, scene: Scene, p: LocalizationParams) -> None:

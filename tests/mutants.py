@@ -128,6 +128,21 @@ MUTANTS = [
          "tests/test_cli.py::TestKeptScenario::test_new_run_seed_misses_where_each_draws_its_scene"),
     ),
     Mutant(
+        "sweep: a seed job runs every point on the first seed's build",
+        "cli.py",
+        "    built = _kept_build(cfg, chash, seed)\n",
+        "    built = _kept_build(cfg, chash, cfg[\"seeds\"][0])\n",
+        ("tests/test_cli.py::TestSweepDerivation::test_sweep_builds_each_seed_once",
+         "tests/test_cli.py::TestSweepCommand::test_noise_sweep_views_each_scene_once"),
+    ),
+    Mutant(
+        "sweep: rows put back seed-major",
+        "cli.py",
+        "for v, value in enumerate(values) for s, seed in enumerate(seeds)]",
+        "for s, seed in enumerate(seeds) for v, value in enumerate(values)]",
+        ("tests/test_cli.py::TestSweepCommand::test_noise_sweep_views_each_scene_once",),
+    ),
+    Mutant(
         "build: red rows picked for another build's thresholds",
         "controller.py",
         "        return view_reds(self.views, self.params)\n",

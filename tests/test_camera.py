@@ -15,7 +15,7 @@ import pytest
 from berrypick import camera, localization
 from berrypick.camera import CameraModel, CameraRig, capture_rig, default_rig, look_at_pose
 from berrypick.cli import resolve_config_arg
-from berrypick.config import apply_sweep_value, build_scenario, build_scene, sweep_point
+from berrypick.config import SWEEP_AXES, apply_sweep_value, build_scenario, build_scene
 from berrypick.localization import LocalizationParams, RedCloud, cluster_indices, localize, threshold_red
 from berrypick.geometry import Aabb, Vec3, sq_lengths, transform_cloud
 from berrypick.scene import Scene, SurfaceBatch, generate_scene, sample_surface_arrays, _box_points
@@ -596,7 +596,8 @@ class TestViewCache:
         point = copy.deepcopy(cfg)
         for cam in ("cam1", "cam2"):
             point["rig"][cam].update(depth_noise_sigma=sigma, dropout_rate=rate)
-        noisy = sweep_point(built, point, "noise")
+        _, field, build = SWEEP_AXES["noise"]
+        noisy = built.derive(**{field: build(point)})
         rig = noisy.rig
         assert [(cam.depth_noise_sigma, cam.dropout_rate) for cam in (rig.cam1, rig.cam2)] == [(sigma, rate)] * 2
         seed = 5

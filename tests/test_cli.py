@@ -17,7 +17,7 @@ from berrypick.cli import (
     resolve_config_arg,
     run_one,
 )
-from berrypick.config import SWEEP_AXES, build_rig, build_scenario, load_config, resolve_config, sweep_point
+from berrypick.config import SWEEP_AXES, build_rig, build_scenario, load_config, resolve_config
 from berrypick.controller import BuiltScenario, HarvestEventLog, run_harvest
 from berrypick.errors import ConfigError
 from berrypick.geometry import dump_cloud
@@ -377,31 +377,42 @@ class TestSweepCommand:
         assert abs(cut[50.0] / cut[100.0] - 2.0) <= 0.01 / cut[100.0]
 
     def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
-        payload = {
-            "name": "mini",
-            "scene": FAST_SCENE,
-            "boxes": {"source": "truth"},
-            "sweep": {"powers": [50.0, 100.0]},
-            "seeds": [1, 2],
-        }
-        cfg_path = write_cfg(tmp_path, payload)
-        monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
-        seq = tmp_path / "seq"
-        assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(seq)]) == 0
-        monkeypatch.setenv("BERRYPICK_THREADS", "2")
-        par = tmp_path / "par"
-        assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(par)]) == 0
-        assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+        truth = {"name": "mini", "scene": FAST_SCENE, "boxes": {"source": "truth"},
+                 "sweep": {"powers": [50.0, 100.0]}, "seeds": [1, 2]}
+        # a scene per seed, viewed by the cameras, and 3 seeds over 2 workers
+        cameras = {"name": "mini", "scene": {**FAST_SCENE, "seed": None},
+                   "sweep": {"powers": [50.0, 100.0]}, "seeds": [1, 2, 3]}
+        for name, payload in (("truth", truth), ("cameras", cameras)):
+            cfg_path = write_cfg(tmp_path, payload, f"{name}.json")
+            monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
+            seq = tmp_path / name / "seq"
+            assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(seq)]) == 0
+            monkeypatch.setenv("BERRYPICK_THREADS", "2")
+            par = tmp_path / name / "par"
+            assert main(["sweep", "--config", cfg_path, "--axis", "power", "--out", str(par)]) == 0
+            files = sorted(f.relative_to(seq) for f in seq.rglob("*") if f.name in ("sweep.csv", "manifest.json"))
+            assert len(files) == 1 + 2 * len(payload["seeds"])
+            assert files == sorted(f.relative_to(par) for f in par.rglob("*")
+                                   if f.name in ("sweep.csv", "manifest.json"))
+            assert all((seq / f).read_bytes() == (par / f).read_bytes() for f in files)
 
-    @staticmethod
-    def _record_chunks(monkeypatch) -> list:
-        """Stand in for ProcessPoolExecutor with two workers; the returned
-        list fills with the chunks `map` would hand them."""
-        chunks = []
+    @pytest.mark.parametrize("scene_seed, boxes, seeds", [
+        (None, "cameras", [1, 2]),   # a scene per seed, viewed by the cameras
+        (3, "cameras", [1, 2]),      # one scene for every seed
+        (None, "truth", [1, 2]),     # no camera runs
+        (None, "cameras", [1]),      # fewer seeds than workers
+    ])
+    def test_pool_gets_one_job_per_seed(self, tmp_path, monkeypatch, scene_seed, boxes, seeds):
+        pools = []
 
-        class ChunkRecordingPool:
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor, running its jobs in this
+            process; its map takes no chunk size, so a sweep that passes
+            one fails."""
+
             def __init__(self, max_workers):
-                self.max_workers = max_workers
+                self.max_workers, self.jobs = max_workers, []
+                pools.append(self)
 
             def __enter__(self):
                 return self
@@ -409,40 +420,25 @@ class TestSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
-                jobs = list(jobs)
-                chunks.extend(jobs[i:i + chunksize] for i in range(0, len(jobs), chunksize))
-                return map(fn, jobs)
+            def map(self, fn, jobs):
+                self.jobs = list(jobs)
+                return map(fn, self.jobs)
 
         # cmd_sweep imports the pool where it starts one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ChunkRecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setenv("BERRYPICK_THREADS", "2")
-        return chunks
-
-    def test_each_worker_chunk_is_one_seed(self, tmp_path, monkeypatch):
-        chunks = self._record_chunks(monkeypatch)
-        powers = [50.0, 75.0, 100.0]
-        # a scene per seed, boxes from the cameras, as many seeds as workers
-        payload = {"name": "mini", "scene": {**FAST_SCENE, "seed": None},
-                   "sweep": {"powers": powers}, "seeds": [1, 2]}
-        out = tmp_path / "s"
-        assert main(["sweep", "--config", write_cfg(tmp_path, payload), "--axis", "power", "--out", str(out)]) == 0
-        # every chunk holds exactly one seed's points, all of them
-        assert [sorted({job[3] for job in chunk}) for chunk in chunks] == [[1], [2]]
-        assert all(sorted(job[2] for job in chunk) == powers for chunk in chunks)
-
-    @pytest.mark.parametrize("scene_seed, boxes, seeds", [
-        (3, "cameras", [1, 2]),      # one scene for every seed
-        (None, "truth", [1, 2]),     # no camera runs
-        (None, "cameras", [1]),      # fewer seeds than workers
-    ])
-    def test_points_go_one_per_chunk_where_no_view_is_shared(self, tmp_path, monkeypatch, scene_seed, boxes, seeds):
-        chunks = self._record_chunks(monkeypatch)
         payload = {"name": "mini", "scene": {**FAST_SCENE, "seed": scene_seed}, "boxes": {"source": boxes},
-                   "sweep": {"powers": [50.0, 100.0]}, "seeds": seeds}
+                   "sweep": {"powers": [50.0, 75.0, 100.0]}, "seeds": seeds}
         out = tmp_path / "s"
         assert main(["sweep", "--config", write_cfg(tmp_path, payload), "--axis", "power", "--out", str(out)]) == 0
-        assert [len(chunk) for chunk in chunks] == [1] * 2 * len(seeds)
+        if len(seeds) == 1:
+            assert pools == []
+            return
+        # one pool of as many workers as seeds, and one job per seed holding all of its points
+        [pool] = pools
+        assert pool.max_workers == len(seeds)
+        assert [(seed, [name for *_, name in sweep[-1]]) for sweep, seed in pool.jobs] == [
+            (seed, ["power_50.0", "power_75.0", "power_100.0"]) for seed in seeds]
 
     def test_noise_sweep_views_each_scene_once(self, tmp_path, monkeypatch, sample_calls):
         monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
@@ -620,31 +616,42 @@ class TestSweepDerivation:
 
     @pytest.mark.parametrize("name, axis, counts", [
         # one validation build of the config, which checks its points without
-        # building them, and one build per seed
-        ("robustness", "offset", (11, 10, 0)),
-        ("noise", "noise", (6, 5, 5)),
+        # building them, and one build per seed; the axis's builder runs once
+        # in that build and once in each build per seed, and twice per point:
+        # once to check it and once to build the component all seeds share
+        ("robustness", "offset", (11, 10, 0, 93)),
+        ("noise", "noise", (6, 5, 5, 18)),
     ])
     def test_sweep_builds_each_seed_once(self, tmp_path, monkeypatch, builds, sample_calls, name, axis, counts):
         monkeypatch.delenv("BERRYPICK_THREADS", raising=False)
-        scenes = []
+        scenes, components = [], []
 
         def counting(*args, **kwargs):
             scenes.append(kwargs["seed"])
             return generate_scene(*args, **kwargs)
 
+        key, field, build = SWEEP_AXES[axis]
+
+        def counting_build(cfg):
+            components.append(cfg)
+            return build(cfg)
+
         monkeypatch.setattr(config, "generate_scene", counting)
+        monkeypatch.setattr(config, build.__name__, counting_build)
+        monkeypatch.setitem(SWEEP_AXES, axis, (key, field, counting_build))
         assert main(["sweep", "--config", name, "--axis", axis, "--out", str(tmp_path / "s")]) == 0
-        assert (len(scenes), len(builds), len(sample_calls)) == counts
+        assert (len(scenes), len(builds), len(sample_calls), len(components)) == counts
         assert builds == resolve_config_arg(name)["seeds"]
 
     @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
     def test_point_is_its_fresh_build(self, sample_calls, axis):
         cfg = resolve_config(EVERY_AXIS)
+        key, field, build = SWEEP_AXES[axis]
         for seed in cfg["seeds"]:
             built = build_scenario(cfg, seed)
-            for value in cfg["sweep"][SWEEP_AXES[axis][0]]:
+            for value in cfg["sweep"][key]:
                 point = apply_sweep_value(cfg, axis, value)
-                derived, fresh = sweep_point(built, point, axis), build_scenario(point, seed)
+                derived, fresh = built.derive(**{field: build(point)}), build_scenario(point, seed)
                 assert _same_build(derived, fresh) and not _same_build(derived, built)
                 # the views of the seed's build, carried, and the bits a fresh render gives
                 assert derived.views is built.views and derived.reds is built.reds
@@ -658,7 +665,8 @@ class TestSweepDerivation:
     def test_truth_point_views_nothing(self, sample_calls):
         cfg = resolve_config_arg("robustness")
         built = build_scenario(cfg, 1)
-        point = sweep_point(built, apply_sweep_value(cfg, "offset", 5), "offset")
+        _, field, build = SWEEP_AXES["offset"]
+        point = built.derive(**{field: build(apply_sweep_value(cfg, "offset", 5))})
         run_harvest(point, 1)
         assert "views" not in vars(point) and "views" not in vars(built) and sample_calls == []
 
