@@ -4,8 +4,8 @@
 The view (`_view`) is the seed-free geometry: which surface samples a
 camera sees and where, in its own frame; the scene surfaces are sampled
 once and viewed from each camera. The sensor (`_sense`) then perturbs
-each view with a seed derived from the capture seed: cam1's on the
-calling thread and, at the same time, cam2's on the sensing worker.
+each view with a seed derived from the capture seed, cam1's and then
+cam2's, on the calling thread.
 
 Viewing runs four visibility passes, cheapest first. The first three
 only drop points, so the z-buffer sees the survivors in sampling order.
@@ -80,23 +80,11 @@ scene or a camera's geometry. Any other build views its scene anew, one
 that `dataclasses.replace` makes included, as does `capture_rig` when it
 is given no views. The kept arrays (positions, colours, ray lengths and
 red rows) are read-only.
-
-The sensing worker is one thread, started by the first capture in a
-process, with `concurrent.futures` imported only then; a process that
-never captures starts no thread. It runs nothing but `_sense`, a pure
-function of read-only view arrays, a camera and a seed; the views and
-everything else stay on the calling thread. Each camera draws from its
-own Philox streams, so the clouds are the bits a serial capture gives.
-Before any `os.fork()` the worker is shut down and joined, so no thread
-crosses a fork (a `sweep` with workers forks them); the next capture, in
-parent or child, starts a new one. The worker assumes one capture at a
-time per process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,8 +393,7 @@ def _sense(
     The draws are `standard_normal` scaled by sigma. `normal(0.0, 1.0)`
     returns 0.0 + 1.0*z, which is z but for the sign of a zero draw, and
     that sign is lost in `ranges + dr` as every range is > 0; so the
-    points are the bits `normal` gives. A pure function of read-only
-    arrays, so `capture_rig` runs one camera's on its sensing worker."""
+    points are the bits `normal` gives."""
     ss = np.random.SeedSequence(seed)
     noise_rng, dropout_rng = (np.random.Generator(np.random.Philox(c)) for c in ss.spawn(2))
     survives = dropout_rng.random(len(q)) >= cam.dropout_rate
@@ -447,24 +434,6 @@ def view_reds(views: tuple, p: LocalizationParams) -> tuple[tuple[np.ndarray, tu
     return reds
 
 
-# the sensing worker: one thread, started by the first capture and shut
-# down before any fork; see the module docstring
-_sensor = None
-
-
-def _drop_sensor() -> None:
-    """Join and drop the sensing worker, so that no thread crosses a fork:
-    a forked child would hold a worker whose thread is gone, and its first
-    capture would wait on cam2 forever. The next capture starts a new one."""
-    global _sensor
-    if _sensor is not None:
-        _sensor.shutdown()
-        _sensor = None
-
-
-os.register_at_fork(before=_drop_sensor)
-
-
 def capture_rig(
     scene: Scene, rig: CameraRig, seed: int, red: LocalizationParams | None = None, *,
     views: tuple | None = None, reds: tuple | None = None,
@@ -480,28 +449,13 @@ def capture_rig(
 
     `views` and `reds`, when given, must be what `rig_views(scene, rig)`
     and `view_reds(views, red)` return; each is made here when it is not
-    given (a `BuiltScenario` keeps both). cam2 is then sensed on the
-    sensing worker while this thread senses cam1. The two draw from
-    separate streams and numpy fills them without the GIL, so they run
-    side by side with the bits a serial capture gives. cam2's sensing is
-    waited for even when cam1's raises, and an error from either reaches
-    the caller.
+    given (a `BuiltScenario` keeps both). cam1 is then sensed and then
+    cam2, each from its own stream of the capture seed.
     """
-    global _sensor
     s1, s2 = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     if views is None:
         views = rig_views(scene, rig)
     if reds is None:
         reds = (None, None) if red is None else view_reds(views, red)
     (v1, v2), (r1, r2) = views, reds
-    if _sensor is None:
-        # imported here, so that a process that never captures starts no thread
-        from concurrent.futures import ThreadPoolExecutor
-
-        _sensor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="berrypick-sense")
-    cam2 = _sensor.submit(_sense, *v2, rig.cam2, int(s2), r2)
-    try:
-        cloud1 = _sense(*v1, rig.cam1, int(s1), r1)
-    finally:
-        cam2.exception()  # waits, and leaves cam2's error to result()
-    return cloud1, cam2.result()
+    return _sense(*v1, rig.cam1, int(s1), r1), _sense(*v2, rig.cam2, int(s2), r2)

@@ -205,7 +205,8 @@ def dump_cloud(cloud: ColoredPointCloud, path) -> None:
 def load_cloud(path) -> ColoredPointCloud:
     """Read the plain-text cloud format written by `dump_cloud`.
 
-    A malformed file raises `CloudFormatError` naming `path:line`. Bytes
+    A malformed file raises `CloudFormatError` naming `path:line`, and so
+    does a line that is not blank after the header's count of points. Bytes
     that are not UTF-8 are read as lone surrogates, which no field parses,
     so they are reported on their own line.
     """
@@ -238,4 +239,8 @@ def load_cloud(path) -> ColoredPointCloud:
                 raise CloudFormatError(f"{path}:{line}: color channels must be in [0, 255], got {parts[3:]}")
             xyz.append(p)
             rgb.append(c)
+        for line, text in enumerate(fh, count + 2):
+            if text.strip():
+                raise CloudFormatError(
+                    f"{path}:{line}: expected the end of the file after {count} points, got {text.strip()!r}")
     return ColoredPointCloud(frame, xyz, rgb)

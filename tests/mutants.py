@@ -165,11 +165,12 @@ MUTANTS = [
         ("tests/test_localization.py::TestLocalize::test_lone_red_row_rounding_apart_moves_as_in_whole_cloud",),
     ),
     Mutant(
-        "sensing worker: a forked child inherits the parent's worker",
+        "capture: cam2 sensed with cam1's seed",
         "camera.py",
-        "os.register_at_fork(before=_drop_sensor)\n",
-        "",
-        ("tests/test_camera.py::TestSensingWorker::test_fork_joins_the_worker",),
+        "_sense(*v2, rig.cam2, int(s2), r2)",
+        "_sense(*v2, rig.cam2, int(s1), r2)",
+        ("tests/test_camera.py::TestSensingWorker::test_error_reaches_the_caller",
+         "tests/test_camera.py::TestRedCapture::test_paper9"),
     ),
     Mutant(
         "box offset: no bound by the workspace's size",

@@ -772,8 +772,9 @@ class TestLocalizeCommand:
         # turns warnings into errors, so a numpy overflow warning fails here
         ("frame=cam1 count=1\n1.7e308 1.7e308 1.7e308 200 10 10\n", 2),
         ("frame=cam1 count=2\n0.4 0.0 0.4 200 10 10\n-1.7e308 -1.7e308 -1.7e308 200 10 10\n", 3),
+        ("frame=cam1 count=1\n0.4 0.0 0.4 200 10 10\n0.5 0.0 0.4 200 10 10\ngarbage here\n", 3),
     ], ids=["color_300", "color_negative", "short", "nan", "no_key_value", "count_x", "non_numeric",
-            "overflow_in_base_frame", "overflow_second_point"])
+            "overflow_in_base_frame", "overflow_second_point", "extra_point"])
     def test_malformed_cloud_names_line(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
